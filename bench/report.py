@@ -3,6 +3,7 @@ results. BENCHMARK.json lists the same names and units (a test checks it)."""
 
 from __future__ import annotations
 
+from decks import CLI_SUBCOMMANDS, mc_fits
 from stats import median, tail_percentile
 
 #: (name, unit, better) of every end-to-end metric, reported with --trace 0.
@@ -24,8 +25,6 @@ _FUNCTIONS = {
     "conditions": ("predict_sign",),
     "simulate": ("mc_experiment", "generate_data", "RidgeFactorization", "empirical_risk"),
 }
-CLI_SUBCOMMANDS = ("fixpoint", "lambdamin", "risk", "optimize", "conditions", "path",
-                   "simulate", "sweep")
 RISK_KERNEL_P = (48, 500, 3000)
 PLAIN_KINDS = ("plain", "plain-isotropic")
 ENSEMBLE_KINDS = ("ensemble-single", "ensemble-multi")
@@ -145,8 +144,6 @@ def per_layer(trace: dict) -> dict:
     values["simulate.plain_task_ms"] = task_ms(PLAIN_KINDS)
     values["simulate.ensemble_task_ms"] = task_ms(ENSEMBLE_KINDS)
     if workload == "montecarlo":
-        from decks import mc_fits
-
         fits = sum(mc_fits(t["task"]) for t in tasks)
         values["simulate.fits"] = fits
         values["simulate.fits_per_s"] = fits / (1e-3 * sum(t["ms"] for t in tasks))
