@@ -27,8 +27,6 @@ from worker import WORKLOADS, blas_env
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = Path(__file__).resolve().parent
-#: set-ups measured per timed run: the measuring process plus probes
-SETUP_SAMPLES = 5
 
 
 class BenchError(RuntimeError):
@@ -43,9 +41,9 @@ def worker_env() -> dict[str, str]:
 
 
 def spawn(workload: str, seed: int, mode: str, seconds: float, workdir: Path,
-          timeout: float) -> tuple[float, dict | None]:
+          timeout: float) -> tuple[float, dict]:
     """Run one worker process; return its set-up time (start to READY) and
-    its RESULT object (None for a probe)."""
+    its RESULT object."""
     cmd = [sys.executable, str(BENCH / "worker.py"), "--workload", workload,
            "--seed", str(seed), "--mode", mode, "--seconds", str(seconds),
            "--workdir", str(workdir)]
@@ -68,7 +66,7 @@ def spawn(workload: str, seed: int, mode: str, seconds: float, workdir: Path,
             proc.kill()
             proc.wait()
         proc.stdout.close()
-    if proc.returncode != 0 or ready is None or (mode != "probe" and result is None):
+    if proc.returncode != 0 or ready is None or result is None:
         raise BenchError(f"{mode} worker for {workload} exited with code {proc.returncode}")
     return ready, result
 
@@ -78,7 +76,7 @@ def failures(tasks: list[dict]) -> list[dict]:
 
 
 def emit(workload: str, metrics: dict, units: dict, notes: dict, failed: list[dict],
-         attempted: int, extra_ok: bool, machine: dict) -> None:
+         attempted: int, machine: dict) -> None:
     print(f"# ridgeshift benchmark, workload {workload}")
     for name, value in metrics.items():
         note = notes.get(name)
@@ -89,7 +87,7 @@ def emit(workload: str, metrics: dict, units: dict, notes: dict, failed: list[di
         print("FAILED " + json.dumps(f))
     print("machine " + json.dumps(machine))
     line = {
-        "correct": not failed and extra_ok,
+        "correct": not failed,
         "attempted": attempted,
         "failed": len(failed),
         "metrics": {name: {"value": value, "unit": units[name]}
@@ -101,17 +99,10 @@ def emit(workload: str, metrics: dict, units: dict, notes: dict, failed: list[di
 def timed(args, workdir: Path) -> None:
     setup, run = spawn(args.workload, args.seed, "run", args.seconds, workdir,
                        timeout=args.seconds + 120)
-    samples = [setup]
-    for _ in range(SETUP_SAMPLES - 1):
-        samples.append(spawn(args.workload, args.seed, "probe", args.seconds, workdir,
-                             timeout=60)[0])
-    values, notes = report.end_to_end(run, samples)
+    values, notes = report.end_to_end(run, [setup, *run["setup_probes"]])
     units = {name: unit for name, unit, _ in report.END_TO_END}
-    wrappers = run.get("wrappers", [])
-    if wrappers:
-        print("untraced run holds tracing wrappers: " + ", ".join(wrappers))
     emit(args.workload, values, units, notes, failures(run["tasks"]), len(run["tasks"]),
-         not wrappers, run["machine"])
+         run["machine"])
 
 
 def traced(args, workdir: Path) -> None:
@@ -125,8 +116,7 @@ def traced(args, workdir: Path) -> None:
     notes = {"trace.overhead_pct": f"{len(result['tasks'])} tasks, each traced and untraced"}
     emit(args.workload, values, units, notes,
          failures(result["tasks"]) + failures(result["untraced"]) + differ,
-         len(result["tasks"]) + len(result["untraced"]), result.get("summary") is not None,
-         result["machine"])
+         len(result["tasks"]) + len(result["untraced"]), result["machine"])
 
 
 def main(argv=None) -> int:

@@ -24,7 +24,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
@@ -33,7 +32,7 @@ def main() -> int:
         out = subprocess.run(
             [sys.executable, str(ROOT / spec["command"][1]), "--workload", args.workload,
              "--seed", str(seed), "--seconds", str(spec["run_seconds"]),
-             "--trace", str(args.trace)],
+             "--trace", "0"],
             cwd=ROOT, capture_output=True, text=True, check=True,
         )
         lines = out.stdout.strip().splitlines()
@@ -42,15 +41,15 @@ def main() -> int:
                         if line.startswith("machine ")), {})
         print(f"seed {seed}: correct={result['correct']} attempted={result['attempted']} "
               f"failed={result['failed']} steal_pct={machine.get('steal_pct', 0.0):.1f} "
-              + " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()
-                         if args.trace == 0), flush=True)
+              + " ".join(f"{k}={v['value']:.6g}" for k, v in result["metrics"].items()),
+              flush=True)
         for name, metric in result["metrics"].items():
             values.setdefault(name, []).append(metric["value"])
-    if args.trace == 0 and len(args.seeds) >= 2:
+    if len(args.seeds) >= 2:
         for name, vals in values.items():
             spread = quartile_spread(vals)
             limit = bounds[name] / 3.0
-            flag = "ok" if spread <= limit or name == "setup_s" else "WIDE"
+            flag = "ok" if spread <= limit else "WIDE"
             print(f"{name:18s} median {median(vals):12.6g}  spread {spread:7.4f}  "
                   f"bound/3 {limit:7.4f}  {flag}")
     return 0

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -19,7 +17,8 @@ if str(ROOT / "src") not in sys.path:
 import decks  # noqa: E402
 import report  # noqa: E402
 from stats import tail_percentile  # noqa: E402
-from tracing import Span, Tracer, installed_wrappers, summarize, union_length  # noqa: E402
+import worker  # noqa: E402
+from tracing import Span, Tracer, installed_wrappers, summarize  # noqa: E402
 
 
 # -- tail percentile -----------------------------------------------------------
@@ -64,15 +63,13 @@ def test_self_time_of_nested_spans():
     assert s["nested"]["fixed_point.solve_mu|risk.optimal_lambda"] == 1
 
 
-def test_self_time_with_overlapping_children_counts_their_union():
-    # two pool threads working under one mc_experiment span
+def test_self_time_subtracts_every_child_once():
     parent = Span("simulate.mc_experiment", 0.0, 10.0)
-    kids = [Span("simulate.RidgeFactorization", 1.0, 5.0, parent),
-            Span("simulate.RidgeFactorization", 3.0, 7.0, parent)]
+    kids = [Span("simulate.RidgeFactorization", 1.0, 3.0, parent),
+            Span("simulate.RidgeFactorization", 4.0, 7.0, parent)]
     s = summarize([*kids, parent])
-    assert _fn(s, "simulate.mc_experiment")["self_s"] == 4.0
-    assert _fn(s, "simulate.RidgeFactorization")["self_s"] == 8.0
-    assert union_length([(1.0, 5.0), (3.0, 7.0), (8.0, 9.0)]) == 7.0
+    assert _fn(s, "simulate.mc_experiment")["self_s"] == 5.0
+    assert _fn(s, "simulate.RidgeFactorization")["self_s"] == 5.0
 
 
 def test_self_time_of_reentrant_calls_sums_to_the_outer_duration():
@@ -137,6 +134,8 @@ def test_rounds_keep_their_composition():
                                                                       ("cell",))
     assert len(decks.theory_round(1, 0)) == 60
     assert {t["sub"] for t in decks.cli_commands(1)} == set(decks.CLI_SUBCOMMANDS)
+    # the ten short p = 500 commands twice, the other eight once
+    assert len(decks.cli_round(1, 0, decks.cli_commands(1))) == 28
 
 
 def test_same_seed_same_models():
@@ -149,16 +148,14 @@ def test_same_seed_same_models():
 
 # -- the untraced run ---------------------------------------------------------------
 
-def test_untraced_run_installs_no_wrapper(tmp_path):
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "worker.py"), "--workload", "montecarlo",
-         "--seed", "1", "--mode", "run", "--seconds", "0", "--workdir", str(tmp_path)],
-        capture_output=True, text=True, check=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-    )
-    result = json.loads(out.stdout.splitlines()[-1][len("RESULT "):])
+def test_untraced_run_installs_no_wrapper(tmp_path, capsys, monkeypatch):
+    for var, value in worker.blas_env().items():
+        monkeypatch.setenv(var, value)  # restored after the test
+    assert worker.main(["--workload", "montecarlo", "--seed", "1", "--mode", "run",
+                        "--seconds", "0", "--workdir", str(tmp_path)]) == 0
+    assert installed_wrappers() == []
+    result = json.loads(capsys.readouterr().out.splitlines()[-1][len("RESULT "):])
     assert "summary" not in result
-    assert result["wrappers"] == []
     assert all(t["error"] is None for t in result["tasks"])
     assert len(result["tasks"]) == len(decks.MC_CELLS)
 

@@ -8,11 +8,10 @@ where other modules look it up (``ridgeshift.risk.solve_mu``,
 records a span: its name, start, end and parent. Spans stay in memory until
 :meth:`Tracer.summary` folds them into additive per-function statistics.
 
-A span opened on a thread with no open span of its own takes as parent the
-innermost open span of the installing thread; that is how the replicate
-fits that ``mc_experiment`` runs on its thread pool are attributed to it.
-
-Only the traced run of the benchmark installs a tracer.
+Spans are kept on one stack, so every span lies inside its parent and the
+children of a span do not overlap: the benchmark runs every workload on a
+single thread (``mc_experiment`` with one pool thread takes its serial
+path). Only the traced run of the benchmark installs a tracer.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import functools
 import importlib
 import inspect
 import sys
-import threading
 import time
 import warnings
 from collections import defaultdict
@@ -51,43 +49,23 @@ class Span:
         self.raised = raised
 
 
-def union_length(intervals) -> float:
-    """Total length covered by a set of (start, end) intervals."""
-    total = 0.0
-    cur_start = cur_end = None
-    for start, end in sorted(intervals):
-        if cur_end is None or start > cur_end:
-            if cur_end is not None:
-                total += cur_end - cur_start
-            cur_start, cur_end = start, end
-        elif end > cur_end:
-            cur_end = end
-    if cur_end is not None:
-        total += cur_end - cur_start
-    return total
-
-
 def summarize(spans, near_singular: int = 0) -> dict:
     """Additive statistics of a list of spans.
 
-    A span's self time is its duration minus the part of it that its child
-    spans cover, so nested and re-entrant calls are never counted twice.
+    A span's self time is its duration minus the durations of its child
+    spans, so nested and re-entrant calls are never counted twice.
     """
-    children = defaultdict(list)
+    covered = defaultdict(float)
     for s in spans:
         if s.parent is not None:
-            children[id(s.parent)].append(s)
+            covered[id(s.parent)] += s.end - s.start
     functions: dict[str, dict] = {}
     tagged: dict[str, dict] = {}
     for s in spans:
-        kids = children.get(id(s), ())
-        covered = union_length(
-            (max(k.start, s.start), min(k.end, s.end)) for k in kids if k.end > s.start
-        )
         dur = s.end - s.start
         f = functions.setdefault(s.name, {"calls": 0, "self_s": 0.0, "incl_s": 0.0, "raised": 0})
         f["calls"] += 1
-        f["self_s"] += dur - covered
+        f["self_s"] += dur - covered[id(s)]
         f["incl_s"] += dur
         f["raised"] += s.raised
         if s.tag is not None:
@@ -133,10 +111,7 @@ def merge_summaries(a: dict, b: dict) -> dict:
 def root_coverage(spans, windows) -> list[float]:
     """For each (start, end) window, the time covered by root spans."""
     roots = [(s.start, s.end) for s in spans if s.parent is None]
-    return [
-        union_length((max(a, t0), min(b, t1)) for a, b in roots if a < t1 and b > t0)
-        for t0, t1 in windows
-    ]
+    return [sum(max(0.0, min(b, t1) - max(a, t0)) for a, b in roots) for t0, t1 in windows]
 
 
 class Tracer:
@@ -144,10 +119,7 @@ class Tracer:
         self.spans: list[Span] = []
         self.near_singular = 0
         self._clock = clock
-        self._owner = threading.get_ident()
-        self._owner_stack: list[Span] = []
-        self._local = threading.local()
-        self._lock = threading.Lock()
+        self._stack: list[Span] = []
         self._restore: list[tuple[object, str, object]] = []
         self._saved_warnings = None
 
@@ -155,30 +127,15 @@ class Tracer:
     def installed(self) -> bool:
         return bool(self._restore)
 
-    def _stack(self) -> list[Span]:
-        if threading.get_ident() == self._owner:
-            return self._owner_stack
-        try:
-            return self._local.stack
-        except AttributeError:
-            self._local.stack = []
-            return self._local.stack
-
-    def _fallback_parent(self):
-        try:
-            return self._owner_stack[-1]
-        except IndexError:
-            return None
-
     def wrap(self, name: str, fn):
         clock = self._clock
         spans = self.spans
+        stack = self._stack
         tagged = name in TAGGED
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
-            stack = self._stack()
-            parent = stack[-1] if stack else self._fallback_parent()
+            parent = stack[-1] if stack else None
             span = Span(name, 0.0, 0.0, parent,
                         getattr(args[0], "p", None) if tagged and args else None)
             stack.append(span)
@@ -228,8 +185,7 @@ class Tracer:
 
         def counting_show(message, cat, *args, **kwargs):
             if issubclass(cat, category):
-                with self._lock:
-                    self.near_singular += 1
+                self.near_singular += 1
             else:
                 show(message, cat, *args, **kwargs)
 

@@ -6,9 +6,9 @@ line of JSON.
         --seconds 30 --workdir .bench_work/x
 
 Modes: ``probe`` stops after set-up (set-up timing only); ``run`` measures
-whole rounds for about ``--seconds``; ``trace`` runs every task of the fixed
-trace deck twice, with the tracing wrappers installed and without. ``src``
-must be on PYTHONPATH.
+whole rounds for about ``--seconds`` and times probes of its own set-up
+between tasks; ``trace`` runs every task of the fixed trace deck twice, with
+the tracing wrappers installed and without. ``src`` must be on PYTHONPATH.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import platform
 import resource
 import subprocess
 import sys
+import threading
 import time
 
 import decks
@@ -36,6 +37,10 @@ TRACE_ROUNDS = {"theory-deck": 1, "montecarlo": 4, "cli-batch": 1}
 #: command is repeated and compared byte for byte.
 MIN_ROUNDS = {"theory-deck": 1, "montecarlo": 1, "cli-batch": 2}
 START_PROBES = 5
+#: Set-up probes a timed run makes, spread evenly over its measured time:
+#: on a shared virtual machine speed can drift by tens of percent within
+#: seconds, so a burst of set-ups taken at one moment samples one speed only.
+SETUP_PROBES = 11
 SCHEMA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "src", "ridgeshift", "schemas", "cli_output.schema.json")
 
@@ -148,22 +153,57 @@ def run_one(workload, task: dict) -> tuple:
     return task, t0, time.perf_counter(), out, err
 
 
-def closed_loop(workload, seconds: float, min_rounds: int):
+def closed_loop(workload, seconds: float, min_rounds: int, pause, pauses: int):
     """Run whole rounds, one task at a time, and stop at the round boundary
-    nearest to ``seconds`` (at least ``min_rounds``). Returns the task
-    records and (tasks, wall seconds, CPU seconds) per round."""
+    nearest to ``seconds`` (at least ``min_rounds``). Between tasks, call
+    ``pause`` up to ``pauses`` times, spread evenly over ``seconds``; its
+    wall and CPU time are left out of the rounds. Returns the task records
+    and (tasks, wall seconds, CPU seconds) per round."""
     records = []
     rounds = []
-    start = time.perf_counter()
+    elapsed = 0.0
+    paused = 0
     while True:
         r0, c0 = time.perf_counter(), cpu_seconds()
+        skip_wall = skip_cpu = 0.0
         tasks = workload.round(len(rounds))
-        records.extend(run_one(workload, task) for task in tasks)
-        r1 = time.perf_counter()
-        rounds.append((len(tasks), r1 - r0, cpu_seconds() - c0))
-        elapsed = r1 - start
+        for task in tasks:
+            records.append(run_one(workload, task))
+            now = elapsed + time.perf_counter() - r0 - skip_wall
+            if paused < pauses and now >= (paused + 0.5) * seconds / pauses:
+                p0, q0 = time.perf_counter(), cpu_seconds()
+                pause()
+                skip_wall += time.perf_counter() - p0
+                skip_cpu += cpu_seconds() - q0
+                paused += 1
+        wall = time.perf_counter() - r0 - skip_wall
+        rounds.append((len(tasks), wall, cpu_seconds() - c0 - skip_cpu))
+        elapsed += wall
         if len(rounds) >= min_rounds and elapsed + 0.5 * elapsed / len(rounds) >= seconds:
             return records, rounds
+
+
+def setup_seconds(argv: list[str]) -> float:
+    """Seconds from starting the probe worker ``argv`` until it says READY."""
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, text=True)
+    killer = threading.Timer(60.0, proc.kill)
+    killer.start()
+    ready = None
+    try:
+        for line in proc.stdout:
+            if ready is None and line.startswith("READY"):
+                ready = time.perf_counter() - t0
+        proc.wait()
+    finally:
+        killer.cancel()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    if proc.returncode != 0 or ready is None:
+        raise RuntimeError(f"set-up probe exited with code {proc.returncode}")
+    return ready
 
 
 def paired_loop(workload, set_traced, rounds: int):
@@ -270,17 +310,27 @@ def main(argv=None) -> int:
         return 0
 
     result = {"workload": args.workload, "mode": args.mode}
-    steal0 = steal_ticks()
+    steal0, began = steal_ticks(), time.perf_counter()
     if args.mode == "run":
-        records, rounds = closed_loop(workload, args.seconds, MIN_ROUNDS[args.workload])
-        wall = sum(r[1] for r in rounds)
+        probe_dir = os.path.join(args.workdir, "probe")
+        os.mkdir(probe_dir)
+        probe_argv = [sys.executable, os.path.abspath(__file__), "--workload", args.workload,
+                      "--seed", str(args.seed), "--mode", "probe", "--workdir", probe_dir]
+        setups = []
+
+        def probe() -> None:
+            setups.append(setup_seconds(probe_argv))
+
+        records, rounds = closed_loop(workload, args.seconds, MIN_ROUNDS[args.workload],
+                                      probe, SETUP_PROBES)
+        while len(setups) < SETUP_PROBES:  # a run that ended early
+            probe()
+        # the probes are smaller than the largest CLI process, so they do
+        # not raise the children's high-water mark on cli-batch
         who = resource.RUSAGE_CHILDREN if args.workload == "cli-batch" else resource.RUSAGE_SELF
-        result.update(rounds=rounds, wall_s=wall,
+        result.update(rounds=rounds, wall_s=sum(r[1] for r in rounds), setup_probes=setups,
                       peak_rss_mb=resource.getrusage(who).ru_maxrss / 1024.0,
                       tasks=entries(workload, records))
-        from tracing import installed_wrappers
-
-        result["wrappers"] = installed_wrappers()
     else:
         if tracer is not None:
             def set_traced(on: bool) -> None:
@@ -290,7 +340,6 @@ def main(argv=None) -> int:
             def set_traced(on: bool) -> None:
                 workload.traced = on
         records, plain = paired_loop(workload, set_traced, TRACE_ROUNDS[args.workload])
-        wall = sum(t1 - t0 for _, t0, t1, _, _ in records + plain)
         result.update(tasks=entries(workload, records), untraced=entries(workload, plain))
         if tracer is not None:
             from tracing import root_coverage
@@ -306,7 +355,7 @@ def main(argv=None) -> int:
             result["python_start_ms"] = start
             result["import_ms"] = median_process_ms(
                 [sys.executable, "-c", "import ridgeshift.cli"], workload.env) - start
-    steal1 = steal_ticks()
+    steal1, wall = steal_ticks(), time.perf_counter() - began
     result["machine"] = machine_block(args.workload)
     if steal0 is not None and steal1 is not None:
         ticks = os.sysconf("SC_CLK_TCK") * wall * (os.cpu_count() or 1)
