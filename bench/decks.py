@@ -151,8 +151,9 @@ def run_theory_task(task: dict, models: dict):
     raise ValueError(f"unknown theory task kind {kind!r}")
 
 
-def check_theory_task(task: dict, out) -> str | None:
-    """None when the output is right, else what is wrong with it."""
+def check_theory_task(task: dict, out, models) -> str | None:
+    """None when the output is right, else what is wrong with it. Every
+    library check gets the workload's models; this one does not need them."""
     kind = task["kind"]
     if kind == "optimize":
         lam = out["lambda_star"]
@@ -209,17 +210,17 @@ MC_CELLS = (
     # about 500 ms
     ("plain-p400-phi0.5", "plain", "identity", 400, 0.5, 16, None, None, None),
     ("ens1-p400-phi0.5", "ensemble-single", "identity", 400, 0.5, 4, 1.0, 20, (0.5,)),
-    ("ens3-p300-phi0.5", "ensemble-multi", "identity", 300, 0.5, 4, 1.0, 10, (0.25, 0.5, 1.0)),
+    ("ens3-p300-phi0.5", "ensemble-multi", "identity", 300, 0.5, 8, 1.0, 5, (0.25, 0.5, 1.0)),
 )
 
 #: Plain sweep: fractions of lambda_min(phi), then nonnegative penalties.
 PLAIN_SWEEP = ((0.5, 0.35, 0.15), (0.0, 0.25, 1.0))
 
-#: Accepted |empirical mean - theory total| per cell kind: this share of the
-#: theory total (finite-p bias, and for ensembles the finite-M bias of 10-50
-#: subsamples) plus MC_SE standard errors of the replicate mean. Over 100
-#: seeds of one round no cell needed more than 2.6 standard errors beyond
-#: the relative part.
+#: Accepted |empirical mean - expected risk| per cell kind: this share of
+#: the expected risk (finite-p bias) plus MC_SE standard errors of the
+#: replicate mean. An ensemble cell's expected risk is that of its own
+#: number of subsamples M, not the M -> infinity limit that mc_experiment
+#: reports as ``theory_total`` (see expected_mc_risk).
 MC_RTOL = {"plain": 0.10, "plain-isotropic": 0.10, "ensemble-single": 0.10,
            "ensemble-multi": 0.10}
 MC_SE = 5.0
@@ -293,16 +294,34 @@ def run_mc_task(task: dict, models: dict):
             for c in result.cells]
 
 
-def check_mc_task(task: dict, out) -> str | None:
+def expected_mc_risk(task: dict, models: dict, lam: float, theory: float) -> float:
+    """Theory risk of the cell's own fit. The average of M exchangeable
+    subsample fits has risk R_1 / M + (1 - 1/M) R_cross, where R_1 is the
+    risk of one fit (plain ridge at aspect psi) and the cross term R_cross
+    tends to ``theory`` (the full ensemble, M -> infinity) in the
+    proportional limit. On the ens3-p300-phi0.5 cell (psi = 1, five
+    subsamples) it is up to 13% above ``theory``."""
+    m = task["subsamples"]
+    if task["psi"] is None or m is None:
+        return theory
+    from ridgeshift import risk
+
+    single = risk.risk_decomposition(models[task["model"]], lam, task["psi"]).total
+    return single / m + (1.0 - 1.0 / m) * theory
+
+
+def check_mc_task(task: dict, out, models) -> str | None:
     if len(out) != len(task["lambdas"]):
         return f"{len(out)} cells for {len(task['lambdas'])} penalties"
     rtol = MC_RTOL[task["kind"]]
     for lam, psi, failed, mean, se, theory in out:
         if failed:
             return f"cell lambda={lam!r} psi={psi!r} failed"
-        if not abs(mean - theory) <= rtol * theory + MC_SE * se:
+        expected = expected_mc_risk(task, models, lam, theory)
+        if not abs(mean - expected) <= rtol * expected + MC_SE * se:
             return (f"cell lambda={lam!r} psi={psi!r}: empirical {mean!r} (se {se!r}) vs "
-                    f"theory {theory!r}, beyond {rtol:.0%} + {MC_SE:g} se")
+                    f"expected {expected!r} (theory_total {theory!r}), "
+                    f"beyond {rtol:.0%} + {MC_SE:g} se")
     return None
 
 

@@ -138,6 +138,33 @@ def test_rounds_keep_their_composition():
     assert len(decks.cli_round(1, 0, decks.cli_commands(1))) == 28
 
 
+def test_mc_check_expects_the_risk_of_the_cells_own_subsample_count():
+    from ridgeshift import risk
+
+    models = decks.build_mc_models(1)
+    ens = next(t for t in decks.mc_round(1, 0) if t["cell"] == "ens3-p300-phi0.5")
+    plain = next(t for t in decks.mc_round(1, 0) if t["kind"] == "plain")
+    lam = ens["lambdas"][0]
+    m = models[ens["model"]]
+    full = risk.ensemble_risk(m, lam, ens["phi"], ens["psi"]).total
+    single = risk.risk_decomposition(m, lam, ens["psi"]).total
+    expected = decks.expected_mc_risk(ens, models, lam, full)
+    assert expected == pytest.approx(full + (single - full) / ens["subsamples"], rel=1e-12)
+    assert full < expected < single
+    assert decks.expected_mc_risk(plain, models, plain["lambdas"][0], 0.5) == 0.5
+
+    def cells(scale):
+        out = []
+        for x in ens["lambdas"]:
+            t = risk.ensemble_risk(m, x, ens["phi"], ens["psi"]).total
+            out.append((x, ens["psi"], False, scale * decks.expected_mc_risk(ens, models, x, t),
+                        1e-6, t))
+        return out
+
+    assert decks.check_mc_task(ens, cells(1.0), models) is None
+    assert decks.check_mc_task(ens, cells(1.12), models) is not None
+
+
 def test_same_seed_same_models():
     a, b, c = (decks.build_theory_models(s) for s in (1, 1, 2))
     assert len(a) == 12

@@ -64,7 +64,7 @@ class Library:
         return self._run(task, self.models)
 
     def check(self, records) -> list[str | None]:
-        return [self._check(task, out) for task, out in records]
+        return [self._check(task, out, self.models) for task, out in records]
 
 
 class CliBatch:
