@@ -16,7 +16,6 @@ from .model import (
     ModelConfig,
     ShiftModel,
     Spectrum,
-    avg_trace_resolvent,
     build_ar1,
     build_model,
     make_model,
@@ -50,7 +49,6 @@ from .conditions import (
     SignPrediction,
     check_cov_shift_overparam,
     check_in_dist_alignment,
-    check_noiseless_alignment_logderiv,
     check_reg_shift_alignment,
     check_reg_shift_general_balance,
     check_strict_alignment_implication,
@@ -86,7 +84,6 @@ __all__ = [
     "build_ar1",
     "build_model",
     "make_model",
-    "avg_trace_resolvent",
     # fixed point
     "PSI_INFINITE",
     "FixedPointSolution",
@@ -113,7 +110,6 @@ __all__ = [
     "ConditionReport",
     "SignPrediction",
     "check_in_dist_alignment",
-    "check_noiseless_alignment_logderiv",
     "check_cov_shift_overparam",
     "check_reg_shift_alignment",
     "check_reg_shift_general_balance",

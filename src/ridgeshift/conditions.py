@@ -25,20 +25,18 @@ necessary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .errors import InvalidParameterError
-from .model import ShiftModel
-from .risk import risk_mu_derivative
+from .errors import BranchViolationError, InvalidParameterError
 from .fixed_point import solve_mu
+from .model import ShiftModel
+from .risk import _blocks, _kernel, _weights
 
 ConditionId = Literal[
     "in-dist-alignment",
-    "noiseless-form",
     "cov-shift-overparam",
     "reg-shift-alignment",
     "reg-shift-general-balance",
@@ -114,46 +112,13 @@ def check_in_dist_alignment(
     sp = model.spectrum
     mu_start = solve_mu(sp, 0.0, phi).mu
     mus = grid.values(mu_start, sp.r_max)
+    bl = _blocks(_weights(model), mus)
     s2n = model.sigma2
-    margins = np.empty(mus.size)
-    for i, mu in enumerate(mus):
-        b2 = mu**2 * model.signal_form(mu, power=2, sigma_power=1, right="beta")
-        b3 = mu**3 * model.signal_form(mu, power=3, sigma_power=1, right="beta")
-        s2 = mu**2 * sp.resolvent_trace(mu, power=2, sigma_power=1)
-        s3 = mu**3 * sp.resolvent_trace(mu, power=3, sigma_power=1)
-        margins[i] = (b2 + s2n) / (b3 + s2n) - s2 / s3
+    b2, b3 = mus**2 * bl.b2, mus**3 * bl.b3
+    s2, s3 = mus**2 * bl.s2, mus**3 * bl.s3
+    margins = (b2 + s2n) / (b3 + s2n) - s2 / s3
     return _report(
         "in-dist-alignment", margins, f"mu in [{mus[0]:.6g}, {mus[-1]:.6g}], {mus.size} log points"
-    )
-
-
-def check_noiseless_alignment_logderiv(
-    model: ShiftModel, phi: float, grid: MuGrid | None = None, step: float = 1e-6
-) -> ConditionReport:
-    """Noiseless form of the alignment test via finite-difference log
-    derivatives: the signal functional log tr-form must decay slower in mu
-    than the spectrum functional. Equivalent to the ratio test at sigma2 = 0."""
-    if phi <= 1.0:
-        raise InvalidParameterError("wrong regime: requires phi > 1")
-    grid = grid or MuGrid()
-    sp = model.spectrum
-    mu_start = solve_mu(sp, 0.0, phi).mu
-    mus = grid.values(mu_start, sp.r_max)
-    margins = np.empty(mus.size)
-    for i, mu in enumerate(mus):
-        h = step * (1.0 + mu)
-
-        def log_signal(m: float) -> float:
-            return math.log(model.signal_form(m, power=2, sigma_power=1, right="beta"))
-
-        def log_spec(m: float) -> float:
-            return math.log(sp.resolvent_trace(m, power=2, sigma_power=1))
-
-        d_sig = (log_signal(mu + h) - log_signal(mu - h)) / (2.0 * h)
-        d_spec = (log_spec(mu + h) - log_spec(mu - h)) / (2.0 * h)
-        margins[i] = d_sig - d_spec  # signal decays slower: d_sig > d_spec
-    return _report(
-        "noiseless-form", margins, f"mu in [{mus[0]:.6g}, {mus[-1]:.6g}], {mus.size} log points"
     )
 
 
@@ -188,9 +153,7 @@ def check_reg_shift_alignment(model: ShiftModel, grid: MuGrid | None = None) -> 
     grid = grid or MuGrid(include_zero=True)
     sp = model.spectrum
     mus = grid.values(0.0, sp.r_max) if grid.include_zero else grid.values(grid.floor, sp.r_max)
-    margins = np.array(
-        [model.signal_form(mu, power=2, sigma_power=2, right="shift") for mu in mus]
-    )
+    margins = _blocks(_weights(model), mus).a2
     return _report(
         "reg-shift-alignment", margins, f"mu in [0, {mus[-1]:.6g}], {mus.size} points"
     )
@@ -209,10 +172,10 @@ def check_reg_shift_general_balance(
     mus = grid.values(mu_start, sp.r_max)
     if mu_start <= grid.floor:
         mus = np.concatenate([[mu_start], mus])
-    margins = np.empty(mus.size)
-    for i, mu in enumerate(mus):
-        _, d_var, d_shift = risk_mu_derivative(model, mu, phi)
-        margins[i] = d_shift + d_var
+    parts = _kernel(_weights(model), mus, phi)
+    if np.any(parts.denom <= 0.0):
+        raise BranchViolationError(f"level grid reaches below the branch edge at phi={phi}")
+    margins = parts.d_shift + parts.d_variance
     return _report(
         "reg-shift-general-balance",
         margins,
@@ -265,7 +228,9 @@ def predict_sign(model: ShiftModel, phi: float, grid: MuGrid | None = None) -> S
         if phi < 1.0:
             return SignPrediction(regime, "nonnegative", "cov-shift-underparameterized")
         if phi > 1.0:
-            if np.max(np.abs(model.sigma0_matrix - np.eye(model.p))) <= 1e-12:
+            s0 = model.sigma0_dense
+            off = model.sigma0_diag - 1.0 if s0 is None else s0 - np.eye(model.p)
+            if np.max(np.abs(off)) <= 1e-12:
                 return SignPrediction(regime, "nonnegative", "cov-shift-identity-test-cov")
             if model.spectrum.is_identity:
                 report = check_cov_shift_overparam(model, phi)

@@ -66,17 +66,21 @@ def _check_phi(phi: float) -> None:
         raise InvalidParameterError(f"aspect ratio must be positive and finite, got {phi}")
 
 
-def _solve_monotone(f, fprime, lo: float, hi: float, flo: float, fhi: float, increasing: bool):
+def _solve_monotone(f, fprime, lo: float, hi: float, flo: float, fhi: float, increasing: bool,
+                    f_noise: float = 0.0):
     """Root of a strictly monotone f on a bracket [lo, hi] with flo = f(lo),
-    fhi = f(hi) of opposite sign. Newton steps are taken when they stay
+    fhi = f(hi) of opposite sign. Newton steps (secant steps through the
+    last two iterates when ``fprime`` is None) are taken when they stay
     inside the bracket, bisection otherwise; terminates on a zero residual,
-    on a Newton step of at most a few ulps of x, or on bracket collapse."""
+    on a step of at most a few ulps of x or within the evaluation noise of
+    f (``f_noise``, absolute, divided by the slope), or on bracket collapse."""
     sign = 1.0 if increasing else -1.0
     if sign * flo > 0.0 or sign * fhi < 0.0:
         raise SolverFailureError(
             f"bracket [{lo}, {hi}] does not enclose a root (f(lo)={flo}, f(hi)={fhi})"
         )
     x = 0.5 * (lo + hi)
+    xp, fp = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
     for _ in range(MAX_BISECT + MAX_NEWTON):
         fx = f(x)
         if fx == 0.0:
@@ -88,12 +92,16 @@ def _solve_monotone(f, fprime, lo: float, hi: float, flo: float, fhi: float, inc
         # relative bracket collapse, so tiny roots keep full relative accuracy
         if hi - lo <= 1e-15 * max(abs(lo), abs(hi)) + 1e-300:
             break
-        dfx = fprime(x)
+        if fprime is not None:
+            dfx = fprime(x)
+        else:
+            dfx = (fx - fp) / (x - xp) if x != xp else 0.0
+            xp, fp = x, fx
         step_ok = False
         if dfx != 0.0 and np.isfinite(dfx):
             x_new = x - fx / dfx
-            if abs(x_new - x) <= _STEP_TOL * abs(x) and lo <= x_new <= hi:
-                return x_new  # Newton has converged
+            if abs(x_new - x) <= _STEP_TOL * abs(x) + f_noise / abs(dfx) and lo <= x_new <= hi:
+                return x_new  # converged: the next step is below round-off
             if lo < x_new < hi:
                 x = x_new
                 step_ok = True
@@ -150,7 +158,9 @@ def _solve_edge(spectrum: Spectrum, phi: float) -> float:
         if hi > 1e300:
             raise SolverFailureError("edge equation bracket expansion diverged")
         ghi = g(hi)
-    mu0 = _solve_monotone(g, gprime, lo, hi, glo, ghi, increasing=False)
+    # g sums terms near 1 and subtracts 1: its noise is a few eps, which
+    # bounds the accuracy of roots near zero (phi near 1) in absolute terms
+    mu0 = _solve_monotone(g, gprime, lo, hi, glo, ghi, increasing=False, f_noise=4.0 * _EPS)
     # a machine-accurate root still carries residual ~ ulp(mu0) * |g'| when
     # the edge is steep (tiny phi), so the check is conditioning-aware
     tol = RESIDUAL_TOL * max(1.0, phi) + 32.0 * _EPS * (
@@ -161,10 +171,15 @@ def _solve_edge(spectrum: Spectrum, phi: float) -> float:
     return float(mu0)
 
 
-def lambda_of_mu(spectrum: Spectrum, mu: float, aspect: float) -> float:
+def lambda_of_mu(spectrum: Spectrum, mu, aspect: float):
     """Penalty on the admissible branch that induces the level ``mu``:
-    lam = mu * (1 - aspect * tr[S (S + mu I)^-1] / p)."""
+    lam = mu * (1 - aspect * tr[S (S + mu I)^-1] / p). ``mu`` may be a
+    scalar or an array of levels."""
     _check_phi(aspect)
+    if np.ndim(mu) > 0:
+        mus = np.asarray(mu, dtype=float)
+        r = spectrum.eigenvalues
+        return mus * (1.0 - aspect * np.mean(r / (r + mus[:, None]), axis=1))
     if mu == 0.0:
         return 0.0
     if math.isinf(mu):
@@ -252,37 +267,36 @@ def solve_mu(
     )
 
 
-def solve_mu_grid(spectrum: Spectrum, lams: np.ndarray, aspect: float) -> np.ndarray:
-    """Vectorized bisection for mu over an array of admissible penalties.
+def _edge_level(spectrum: Spectrum, lam: float, lo: float, hi: float | None = None) -> float:
+    """Level on the branch edge at which the minimum penalty equals ``lam``
+    (< 0): the edge mu_zero(a) of the aspect a with lambda_min(a) = lam.
 
-    All penalties must satisfy lam > lambda_min(aspect); used by grid scans
-    where per-element Newton bookkeeping is not worth it.
+    On the edge the aspect is 1 / t2 and the penalty -mu^2 s2 / t2, with
+    s2 = tr[S (S+mu I)^-2] / p and t2 = tr[S^2 (S+mu I)^-2] / p; it increases
+    in mu below zero and decreases above, so a bracket [lo, hi] on one side
+    of zero holds at most one such level. ``hi=None`` searches above
+    ``lo >= 0``.
     """
-    _check_phi(aspect)
-    lams = np.asarray(lams, dtype=float)
     r = spectrum.eigenvalues
-    mu0 = mu_zero(spectrum, aspect)
-    lmin = lambda_of_mu(spectrum, mu0, aspect)
-    if np.any(lams <= lmin):
-        raise BelowMinimumPenaltyError("grid contains penalties at or below the minimum")
 
-    def f(mus: np.ndarray) -> np.ndarray:
-        return mus * (1.0 - aspect * np.mean(r[None, :] / (r[None, :] + mus[:, None]), axis=1)) - lams
+    def g(mu: float) -> float:
+        inv2 = 1.0 / (r + mu) ** 2
+        return mu * mu * float(np.mean(r * inv2)) / float(np.mean(r * r * inv2)) + lam
 
-    lo = np.full(lams.shape, mu0 + _EDGE_EPS * (1.0 + abs(mu0)))
-    hi = np.maximum(1.0, lams + aspect * spectrum.r_max)
-    bad = f(hi) < 0.0
-    while np.any(bad):
-        hi[bad] *= 2.0
-        bad = f(hi) < 0.0
-    # lo may already sit past the root for penalties within the edge guard
-    lo = np.minimum(lo, hi)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        neg = f(mid) < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    return 0.5 * (lo + hi)
+    def gprime(mu: float) -> float:
+        inv = 1.0 / (r + mu)
+        s2, s3 = float(np.mean(r * inv**2)), float(np.mean(r * inv**3))
+        t2, t3 = float(np.mean((r * inv) ** 2)), float(np.mean(r * r * inv**3))
+        return 2.0 * mu * ((s2 - mu * s3) * t2 + mu * s2 * t3) / (t2 * t2)
+
+    if hi is None:
+        hi = max(1.0, spectrum.r_max, 2.0 * lo)
+        while g(hi) < 0.0:
+            hi *= 2.0
+            if hi > 1e300:
+                raise SolverFailureError("edge level bracket expansion diverged")
+    return _solve_monotone(g, gprime, lo, hi, g(lo), g(hi), increasing=lo >= 0.0,
+                           f_noise=4.0 * _EPS * abs(lam))
 
 
 def tilde_v(model: ShiftModel, mu: float, phi: float, psi: float | None = None) -> float:

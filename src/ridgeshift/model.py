@@ -16,7 +16,7 @@ Conventions for the scalar functionals:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -25,9 +25,6 @@ from .errors import InvalidParameterError, SingularResolventError
 
 _PSD_RTOL = 1e-10
 _IDENTITY_ATOL = 1e-12
-
-TraceWeight = Literal["identity", "sigma0", "signal", "signal_cross", "sigma0_sandwich"]
-
 
 def _as_float_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -98,12 +95,6 @@ class Spectrum:
         r = self.eigenvalues
         return float(np.mean(r**sigma_power / (r + mu) ** power))
 
-    def resolvent_trace_grid(self, mus: np.ndarray, power: int = 1, sigma_power: int = 1) -> np.ndarray:
-        """Vectorized :meth:`resolvent_trace` over an array of admissible shifts."""
-        mus = np.asarray(mus, dtype=float)
-        r = self.eigenvalues
-        return np.mean(r**sigma_power / (r[None, :] + mus[:, None]) ** power, axis=1)
-
 
 def build_ar1(p: int, rho: float) -> tuple[Spectrum, np.ndarray]:
     """Eigendecompose the banded correlation matrix with entries rho**|i-j|.
@@ -128,35 +119,55 @@ class ShiftModel:
     ``beta``/``beta0`` are None exactly when the signal is isotropic-random,
     in which case ``signal_alpha2`` holds the signal energy and all
     signal-weighted functionals are evaluated in expectation.
+
+    The test covariance ``sigma0_matrix`` is given dense, or as the vector
+    of its diagonal when it is diagonal in this basis. A diagonal one is
+    stored as ``sigma0_diag`` alone (``sigma0_dense`` is None), and reading
+    ``sigma0_matrix`` builds the dense matrix afresh; functionals use
+    :meth:`sigma0_product` instead. ``_memo`` keeps values derived once per
+    model (the risk kernel's weights); it lives and dies with the model.
     """
 
     spectrum: Spectrum
-    sigma0_matrix: np.ndarray
+    sigma0_matrix: InitVar[np.ndarray]
     beta: np.ndarray | None
     beta0: np.ndarray | None
     sigma2: float
     sigma0_sq: float
     signal_alpha2: float | None = None
     sigma0_diag: np.ndarray = field(init=False)
+    sigma0_dense: np.ndarray | None = field(init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, sigma0_matrix) -> None:
         p = self.spectrum.p
-        s0 = np.asarray(self.sigma0_matrix, dtype=float)
-        if s0.shape != (p, p):
-            raise InvalidParameterError(f"sigma0_matrix must be {p}x{p}, got {s0.shape}")
-        scale = float(np.max(np.abs(s0))) or 1.0
-        if np.max(np.abs(s0 - s0.T)) > 1e-8 * scale:
-            raise InvalidParameterError("sigma0_matrix must be symmetric")
-        s0 = 0.5 * (s0 + s0.T)
-        eigs = np.linalg.eigvalsh(s0)
+        s0 = np.asarray(sigma0_matrix, dtype=float)
+        if s0.ndim == 2 and s0.shape == (p, p) and (
+            np.count_nonzero(s0) == np.count_nonzero(np.diagonal(s0))
+        ):
+            s0 = np.diagonal(s0)
+        if s0.shape == (p,):
+            dense = None
+            diag = s0.copy()
+            eigs = np.sort(diag)
+        elif s0.shape == (p, p):
+            scale = float(np.max(np.abs(s0))) or 1.0
+            if np.max(np.abs(s0 - s0.T)) > 1e-8 * scale:
+                raise InvalidParameterError("sigma0_matrix must be symmetric")
+            dense = 0.5 * (s0 + s0.T)
+            dense.setflags(write=False)
+            diag = np.ascontiguousarray(np.diag(dense))
+            eigs = np.linalg.eigvalsh(dense)
+        else:
+            raise InvalidParameterError(
+                f"sigma0_matrix must be {p}x{p} (or its diagonal), got {s0.shape}"
+            )
         if eigs[0] < -_PSD_RTOL * max(eigs[-1], 1e-300):
             raise InvalidParameterError(
                 f"sigma0_matrix is not PSD up to round-off (min eig {eigs[0]:.3e})"
             )
-        s0.setflags(write=False)
-        object.__setattr__(self, "sigma0_matrix", s0)
-        diag = np.ascontiguousarray(np.diag(s0))
         diag.setflags(write=False)
+        object.__setattr__(self, "sigma0_dense", dense)
         object.__setattr__(self, "sigma0_diag", diag)
 
         if self.sigma2 < 0.0 or self.sigma0_sq < 0.0:
@@ -209,7 +220,10 @@ class ShiftModel:
     @property
     def has_covariate_shift(self) -> bool:
         r = self.spectrum.eigenvalues
-        diff = self.sigma0_matrix - np.diag(r)
+        if self.sigma0_dense is None:
+            diff = self.sigma0_diag - r
+        else:
+            diff = self.sigma0_dense - np.diag(r)
         return bool(np.max(np.abs(diff)) > 1e-12 * max(self.spectrum.r_max, 1.0))
 
     @property
@@ -219,11 +233,17 @@ class ShiftModel:
         scale = float(np.max(np.abs(self.beta))) or 1.0
         return bool(np.max(np.abs(self.beta0 - self.beta)) > 1e-12 * scale)
 
+    def sigma0_product(self, x: np.ndarray) -> np.ndarray:
+        """The vector x' S0 (= S0 x, S0 being symmetric)."""
+        if self.sigma0_dense is None:
+            return x * self.sigma0_diag
+        return x @ self.sigma0_dense
+
     def null_risk(self) -> float:
         """Risk of the zero predictor: beta0' S0 beta0 + sigma0_sq."""
         if self.is_isotropic_signal:
             return self.alpha2 * float(np.mean(self.sigma0_diag)) + self.sigma0_sq
-        return float(self.beta0 @ self.sigma0_matrix @ self.beta0) + self.sigma0_sq
+        return float(self.sigma0_product(self.beta0) @ self.beta0) + self.sigma0_sq
 
     # -- scalar functionals -------------------------------------------------
 
@@ -276,41 +296,21 @@ class ShiftModel:
         x = {"beta": self.beta, "beta0": self.beta0, "shift": self.beta0 - self.beta}[right]
         wl = self.beta / (r + mu) ** left_power
         wr = x / (r + mu) ** right_power
-        return float(wl @ self.sigma0_matrix @ wr)
+        return float(self.sigma0_product(wl) @ wr)
 
 
-def avg_trace_resolvent(
-    model: ShiftModel,
-    weight: TraceWeight,
-    mu: float,
-    power: int,
-    sigma_power: int = 1,
-) -> float:
-    """Scalar resolvent functionals of the model, selected by ``weight``.
+def _sigma0_matrix(self: ShiftModel) -> np.ndarray:
+    """The dense test covariance in the train eigenbasis (read-only)."""
+    if self.sigma0_dense is not None:
+        return self.sigma0_dense
+    dense = np.diag(self.sigma0_diag)
+    dense.setflags(write=False)
+    return dense
 
-    - ``identity``:        tr[S^a (S+mu I)^-power] / p
-    - ``sigma0``:          tr[S0 S^a (S+mu I)^-power] / p   (diagonal, O(p))
-    - ``signal``:          beta' S^a (S+mu I)^-power beta   (quadratic form)
-    - ``signal_cross``:    beta' S^a (S+mu I)^-power beta0
-    - ``sigma0_sandwich``: beta' (S+mu I)^-1 S0 (S+mu I)^-1 beta  (dense, O(p^2))
 
-    Raises SingularResolventError when ``mu <= -r_min``.
-    """
-    if power < 1:
-        raise InvalidParameterError("power must be a positive integer")
-    if weight == "identity":
-        return model.spectrum.resolvent_trace(mu, power, sigma_power)
-    if weight == "sigma0":
-        return model.sigma0_resolvent_trace(mu, power, sigma_power)
-    if weight == "signal":
-        return model.signal_form(mu, power, sigma_power, right="beta")
-    if weight == "signal_cross":
-        return model.signal_form(mu, power, sigma_power, right="beta0")
-    if weight == "sigma0_sandwich":
-        if power != 2:
-            raise InvalidParameterError("sigma0_sandwich uses total resolvent power 2")
-        return model.signal_sigma0_form(mu, 1, 1, right="beta")
-    raise InvalidParameterError(f"unknown trace weight {weight!r}")
+# ``sigma0_matrix`` is an init-only argument of the dataclass; reading it
+# back goes through this property
+ShiftModel.sigma0_matrix = property(_sigma0_matrix)
 
 
 def make_model(
@@ -325,12 +325,7 @@ def make_model(
 ) -> ShiftModel:
     """Convenience constructor. ``sigma0`` may be None (= train covariance),
     a vector (diagonal in the train eigenbasis), or a dense matrix."""
-    if sigma0 is None:
-        s0 = np.diag(spectrum.eigenvalues)
-    else:
-        s0 = np.asarray(sigma0, dtype=float)
-        if s0.ndim == 1:
-            s0 = np.diag(s0)
+    s0 = spectrum.eigenvalues if sigma0 is None else np.asarray(sigma0, dtype=float)
     return ShiftModel(
         spectrum=spectrum,
         sigma0_matrix=s0,
@@ -549,7 +544,7 @@ def build_model(config: ModelConfig) -> ShiftModel:
             raise InvalidParameterError("signal basis 'sigma0' supports only scaled beta0")
         spectrum = Spectrum.identity(p)
         s0_spectrum, _ = build_ar1(p, float(config.shift.sigma0.rho))
-        sigma0 = np.diag(s0_spectrum.eigenvalues)
+        sigma0 = s0_spectrum.eigenvalues
         beta = _combination_vector(p, config.signal.indices, config.signal.weights)
     else:
         spectrum, eigvecs = _spectrum_from_spec(config.spectrum, p)
@@ -572,7 +567,7 @@ def build_model(config: ModelConfig) -> ShiftModel:
         if config.shift.kind in ("covariate", "joint"):
             s0spec = config.shift.sigma0
             if s0spec.kind == "identity":
-                sigma0 = np.eye(p)
+                sigma0 = np.ones(p)
             elif s0spec.kind == "ar1":
                 idx = np.arange(p)
                 s0_std = float(s0spec.rho) ** np.abs(idx[:, None] - idx[None, :])
@@ -586,11 +581,11 @@ def build_model(config: ModelConfig) -> ShiftModel:
                 if vals.size != p:
                     raise InvalidParameterError("sigma0 values do not match p")
                 # diagonal entries are interpreted in the train eigenbasis
-                sigma0 = np.diag(vals)
+                sigma0 = vals
             else:
                 raise InvalidParameterError(f"unknown sigma0 kind {s0spec.kind!r}")
         else:
-            sigma0 = np.diag(spectrum.eigenvalues)
+            sigma0 = spectrum.eigenvalues
 
     beta0 = None
     if config.shift.kind in ("regression", "joint"):

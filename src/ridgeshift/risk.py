@@ -16,23 +16,33 @@ how penalties and subsample ratios trade off along equivalence contours.
 
 Isotropic-random signals replace the rank-one signal matrix by its
 expectation, energy/p times the identity.
+
+All four terms and their mu-derivatives come from one vectorized kernel
+over an array of levels. The optimizers scan levels rather than penalties
+or subsample ratios: on the admissible branch the penalty is the explicit
+increasing function lam(mu) = mu (1 - phi tr[S (S+mu I)^-1] / p), and at a
+fixed penalty the subsample aspect is psi(mu) = (1 - lam/mu) /
+(tr[S (S+mu I)^-1] / p), so no probe solves for mu.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
 from .errors import BelowMinimumPenaltyError, BranchViolationError, InvalidParameterError
 from .fixed_point import (
     PSI_INFINITE,
+    _check_phi,
+    _edge_level,
+    _solve_monotone,
     lambda_min,
+    lambda_of_mu,
+    mu_zero,
     solve_mu,
-    solve_mu_grid,
-    tilde_v,
 )
 from .model import ShiftModel
 
@@ -55,43 +65,187 @@ class RiskDecomposition:
                    total=bias + variance + shift + kappa2)
 
 
-def _kappa2(model: ShiftModel) -> float:
-    if model.is_isotropic_signal or not model.has_regression_shift:
-        return model.sigma0_sq
-    d = model.beta0 - model.beta
-    return float(d @ model.sigma0_matrix @ d) + model.sigma0_sq
+# -- the kernel ----------------------------------------------------------------
+
+#: Levels per block of the kernel; bounds its (block, 7, p) temporaries.
+_BLOCK = 32
+
+
+class _Weights(NamedTuple):
+    """Per-model inputs of the kernel. Each diagonal resolvent functional
+    sum_i w_i / (r_i + mu)^k is one row of ``w1`` (k = 1) or ``w2`` (k = 2;
+    its first five rows also at k = 3); ``beta`` and
+    ``sigma0`` are set only when the S0 sandwich needs the dense test
+    covariance."""
+
+    r: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    beta: np.ndarray | None
+    sigma0: np.ndarray | None
+    sigma2: float
+    kappa2: float
+
+
+def _weights(model: ShiftModel) -> _Weights:
+    """The kernel's weights of ``model``, built on first use."""
+    wt = model._memo.get("kernel")
+    if wt is None:
+        # concurrent callers may both build them; they store equal values
+        wt = model._memo["kernel"] = _make_weights(model)
+    return wt
+
+
+def _make_weights(model: ShiftModel) -> _Weights:
+    r = model.spectrum.eigenvalues
+    p = r.size
+    s0d = model.sigma0_diag
+    zero = np.zeros(p)
+    beta = sigma0 = None
+    kappa2 = model.sigma0_sq
+    if model.is_isotropic_signal:
+        # E[b' A b] = alpha2 tr[A] / p; the cross terms with b0 - b vanish
+        a = model.alpha2 / p
+        sig, sand, c1, c2, align = a * r, a * s0d, zero, zero, zero
+    else:
+        b = model.beta
+        d = model.beta0 - b
+        dvec = model.sigma0_product(d)
+        if model.sigma0_dense is None:
+            sand = b * b * s0d  # a diagonal S0 needs no dense sandwich
+        else:
+            sand, beta, sigma0 = zero, b, model.sigma0_dense
+        if model.has_regression_shift:
+            kappa2 += float(dvec @ d)  # (b0-b)' S0 (b0-b)
+        sig, c1, c2, align = b * b * r, b * dvec, b * r * dvec, b * r * r * d
+    w1 = np.stack([r / p, c1])
+    w2 = np.stack([r * r / p, r / p, s0d * r / p, sig, sand, c2, align])
+    return _Weights(r, w1, w2, beta, sigma0, model.sigma2, kappa2)
+
+
+class _Blocks(NamedTuple):
+    """Resolvent functionals at an array of levels, R = (S + mu I)^-1.
+    Traces are averaged over p; signal forms are plain quadratic forms."""
+
+    mu: np.ndarray
+    t1: np.ndarray  # tr[S R] / p
+    c1: np.ndarray  # b' R S0 (b0 - b)
+    t2: np.ndarray  # tr[S^2 R^2] / p
+    s2: np.ndarray  # tr[S R^2] / p
+    n2: np.ndarray  # tr[S0 S R^2] / p
+    b2: np.ndarray  # b' S R^2 b
+    q2: np.ndarray  # b' R S0 R b
+    c2: np.ndarray  # b' S R^2 S0 (b0 - b)
+    a2: np.ndarray  # b' S^2 R^2 (b0 - b)
+    t3: np.ndarray  # tr[S^2 R^3] / p
+    s3: np.ndarray  # tr[S R^3] / p
+    n3: np.ndarray  # tr[S0 S R^3] / p
+    b3: np.ndarray  # b' S R^3 b
+    q3: np.ndarray  # b' R^2 S0 R b
+
+
+def _blocks(wt: _Weights, mus) -> _Blocks:
+    """Every functional of :class:`_Blocks` at finite levels above -r_min,
+    evaluated _BLOCK levels at a time."""
+    mus = np.asarray(mus, dtype=float)
+    out = np.empty((len(_Blocks._fields) - 1, mus.size))
+    for lo in range(0, mus.size, _BLOCK):
+        inv = 1.0 / (wt.r + mus[lo:lo + _BLOCK, None])
+        inv2 = inv * inv
+        o = out[:, lo:lo + _BLOCK]
+        # numpy's pairwise sums along p: BLAS dot products, which accumulate
+        # in order, leave the traces several ulps off at p in the thousands
+        o[0:2] = (inv[:, None, :] * wt.w1).sum(axis=2).T
+        o[2:9] = (inv2[:, None, :] * wt.w2).sum(axis=2).T
+        o[9:14] = ((inv2 * inv)[:, None, :] * wt.w2[:5]).sum(axis=2).T
+        if wt.sigma0 is not None:
+            # the S0 sandwich through one BLAS product per block
+            wb = wt.beta * inv
+            m = wb @ wt.sigma0
+            mwb = m * wb
+            o[6] = mwb.sum(axis=1)
+            o[13] = (mwb * inv).sum(axis=1)
+    return _Blocks(mus, *out)
+
+
+class _Parts(NamedTuple):
+    """Risk parts and their mu-derivatives (None when not asked for) over an
+    array of levels. ``denom`` = 1 - phi tr[S^2 R^2] / p is positive exactly
+    on the branch."""
+
+    bias: np.ndarray
+    variance: np.ndarray
+    shift: np.ndarray
+    kappa2: float
+    denom: np.ndarray
+    d_bias: np.ndarray | None = None
+    d_variance: np.ndarray | None = None
+    d_shift: np.ndarray | None = None
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.bias + self.variance + self.shift + self.kappa2
+
+    @property
+    def d_total(self) -> np.ndarray:
+        return self.d_bias + self.d_variance + self.d_shift
+
+
+def _kernel(wt: _Weights, mus, phi: float, slopes: bool = True) -> _Parts:
+    """Risk parts at the levels ``mus``, with their mu-derivatives when
+    ``slopes`` is set."""
+    bl = _blocks(wt, mus)
+    mu = bl.mu
+    mu2 = mu * mu
+    denom = 1.0 - phi * bl.t2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tv = phi * bl.n2 / denom  # tilde_v
+        inner = tv * bl.b2 + bl.q2
+        parts = _Parts(mu2 * inner, wt.sigma2 * tv, 2.0 * mu * bl.c1, wt.kappa2, denom)
+        if not slopes:
+            return parts
+        d_tv = -2.0 * phi * (bl.n3 + tv * bl.t3) / denom
+        return parts._replace(
+            d_bias=2.0 * mu * inner + mu2 * (d_tv * bl.b2 - 2.0 * (tv * bl.b3 + bl.q3)),
+            d_variance=wt.sigma2 * d_tv,
+            d_shift=2.0 * bl.c2,
+        )
+
+
+def _at_mu(model: ShiftModel, mu: float, phi: float, slopes: bool) -> _Parts:
+    """The kernel at one finite level on the branch."""
+    _check_phi(phi)
+    model.spectrum._check_shift(mu)
+    parts = _kernel(_weights(model), [mu], phi, slopes)
+    if parts.denom[0] <= 0.0:
+        raise BranchViolationError(
+            f"nonpositive denominator {parts.denom[0]:.3e}: mu={mu} is below the branch "
+            f"edge at phi={phi}"
+        )
+    return parts
+
+
+def _null_risk(model: ShiftModel) -> RiskDecomposition:
+    """Risk at mu = inf: a penalty (or subsampling) strong enough to kill the fit."""
+    if model.is_isotropic_signal:
+        bias = model.alpha2 * float(np.mean(model.sigma0_diag))
+        shift = 0.0
+    else:
+        b_s0 = model.sigma0_product(model.beta)
+        bias = float(b_s0 @ model.beta)
+        shift = 2.0 * float(b_s0 @ (model.beta0 - model.beta))
+    return RiskDecomposition.from_parts(bias, 0.0, shift, _weights(model).kappa2)
 
 
 def risk_at_mu(model: ShiftModel, mu: float, phi: float) -> RiskDecomposition:
     """Risk equivalents parameterized directly by the level mu (admissible for
-    some aspect >= phi). Used by everything else; also the natural object for
-    finite-difference checks of the mu-derivatives."""
-    kappa2 = _kappa2(model)
+    some aspect >= phi): one point of the vectorized kernel."""
     if math.isinf(mu):
-        # penalty (or subsampling) strong enough to kill the fit: null risk
-        if model.is_isotropic_signal:
-            bias = model.alpha2 * float(np.mean(model.sigma0_diag))
-            shift = 0.0
-        else:
-            bias = float(model.beta @ model.sigma0_matrix @ model.beta)
-            shift = 2.0 * float(model.beta @ model.sigma0_matrix @ (model.beta0 - model.beta))
-        return RiskDecomposition.from_parts(bias, 0.0, shift, kappa2)
-
-    tv = tilde_v(model, mu, phi)
-    if model.is_isotropic_signal:
-        r = model.spectrum.eigenvalues
-        bias = model.alpha2 * mu**2 * float(
-            np.mean((tv * r + model.sigma0_diag) / (r + mu) ** 2)
-        )
-        shift = 0.0
-    else:
-        bias = mu**2 * (
-            tv * model.signal_form(mu, power=2, sigma_power=1, right="beta")
-            + model.signal_sigma0_form(mu, 1, 1, right="beta")
-        )
-        shift = 2.0 * mu * model.signal_sigma0_form(mu, 1, 0, right="shift")
-    variance = model.sigma2 * tv
-    return RiskDecomposition.from_parts(bias, variance, shift, kappa2)
+        return _null_risk(model)
+    parts = _at_mu(model, mu, phi, slopes=False)
+    return RiskDecomposition.from_parts(
+        float(parts.bias[0]), float(parts.variance[0]), float(parts.shift[0]), parts.kappa2
+    )
 
 
 def risk_decomposition(model: ShiftModel, lam: float, phi: float) -> RiskDecomposition:
@@ -113,76 +267,29 @@ def ensemble_risk(model: ShiftModel, lam: float, phi: float, psi: float) -> Risk
     return risk_at_mu(model, sol.mu, phi)
 
 
-# -- mu-derivatives ----------------------------------------------------------
-
 def risk_mu_derivative(model: ShiftModel, mu: float, phi: float) -> tuple[float, float, float]:
-    """Analytic derivatives (d bias/d mu, d variance/d mu, d shift/d mu).
-
-    Assembled from the building blocks
-
-        q_b(A, B) = mu^2 b'(S+mu I)^-1 A (S+mu I)^-1 b
-        q_v(A)    = phi tr[A S (S+mu I)^-2] / p
-
-    and their mu-derivatives; the variance derivative is strictly negative on
-    the whole admissible branch.
-    """
-    sp = model.spectrum
-    denom = 1.0 - phi * sp.resolvent_trace(mu, power=2, sigma_power=2)
-    if denom <= 0.0:
-        raise BranchViolationError(f"mu={mu} below the branch edge at phi={phi}")
-
-    qv_s = phi * sp.resolvent_trace(mu, power=2, sigma_power=2)       # q_v(S, S)
-    qv_s0 = phi * model.sigma0_resolvent_trace(mu, power=2, sigma_power=1)
-    dqv_s = -2.0 * phi * sp.resolvent_trace(mu, power=3, sigma_power=2)
-    dqv_s0 = -2.0 * phi * model.sigma0_resolvent_trace(mu, power=3, sigma_power=1)
-
-    if model.is_isotropic_signal:
-        a2 = model.alpha2
-        qb_s = a2 * mu**2 * sp.resolvent_trace(mu, power=2, sigma_power=1)
-        dqb_s = a2 * (
-            2.0 * mu * sp.resolvent_trace(mu, power=2, sigma_power=1)
-            - 2.0 * mu**2 * sp.resolvent_trace(mu, power=3, sigma_power=1)
-        )
-        s0_trace2 = float(np.mean(model.sigma0_diag / (sp.eigenvalues + mu) ** 2))
-        s0_trace3 = float(np.mean(model.sigma0_diag / (sp.eigenvalues + mu) ** 3))
-        qb_s0 = a2 * mu**2 * s0_trace2
-        dqb_s0 = a2 * (2.0 * mu * s0_trace2 - 2.0 * mu**2 * s0_trace3)
-        d_shift = 0.0
-    else:
-        sand_11 = model.signal_form(mu, power=2, sigma_power=1, right="beta")
-        sand_12 = model.signal_form(mu, power=3, sigma_power=1, right="beta")
-        qb_s = mu**2 * sand_11
-        dqb_s = 2.0 * mu * sand_11 - 2.0 * mu**2 * sand_12
-        s0_11 = model.signal_sigma0_form(mu, 1, 1, right="beta")
-        s0_21 = model.signal_sigma0_form(mu, 2, 1, right="beta")
-        qb_s0 = mu**2 * s0_11
-        dqb_s0 = 2.0 * mu * s0_11 - 2.0 * mu**2 * s0_21
-        # d/dmu [2 mu b'(S+mu I)^-1 S0 (b0-b)] = 2 b' S (S+mu I)^-2 S0 (b0-b)
-        r = sp.eigenvalues
-        wl = model.beta * r / (r + mu) ** 2
-        d_shift = 2.0 * float(wl @ model.sigma0_matrix @ (model.beta0 - model.beta))
-
-    one_m = 1.0 - qv_s
-    d_bias = (
-        dqv_s0 * qb_s * one_m + qv_s0 * dqb_s * one_m + qv_s0 * qb_s * dqv_s
-    ) / one_m**2 + dqb_s0
-    d_var = model.sigma2 * (dqv_s0 * one_m + qv_s0 * dqv_s) / one_m**2
-    return d_bias, d_var, d_shift
+    """Analytic derivatives (d bias/d mu, d variance/d mu, d shift/d mu) at
+    one level: one point of the vectorized kernel. The variance derivative
+    is strictly negative on the whole admissible branch."""
+    parts = _at_mu(model, mu, phi, slopes=True)
+    return float(parts.d_bias[0]), float(parts.d_variance[0]), float(parts.d_shift[0])
 
 
 # -- optimizers ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Controls for the penalty scan: a log grid in t = lam - lambda_min over
-    [t_min, t_max] * (1 + |lambda_min|), then golden-section refinement around
-    every detected local minimum."""
+    """Controls for the scans. :func:`optimal_lambda` scans ``grid_points``
+    levels spaced logarithmically in mu - mu_zero(phi) between the levels of
+    the penalties lambda_min + [t_min, t_max] * (1 + |lambda_min|) (the
+    floor, when given and higher, replaces the lower end);
+    :func:`optimal_psi` scans as many levels per piece of its reachable set.
+    Every local minimum of a scan is refined to the root of dR/dmu."""
 
     grid_points: int = 240
     t_min: float = 1e-6
     t_max: float = 1e6
     lambda_floor: float | None = None
-    rel_tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -194,50 +301,40 @@ class OptimalPoint:
     local_minima: tuple[tuple[float, float], ...] = ()
 
 
-def _golden_min(f, a: float, b: float, rel_tol: float) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > rel_tol * (1.0 + abs(a) + abs(b)):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
+def _scan(wt: _Weights, mus: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Total risk (+inf off the branch) and its mu-derivative over levels."""
+    parts = _kernel(wt, mus, phi)
+    return np.where(parts.denom > 0.0, parts.total, np.inf), parts.d_total
 
 
-def _risk_total_grid(model: ShiftModel, mus: np.ndarray, phi: float) -> np.ndarray:
-    """Vectorized total risk over an array of admissible levels."""
-    sp = model.spectrum
-    r = sp.eigenvalues
-    res2 = sp.resolvent_trace_grid(mus, power=2, sigma_power=2)
-    denom = 1.0 - phi * res2
-    num = np.mean(model.sigma0_diag[None, :] * r[None, :] / (r[None, :] + mus[:, None]) ** 2, axis=1)
-    tv = phi * num / denom
-    kappa2 = _kappa2(model)
-    if model.is_isotropic_signal:
-        bias = model.alpha2 * mus**2 * np.mean(
-            (tv[:, None] * r[None, :] + model.sigma0_diag[None, :])
-            / (r[None, :] + mus[:, None]) ** 2,
-            axis=1,
-        )
-        shift = np.zeros_like(mus)
-    else:
-        inv = 1.0 / (r[None, :] + mus[:, None])
-        w = model.beta[None, :] * inv
-        sand_s = np.sum(w * r[None, :] * w, axis=1)
-        sand_s0 = np.einsum("ij,jk,ik->i", w, model.sigma0_matrix, w)
-        bias = mus**2 * (tv * sand_s + sand_s0)
-        dvec = model.sigma0_matrix @ (model.beta0 - model.beta)
-        shift = 2.0 * mus * np.sum(w * dvec[None, :], axis=1)
-    return bias + model.sigma2 * tv + shift + kappa2
+def _minima(wt: _Weights, phi: float, mus: np.ndarray, risks: np.ndarray,
+            slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and risks of the local minima of a scan (``risks`` and
+    ``slopes`` at ``mus``). Each is refined to the root of dR/dmu in the
+    grid cell beside it where the slope changes sign; a minimum whose slope
+    has no sign change beside it (an end of the scan, or a flat stretch)
+    stays on its grid level."""
+    n = mus.size
+    left = np.r_[True, risks[1:] <= risks[:-1]]
+    right = np.r_[risks[:-1] <= risks[1:], True]
+
+    def slope(mu: float) -> float:
+        return float(_kernel(wt, [mu], phi).d_total[0])
+
+    found_mu, found_risk = [], []
+    for i in np.flatnonzero(left & right & np.isfinite(risks)):
+        mu, risk = float(mus[i]), float(risks[i])
+        j = i + 1 if slopes[i] < 0.0 else i - 1
+        if 0 <= j < n and slopes[i] * slopes[j] < 0.0:
+            a, b = min(i, j), max(i, j)
+            root = _solve_monotone(slope, None, float(mus[a]), float(mus[b]),
+                                   float(slopes[a]), float(slopes[b]), increasing=True)
+            at_root = float(_kernel(wt, [root], phi, slopes=False).total[0])
+            if at_root < risk:
+                mu, risk = root, at_root
+        found_mu.append(mu)
+        found_risk.append(risk)
+    return np.array(found_mu), np.array(found_risk)
 
 
 def optimal_lambda(
@@ -247,9 +344,10 @@ def optimal_lambda(
 ) -> OptimalPoint:
     """Minimize the total risk over penalties above the admissible minimum.
 
-    Coarse log-spaced scan of t = lam - lambda_min(phi), golden-section
-    refinement around the best cell and every interior local minimum, global
-    best returned together with all refined local minima.
+    Scans levels, not penalties (see :class:`SearchOptions`): the penalty is
+    the increasing closed form lam(mu), so only the two ends of the window
+    are solved for. Every local minimum is refined to a root of the analytic
+    dR/dmu; the global best is returned with all refined local minima.
     """
     opts = opts or SearchOptions()
     sp = model.spectrum
@@ -266,51 +364,34 @@ def optimal_lambda(
             t_lo = t_floor
             floor_active = True
 
-    ts = np.geomspace(t_lo, t_hi, opts.grid_points)
-    lams = lmin + ts
-    mus = solve_mu_grid(sp, lams, phi)
-    risks = _risk_total_grid(model, mus, phi)
+    lam_lo, lam_hi = lmin + t_lo, lmin + t_hi
+    mu0 = mu_zero(sp, phi)
+    mu_lo = solve_mu(sp, lam_lo, phi).mu
+    mu_hi = solve_mu(sp, lam_hi, phi).mu
+    mus = mu0 + np.geomspace(mu_lo - mu0, mu_hi - mu0, opts.grid_points)
+    mus[0], mus[-1] = mu_lo, mu_hi
+    wt = _weights(model)
+    risks, slopes = _scan(wt, mus, phi)
 
     if float(np.nanmax(risks) - np.nanmin(risks)) <= 1e-14 * (1.0 + abs(float(np.nanmin(risks)))):
-        mu0 = float(mus[0])
         return OptimalPoint(
-            lambda_star=float(lams[0]), risk_star=float(risks[0]), mu_star=mu0,
+            lambda_star=lam_lo, risk_star=float(risks[0]), mu_star=mu_lo,
             boundary_flag="degenerate",
         )
 
-    def risk_of_log_t(log_t: float) -> float:
-        lam = lmin + math.exp(log_t)
-        mu = solve_mu(sp, lam, phi).mu
-        return risk_at_mu(model, mu, phi).total
-
-    log_ts = np.log(ts)
-    candidates: list[tuple[float, float]] = []
-    n = len(ts)
-    is_local_min = np.zeros(n, dtype=bool)
-    for i in range(n):
-        left_ok = i == 0 or risks[i] <= risks[i - 1]
-        right_ok = i == n - 1 or risks[i] <= risks[i + 1]
-        is_local_min[i] = left_ok and right_ok
-    for i in np.flatnonzero(is_local_min):
-        a = log_ts[max(i - 1, 0)]
-        b = log_ts[min(i + 1, n - 1)]
-        if a == b:
-            candidates.append((float(ts[i]), float(risks[i])))
-            continue
-        xm, fm = _golden_min(risk_of_log_t, float(a), float(b), opts.rel_tol)
-        candidates.append((math.exp(xm), float(fm)))
+    found_mu, found_risk = _minima(wt, phi, mus, risks, slopes)
+    lams = lambda_of_mu(sp, found_mu, phi)
+    lams[found_mu == mu_lo] = lam_lo
+    lams[found_mu == mu_hi] = lam_hi
 
     # drop near-duplicate minima, keep best-first
-    candidates.sort(key=lambda c: c[1])
-    kept: list[tuple[float, float]] = []
-    for t, f in candidates:
-        if all(abs(math.log(t) - math.log(t2)) > 1e-6 for t2, _ in kept):
-            kept.append((t, f))
+    kept: list[tuple[float, float, float, float]] = []
+    for k in np.argsort(found_risk, kind="stable"):
+        t = float(lams[k] - lmin)
+        if all(abs(math.log(t) - math.log(other[0])) > 1e-6 for other in kept):
+            kept.append((t, float(lams[k]), float(found_risk[k]), float(found_mu[k])))
 
-    t_star, risk_star = kept[0]
-    lam_star = lmin + t_star
-    mu_star = solve_mu(sp, lam_star, phi).mu
-
+    t_star, lam_star, risk_star, mu_star = kept[0]
     flag: BoundaryFlag = "interior"
     if floor_active and t_star <= t_lo * (1.0 + 1e-9):
         flag = "at-floor"
@@ -322,11 +403,11 @@ def optimal_lambda(
             flag = "at-infinity-null"
 
     return OptimalPoint(
-        lambda_star=float(lam_star),
-        risk_star=float(risk_star),
-        mu_star=float(mu_star),
+        lambda_star=lam_star,
+        risk_star=risk_star,
+        mu_star=mu_star,
         boundary_flag=flag,
-        local_minima=tuple((float(lmin + t), float(f)) for t, f in kept),
+        local_minima=tuple((lam, f) for _, lam, f, _ in kept),
     )
 
 
@@ -337,39 +418,64 @@ def optimal_psi(
     opts: SearchOptions | None = None,
 ) -> tuple[float, float]:
     """Minimize the subsample-average risk over psi in [phi, inf] at a fixed
-    penalty. Probes a log grid in psi - phi plus the infinite endpoint,
-    refines the best interior cell by golden section; inadmissible probes
-    (penalty below the minimum at that psi) are skipped."""
+    penalty.
+
+    The risk depends on psi only through the level mu(lam, psi), and the
+    aspect of a level is explicit, psi(mu) = (1 - lam/mu) / (tr[S R]/p) with
+    R = (S + mu I)^-1. The search runs over the reachable levels (psi(mu) >=
+    phi, on the branch at psi(mu)) and mu = inf (psi = inf, the null risk):
+    a half-line, plus for lam < 0 and phi < 1 the negative levels of psi in
+    [phi, a], lambda_min(a) = lam, apart from the half-line of psi >= b.
+    Each piece is scanned on a log grid from its lower end and refined like
+    :func:`optimal_lambda`; no probe solves for mu. With lam = 0 and phi < 1
+    every psi in [phi, 1] has mu = 0, reported as psi = phi.
+    """
     opts = opts or SearchOptions()
-    scale = 1.0 + phi
+    sp = model.spectrum
+    mu0 = mu_zero(sp, phi)
+    try:
+        mu_phi = solve_mu(sp, lam, phi, boundary_ok=True).mu
+    except BelowMinimumPenaltyError:
+        mu_phi = None  # lam < lambda_min(phi): psi = phi is out of reach
 
-    def risk_at_psi(psi: float) -> float:
-        try:
-            return ensemble_risk(model, lam, phi, psi).total
-        except (BranchViolationError, BelowMinimumPenaltyError):
-            return math.inf
+    pieces: list[tuple[float, float]] = []
+    if lam >= 0.0 or (mu_phi is not None and mu_phi > 0.0):
+        pieces.append((mu_phi, math.inf))
+    else:
+        # lam < 0: every psi >= b > 1 is reachable, at levels from mu_zero(b) > 0 on
+        pieces.append((_edge_level(sp, lam, max(mu0, 0.0)), math.inf))
+        if mu_phi is not None and mu_phi > mu0:
+            # psi in [phi, a], a < 1, maps onto the levels [mu_zero(a), mu_phi];
+            # at mu_phi = mu0 the piece is the one level where the variance diverges
+            pieces.append((_edge_level(sp, lam, mu0, mu_phi), mu_phi))
 
-    ss = np.geomspace(1e-9 * scale, 1e6 * scale, opts.grid_points)
-    psis = np.concatenate([[phi], phi + ss])
-    risks = np.array([risk_at_psi(p) for p in psis])
-    risks_inf = ensemble_risk(model, lam, phi, PSI_INFINITE).total
+    wt = _weights(model)
+    n = opts.grid_points
+    # at large psi the level grows like psi * tr[S]/p, so the half-line scan
+    # spans the aspects up to about phi + 1e6 (1 + phi)
+    spread = (1.0 + phi) * float(np.mean(sp.eigenvalues))
+    best_mu, best_risk = math.nan, math.inf
+    for lo, hi in pieces:
+        if math.isinf(hi):
+            # at lam = lambda_min(phi) the half-line starts on the edge of the
+            # data aspect, where the variance diverges: that end is left out
+            start = [] if lo == mu0 else [lo]
+            mus = np.concatenate([start, lo + spread * np.geomspace(1e-9, 1e6, n)])
+        else:
+            mus = np.concatenate([[lo], lo + (hi - lo) * np.geomspace(1e-9, 1.0, n)])
+            mus[-1] = hi
+        found_mu, found_risk = _minima(wt, phi, mus, *_scan(wt, mus, phi))
+        if found_risk.size and found_risk.min() < best_risk:
+            k = int(np.argmin(found_risk))
+            best_mu, best_risk = float(found_mu[k]), float(found_risk[k])
 
-    i = int(np.argmin(risks))
-    best_psi, best_risk = float(psis[i]), float(risks[i])
-    if 0 < i < len(psis) - 1 and math.isfinite(best_risk):
-        a = math.log(psis[i - 1] - phi + 1e-300) if i >= 2 else math.log(ss[0] * 1e-3)
-        b = math.log(psis[i + 1] - phi)
-
-        def f(log_s: float) -> float:
-            return risk_at_psi(phi + math.exp(log_s))
-
-        xm, fm = _golden_min(f, a, b, opts.rel_tol)
-        if fm < best_risk:
-            best_psi, best_risk = phi + math.exp(xm), float(fm)
-
-    if risks_inf < best_risk:
-        return PSI_INFINITE, float(risks_inf)
-    return float(best_psi), float(best_risk)
+    null = _null_risk(model).total
+    if null < best_risk:
+        return PSI_INFINITE, float(null)
+    if best_mu == mu_phi:
+        return float(phi), best_risk
+    psi = (1.0 - lam / best_mu) / sp.resolvent_trace(best_mu, power=1, sigma_power=1)
+    return max(float(psi), float(phi)), best_risk
 
 
 def isotropic_optimal_risk(model: ShiftModel, phi: float) -> float:

@@ -275,7 +275,7 @@ def empirical_risk(
     d = np.asarray(beta_hat, dtype=float) - beta0
     if d.size != model.p:
         raise InvalidParameterError("dimension mismatch")
-    return float(d @ model.sigma0_matrix @ d) + model.sigma0_sq
+    return float(model.sigma0_product(d) @ d) + model.sigma0_sq
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,18 @@ import pytest
 from conftest import random_psd, random_spectrum
 from ridgeshift import (
     InvalidParameterError,
+    MuGrid,
     Spectrum,
     build_ar1,
     check_cov_shift_overparam,
     check_in_dist_alignment,
-    check_noiseless_alignment_logderiv,
     check_reg_shift_alignment,
     check_reg_shift_general_balance,
     check_strict_alignment_implication,
     make_model,
     optimal_lambda,
     predict_sign,
+    solve_mu,
 )
 
 
@@ -63,16 +64,30 @@ class TestInDistAlignment:
 
 class TestNoiselessLogDerivativeForm:
     def test_agrees_with_ratio_test_at_zero_noise(self):
+        # At sigma2 = 0 the ratio test says the signal functional
+        # b' S (S+mu I)^-2 b decays slower in mu than tr[S (S+mu I)^-2]/p; the
+        # oracle here takes both log-derivatives by central differences.
         rng = np.random.default_rng(2)
         models = [extreme_pair_model(sigma2=0.0)]
         for _ in range(4):
             sp = random_spectrum(rng, 14)
             models.append(make_model(sp, beta=rng.standard_normal(14), sigma2=0.0))
+        phi = 2.2
         for m in models:
-            phi = 2.2
             ratio = check_in_dist_alignment(m, phi)
-            logform = check_noiseless_alignment_logderiv(m, phi)
-            assert ratio.holds == logform.holds
+            sp = m.spectrum
+            mus = MuGrid().values(solve_mu(sp, 0.0, phi).mu, sp.r_max)
+            h = 1e-6 * (1.0 + mus)
+
+            def log_signal(x):
+                return np.log([m.signal_form(v, power=2, sigma_power=1) for v in x])
+
+            def log_spec(x):
+                return np.log([sp.resolvent_trace(v, power=2, sigma_power=1) for v in x])
+
+            d_sig = (log_signal(mus + h) - log_signal(mus - h)) / (2.0 * h)
+            d_spec = (log_spec(mus + h) - log_spec(mus - h)) / (2.0 * h)
+            assert ratio.holds == bool(np.min(d_sig - d_spec) > 1e-12)
 
 
 class TestCovShiftOverparam:

@@ -24,7 +24,6 @@ from ridgeshift import (
     tilde_v,
 )
 from ridgeshift import fixed_point
-from ridgeshift.fixed_point import solve_mu_grid
 
 
 def closed_form_mu_identity(lam: float, phi: float) -> float:
@@ -203,15 +202,6 @@ class TestSolveMu:
         huge_lam = solve_mu(sp, 1e9, 2.0).mu
         assert huge_lam == pytest.approx(1e9, rel=1e-6)
 
-    def test_grid_solver_matches_scalar(self):
-        rng = np.random.default_rng(12)
-        sp = Spectrum.from_values(np.exp(rng.uniform(-1, 1, 12)))
-        phi = 1.7
-        lams = lambda_min(sp, phi) + np.geomspace(1e-6, 1e5, 60)
-        grid = solve_mu_grid(sp, lams, phi)
-        scalar = np.array([solve_mu(sp, float(l), phi).mu for l in lams])
-        np.testing.assert_allclose(grid, scalar, rtol=1e-11, atol=1e-12)
-
 
 def criterion_1_draws():
     """The 1000 seeded (lam, phi) draws of acceptance criterion 1."""
@@ -267,6 +257,16 @@ class TestSolverWork:
             solve_mu(sp, lmin + t, phi)
         assert root_work["roots"] == 600
         assert root_work["evals"] / root_work["roots"] <= 12.0
+
+    @pytest.mark.parametrize("phi", [1.001, 1.0001, 0.9999, 1.00001])
+    def test_tiny_edges_stop_at_the_noise_floor(self, root_work, phi):
+        # Near phi = 1 the edge sqrt(phi) - 1 of an identity spectrum is tiny;
+        # the edge equation is evaluated to a few eps absolute, so the solve
+        # stops once a Newton step falls within that noise.
+        mu0 = mu_zero(Spectrum.identity(4), phi)
+        assert root_work["roots"] == 1
+        assert root_work["evals"] <= 12
+        assert abs(mu0 - (math.sqrt(phi) - 1.0)) <= 4.0 * np.finfo(float).eps
 
     def test_edge_solved_once_per_spectrum_and_aspect(self, monkeypatch):
         solved = []

@@ -8,7 +8,6 @@ from ridgeshift import (
     ModelConfig,
     SingularResolventError,
     Spectrum,
-    avg_trace_resolvent,
     build_ar1,
     build_model,
     make_model,
@@ -61,25 +60,25 @@ class TestSpectrum:
 class TestAvgTraceResolvent:
     def test_identity_scalar(self):
         m = make_model(Spectrum.identity(5), beta=np.ones(5) / np.sqrt(5), sigma2=0.0)
-        assert avg_trace_resolvent(m, "identity", mu=1.0, power=2, sigma_power=1) == pytest.approx(0.25, abs=1e-14)
+        assert m.spectrum.resolvent_trace(1.0, power=2, sigma_power=1) == pytest.approx(0.25, abs=1e-14)
 
     def test_sandwich_scalar(self):
         beta = np.zeros(5)
         beta[2] = 1.0
         m = make_model(Spectrum.identity(5), beta=beta, sigma2=0.0)
-        val = avg_trace_resolvent(m, "sigma0_sandwich", mu=1.0, power=2)
+        val = m.signal_sigma0_form(1.0, 1, 1, right="beta")
         assert val == pytest.approx(0.25, abs=1e-14)
 
     def test_two_point_spectrum(self):
         sp = Spectrum.from_values([1.0, 2.0])
         m = make_model(sp, beta=np.array([1.0, 0.0]), sigma2=0.0)
         # mean of r^2 / r^2 at mu=0
-        assert avg_trace_resolvent(m, "identity", mu=0.0, power=2, sigma_power=2) == pytest.approx(1.0, abs=1e-14)
+        assert m.spectrum.resolvent_trace(0.0, power=2, sigma_power=2) == pytest.approx(1.0, abs=1e-14)
 
     def test_singular_shift_raises(self):
         m = make_model(Spectrum.from_values([0.5, 1.0]), beta=np.array([1.0, 0.0]), sigma2=0.0)
         with pytest.raises(SingularResolventError):
-            avg_trace_resolvent(m, "identity", mu=-0.5, power=1)
+            m.spectrum.resolvent_trace(-0.5, power=1)
 
     def test_diagonal_matches_dense(self):
         rng = np.random.default_rng(3)
@@ -88,7 +87,7 @@ class TestAvgTraceResolvent:
         s0 = a @ a.T / 30
         m = make_model(sp, beta=rng.standard_normal(30), sigma0=s0, sigma2=0.1)
         for mu in (0.0, 0.5, 3.0):
-            fast = avg_trace_resolvent(m, "sigma0", mu=mu, power=2, sigma_power=1)
+            fast = m.sigma0_resolvent_trace(mu, power=2, sigma_power=1)
             r = sp.eigenvalues
             dense = np.trace(s0 @ np.diag(r) @ np.diag(1.0 / (r + mu) ** 2)) / 30
             assert fast == pytest.approx(dense, rel=1e-10)
@@ -98,9 +97,38 @@ class TestAvgTraceResolvent:
         sp = Spectrum.from_values(np.exp(rng.uniform(-1, 1, 20)))
         m = make_model(sp, beta=rng.standard_normal(20), sigma2=0.0)
         mus = np.linspace(-0.5 * sp.r_min, 50.0, 40)
-        for weight in ("identity", "sigma0"):
-            vals = [avg_trace_resolvent(m, weight, mu=mu, power=2, sigma_power=1) for mu in mus]
+        for trace in (m.spectrum.resolvent_trace, m.sigma0_resolvent_trace):
+            vals = [trace(mu, power=2, sigma_power=1) for mu in mus]
             assert np.all(np.diff(vals) < 0)
+
+
+class TestDiagonalTestCovariance:
+    def test_stored_as_its_diagonal(self):
+        sp = Spectrum.from_values([0.5, 1.0, 2.0])
+        for s0 in (None, [1.0, 2.0, 3.0], np.diag([1.0, 2.0, 3.0])):
+            m = make_model(sp, beta=np.ones(3), sigma0=s0)
+            assert m.sigma0_dense is None
+            np.testing.assert_array_equal(m.sigma0_matrix, np.diag(m.sigma0_diag))
+            assert not m.sigma0_matrix.flags.writeable
+        dense = make_model(sp, beta=np.ones(3), sigma0=np.full((3, 3), 0.5) + np.eye(3))
+        assert dense.sigma0_dense is not None
+
+    def test_functionals_match_the_dense_matrix(self):
+        rng = np.random.default_rng(5)
+        sp = Spectrum.from_values(np.exp(rng.uniform(-1, 1, 9)))
+        beta = rng.standard_normal(9)
+        m = make_model(sp, beta=beta, beta0=2.0 * beta, sigma0=rng.uniform(0.5, 2.0, 9))
+        x = rng.standard_normal(9)
+        np.testing.assert_array_equal(m.sigma0_product(x), x @ m.sigma0_matrix)
+        assert m.null_risk() == float(m.beta0 @ m.sigma0_matrix @ m.beta0)
+        assert m.signal_sigma0_form(0.3, 1, 1) == pytest.approx(
+            float((beta / (sp.eigenvalues + 0.3)) @ m.sigma0_matrix @ (beta / (sp.eigenvalues + 0.3))),
+            rel=1e-15)
+        assert m.has_covariate_shift
+
+    def test_negative_diagonal_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            make_model(Spectrum.identity(3), beta=np.ones(3), sigma0=[1.0, -0.5, 1.0])
 
 
 class TestRotationInvariance:
@@ -124,9 +152,9 @@ class TestRotationInvariance:
             )
             vals.append(
                 (
-                    avg_trace_resolvent(m, "sigma0", mu=0.7, power=2),
-                    avg_trace_resolvent(m, "signal", mu=0.7, power=2),
-                    avg_trace_resolvent(m, "sigma0_sandwich", mu=0.7, power=2),
+                    m.sigma0_resolvent_trace(0.7, power=2),
+                    m.signal_form(0.7, power=2),
+                    m.signal_sigma0_form(0.7, 1, 1, right="beta"),
                 )
             )
         np.testing.assert_allclose(vals[0], vals[1], rtol=1e-8)

@@ -7,10 +7,12 @@ import pytest
 
 from conftest import random_psd, random_spectrum
 from ridgeshift import (
+    BelowMinimumPenaltyError,
     InvalidParameterError,
     PSI_INFINITE,
     SearchOptions,
     Spectrum,
+    build_ar1,
     ensemble_risk,
     equivalence_path,
     isotropic_optimal_risk,
@@ -235,6 +237,19 @@ class TestOptimalLambda:
         assert point.boundary_flag == "degenerate"
         assert point.risk_star == pytest.approx(0.3, abs=1e-12)
 
+    def test_isotropic_arg_min_to_round_off(self):
+        # the refinement is a root of the analytic dR/dmu, so the arg-min is
+        # resolved to round-off, not to the square root of it
+        rng = np.random.default_rng(16)
+        for _ in range(6):
+            sp = random_spectrum(rng, 24)
+            m = make_model(sp, alpha2=float(rng.uniform(0.5, 2.0)),
+                           sigma0=random_psd(rng, 24), sigma2=float(rng.uniform(0.2, 1.0)))
+            phi = float(np.exp(rng.uniform(np.log(0.3), np.log(5.0))))
+            point = optimal_lambda(m, phi)
+            assert point.lambda_star == pytest.approx(phi / m.snr, rel=1e-10)
+            assert point.mu_star == pytest.approx(solve_mu(sp, phi / m.snr, phi).mu, rel=1e-10)
+
     def test_risk_star_bounds_probes(self):
         rng = np.random.default_rng(10)
         sp = random_spectrum(rng, 12)
@@ -262,6 +277,57 @@ class TestOptimalPsi:
         best_lam = optimal_lambda(m, phi)
         _, best_psi_risk = optimal_psi(m, lambda_min(sp, phi), phi)
         assert best_psi_risk == pytest.approx(best_lam.risk_star, abs=1e-6)
+
+    def test_narrow_minimum_just_above_unit_aspect(self):
+        # The optimum sits at psi slightly above 1, in a dip narrower than a
+        # step of a log grid in psi - phi; the ridgeless anchor reaches the
+        # same risk as the best nonnegative penalty (criterion 6).
+        sp = Spectrum.identity(24)
+        beta = np.zeros(24)
+        beta[0] = beta[-1] = 0.5
+        m = make_model(sp, beta=beta, sigma0=build_ar1(24, 0.5)[0].eigenvalues, sigma2=0.01)
+        for phi in (0.2, 0.3, 0.5):
+            psi_star, risk_star = optimal_psi(m, 0.0, phi)
+            best_lam = optimal_lambda(m, phi, SearchOptions(lambda_floor=0.0)).risk_star
+            assert risk_star == pytest.approx(best_lam, rel=1e-9)
+            assert 1.0 < psi_star < 1.02
+            assert ensemble_risk(m, 0.0, phi, psi_star).total == pytest.approx(risk_star, rel=1e-12)
+
+    @pytest.mark.parametrize("beta0_factor,sigma2,reached", [
+        (None, 0.5, "above the gap"),     # optimum on the half-line psi >= b
+        (2.0, 0.01, "below the gap"),     # optimum among psi <= a, at levels mu < 0
+    ])
+    def test_two_reachable_intervals(self, beta0_factor, sigma2, reached):
+        # At a negative penalty with phi < 1 the reachable aspects are
+        # [phi, a] and [b, inf), lambda_min(a) = lambda_min(b) = lam; on an
+        # identity spectrum lambda_min(psi) = -(1 - sqrt(psi))^2.
+        sp = Spectrum.identity(8)
+        beta = unit_signal(8)
+        m = make_model(sp, beta=beta, beta0=None if beta0_factor is None else beta0_factor * beta,
+                       sigma2=sigma2)
+        phi, lam = 0.5, -0.05
+        a, b = (1.0 - math.sqrt(-lam)) ** 2, (1.0 + math.sqrt(-lam)) ** 2
+        psi_star, risk_star = optimal_psi(m, lam, phi)
+        assert (psi_star <= a) if reached == "below the gap" else (psi_star >= b)
+
+        def probe(psis):
+            risks = []
+            for psi in psis:
+                try:
+                    risks.append(ensemble_risk(m, lam, phi, float(psi)).total)
+                except BelowMinimumPenaltyError:
+                    risks.append(math.inf)  # inside the gap (a, b)
+            return np.array(risks)
+
+        coarse = np.concatenate([np.linspace(phi, 4.0, 1500), np.geomspace(4.0, 1e6, 300)])
+        risks = probe(coarse)
+        assert np.all(np.isinf(risks[(coarse > a + 1e-9) & (coarse < b - 1e-9)]))
+        i = int(np.argmin(risks))
+        fine = np.linspace(coarse[max(i - 1, 0)], coarse[i + 1], 1001)
+        dense_min = min(float(np.min(risks)), float(np.min(probe(fine))))
+        assert risk_star <= dense_min * (1.0 + 1e-12)
+        assert risk_star == pytest.approx(dense_min, rel=1e-9)
+        assert ensemble_risk(m, lam, phi, psi_star).total == pytest.approx(risk_star, rel=1e-12)
 
     def test_pure_variance_prefers_infinite_subsampling(self):
         # without signal the zero fit is optimal, reached only at psi = inf
