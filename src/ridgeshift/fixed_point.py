@@ -10,8 +10,10 @@ edge equation ``1 = phi * tr[S^2 (S + mu I)^-2] / p``. The edge value also
 yields the minimum admissible (possibly negative) ridge penalty
 ``lambda_min(phi)``. On the admissible branch the map ``mu -> lam`` is a
 strictly increasing bijection, so every root here is found by a safeguarded
-Newton iteration inside a guaranteed bracket (bisection fallback). The edge
-is solved once per (spectrum, aspect) and memoized on the spectrum.
+Newton iteration inside a guaranteed bracket (bisection fallback). Each
+Newton step is one pass over the spectrum that yields the residual and its
+slope together. The edge is solved once per (spectrum, aspect) and memoized
+on the spectrum.
 """
 
 from __future__ import annotations
@@ -62,18 +64,20 @@ class FixedPointSolution:
 
 
 def _check_phi(phi: float) -> None:
-    if not (phi > 0.0) or not np.isfinite(phi):
+    if not (phi > 0.0) or not math.isfinite(phi):
         raise InvalidParameterError(f"aspect ratio must be positive and finite, got {phi}")
 
 
-def _solve_monotone(f, fprime, lo: float, hi: float, flo: float, fhi: float, increasing: bool,
-                    f_noise: float = 0.0):
-    """Root of a strictly monotone f on a bracket [lo, hi] with flo = f(lo),
-    fhi = f(hi) of opposite sign. Newton steps (secant steps through the
-    last two iterates when ``fprime`` is None) are taken when they stay
-    inside the bracket, bisection otherwise; terminates on a zero residual,
-    on a step of at most a few ulps of x or within the evaluation noise of
-    f (``f_noise``, absolute, divided by the slope), or on bracket collapse."""
+def _solve_monotone(f, lo: float, hi: float, flo: float, fhi: float, increasing: bool,
+                    f_noise: float = 0.0, secant: bool = False):
+    """Root of a strictly monotone function on a bracket [lo, hi] with
+    values flo at lo and fhi at hi of opposite sign. ``f(x)`` returns the
+    value and the slope at x from one evaluation; with ``secant`` it returns
+    the value alone and the slope is taken through the last two iterates.
+    Newton (or secant) steps are taken when they stay inside the bracket,
+    bisection otherwise; terminates on a zero residual, on a step of at most
+    a few ulps of x or within the evaluation noise of f (``f_noise``,
+    absolute, divided by the slope), or on bracket collapse."""
     sign = 1.0 if increasing else -1.0
     if sign * flo > 0.0 or sign * fhi < 0.0:
         raise SolverFailureError(
@@ -82,7 +86,10 @@ def _solve_monotone(f, fprime, lo: float, hi: float, flo: float, fhi: float, inc
     x = 0.5 * (lo + hi)
     xp, fp = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
     for _ in range(MAX_BISECT + MAX_NEWTON):
-        fx = f(x)
+        if secant:
+            fx = f(x)
+        else:
+            fx, dfx = f(x)
         if fx == 0.0:
             break
         if sign * fx > 0.0:
@@ -92,13 +99,11 @@ def _solve_monotone(f, fprime, lo: float, hi: float, flo: float, fhi: float, inc
         # relative bracket collapse, so tiny roots keep full relative accuracy
         if hi - lo <= 1e-15 * max(abs(lo), abs(hi)) + 1e-300:
             break
-        if fprime is not None:
-            dfx = fprime(x)
-        else:
+        if secant:
             dfx = (fx - fp) / (x - xp) if x != xp else 0.0
             xp, fp = x, fx
         step_ok = False
-        if dfx != 0.0 and np.isfinite(dfx):
+        if dfx != 0.0 and math.isfinite(dfx):
             x_new = x - fx / dfx
             if abs(x_new - x) <= _STEP_TOL * abs(x) + f_noise / abs(dfx) and lo <= x_new <= hi:
                 return x_new  # converged: the next step is below round-off
@@ -133,41 +138,42 @@ def mu_zero(spectrum: Spectrum, phi: float) -> float:
 def _solve_edge(spectrum: Spectrum, phi: float) -> float:
     """Solve the edge equation of :func:`mu_zero` from scratch."""
     r = spectrum.eigenvalues
+    r2 = r * r
+    p = r.size
 
-    def g(mu: float) -> float:
-        return phi * float(np.mean((r / (r + mu)) ** 2)) - 1.0
-
-    def gprime(mu: float) -> float:
-        return -2.0 * phi * float(np.mean(r**2 / (r + mu) ** 3))
+    def g(mu: float) -> tuple[float, float]:
+        s = r + mu
+        q = r / s
+        return (phi * (float((q * q).sum()) / p) - 1.0,
+                -2.0 * phi * (float((r2 / s**3).sum()) / p))
 
     # g decreases from +inf (mu -> -r_min) to -1 (mu -> inf).
     r_min = spectrum.r_min
     delta = 0.5 * r_min
     lo = -r_min + delta
-    glo = g(lo)
+    glo = g(lo)[0]
     while glo <= 0.0:
         delta *= 0.5
         lo = -r_min + delta
         if delta < 1e-300:
             raise SolverFailureError("could not bracket the spectrum edge equation")
-        glo = g(lo)
+        glo = g(lo)[0]
     hi = max(1.0, spectrum.r_max)
-    ghi = g(hi)
+    ghi = g(hi)[0]
     while ghi >= 0.0:
         hi *= 2.0
         if hi > 1e300:
             raise SolverFailureError("edge equation bracket expansion diverged")
-        ghi = g(hi)
+        ghi = g(hi)[0]
     # g sums terms near 1 and subtracts 1: its noise is a few eps, which
     # bounds the accuracy of roots near zero (phi near 1) in absolute terms
-    mu0 = _solve_monotone(g, gprime, lo, hi, glo, ghi, increasing=False, f_noise=4.0 * _EPS)
+    mu0 = _solve_monotone(g, lo, hi, glo, ghi, increasing=False, f_noise=4.0 * _EPS)
     # a machine-accurate root still carries residual ~ ulp(mu0) * |g'| when
     # the edge is steep (tiny phi), so the check is conditioning-aware
-    tol = RESIDUAL_TOL * max(1.0, phi) + 32.0 * _EPS * (
-        abs(mu0) + spectrum.r_min
-    ) * abs(gprime(mu0))
-    if abs(g(mu0)) > tol:
-        raise SolverFailureError(f"edge equation residual {g(mu0):.3e} above tolerance")
+    g0, dg0 = g(mu0)
+    tol = RESIDUAL_TOL * max(1.0, phi) + 32.0 * _EPS * (abs(mu0) + spectrum.r_min) * abs(dg0)
+    if abs(g0) > tol:
+        raise SolverFailureError(f"edge equation residual {g0:.3e} above tolerance")
     return float(mu0)
 
 
@@ -191,7 +197,9 @@ def lambda_min(spectrum: Spectrum, phi: float) -> float:
     """Minimum admissible ridge penalty: the value of the penalty equation at
     the branch edge. Nonpositive everywhere, zero exactly at phi = 1."""
     mu0 = mu_zero(spectrum, phi)
-    return lambda_of_mu(spectrum, mu0, phi)
+    # the edge penalty is -mu0^2 s2 / t2 <= 0; within an ulp or two of phi = 1
+    # the rounding of mu0 (1 - phi t1) can leave it ~1e-32 above zero
+    return min(lambda_of_mu(spectrum, mu0, phi), 0.0)
 
 
 def solve_mu(
@@ -204,9 +212,10 @@ def solve_mu(
     """Solve the penalty equation for mu at penalty ``lam`` and aspect ratio
     ``aspect``, on the branch mu > mu_zero(aspect).
 
-    Requires lam > lambda_min(aspect). With ``boundary_ok`` a penalty within
-    round-off of the minimum returns the edge solution instead of raising
-    (used by ensemble evaluations where the edge is admissible).
+    Requires lam > lambda_min(aspect) beyond the rounding error of
+    lambda_min. With ``boundary_ok`` a penalty at the minimum, or below it
+    by at most 1e-11 (1 + |lambda_min|), returns the edge solution instead
+    of raising (used by ensemble evaluations where the edge is admissible).
     """
     if aspect == PSI_INFINITE:
         return FixedPointSolution(lam=lam, phi=aspect, psi=aspect, mu=math.inf, v=0.0, residual=0.0)
@@ -214,9 +223,10 @@ def solve_mu(
 
     mu0 = mu_zero(spectrum, aspect)
     lmin = lambda_of_mu(spectrum, mu0, aspect)
-    edge_tol = 1e-11 * (1.0 + abs(lmin))
-    if lam <= lmin + edge_tol:
-        if boundary_ok and lam >= lmin - edge_tol:
+    # lmin is the product mu0 * (1 - aspect t1): it is known to a few eps of
+    # |lmin| + |mu0|, and a penalty above that is solved, however close
+    if lam <= lmin + 4.0 * _EPS * (abs(lmin) + abs(mu0)):
+        if boundary_ok and lam >= lmin - 1e-11 * (1.0 + abs(lmin)):
             return FixedPointSolution(
                 lam=lam, phi=aspect, psi=aspect, mu=mu0,
                 v=math.inf if mu0 == 0.0 else 1.0 / mu0,
@@ -227,32 +237,31 @@ def solve_mu(
         )
 
     r = spectrum.eigenvalues
+    p = r.size
     if lam == 0.0 and aspect < 1.0:
         mu = 0.0  # ridgeless, underparameterized: exact root
     else:
-        def f(mu: float) -> float:
-            return mu * (1.0 - aspect * float(np.mean(r / (r + mu)))) - lam
-
-        def fprime(mu: float) -> float:
-            return 1.0 - aspect * float(np.mean((r / (r + mu)) ** 2))
+        def f(mu: float) -> tuple[float, float]:
+            q = r / (r + mu)
+            return (mu * (1.0 - aspect * (float(q.sum()) / p)) - lam,
+                    1.0 - aspect * (float((q * q).sum()) / p))
 
         lo = mu0 + _EDGE_EPS * (1.0 + abs(mu0))
         hi = max(1.0, lam + aspect * spectrum.r_max)
-        fhi = f(hi)
+        fhi = f(hi)[0]
         while fhi < 0.0:
             hi *= 2.0
             if hi > 1e300:
                 raise SolverFailureError("penalty equation bracket expansion diverged")
-            fhi = f(hi)
-        flo = f(lo)
+            fhi = f(hi)[0]
+        flo = f(lo)[0]
         if flo >= 0.0:
-            # Root pinched against the edge by the lo-guard; the guard itself
-            # is the best representable answer.
-            mu = lo
-        else:
-            mu = _solve_monotone(f, fprime, lo, hi, flo, fhi, increasing=True)
+            # the root lies between the edge and the guard; f(mu0) = lmin - lam
+            # is negative and the slope vanishes at mu0, so bisection leads
+            hi, fhi, lo, flo = lo, flo, mu0, lmin - lam
+        mu = _solve_monotone(f, lo, hi, flo, fhi, increasing=True)
 
-    residual = abs(mu - lam - aspect * float(np.mean(mu * r / (r + mu))))
+    residual = abs(mu - lam - aspect * (float((mu * r / (r + mu)).sum()) / p))
     if residual > 1e-10 * (1.0 + abs(lam) + abs(mu)):
         raise SolverFailureError(
             f"penalty equation residual {residual:.3e} at lam={lam}, aspect={aspect}"
@@ -278,24 +287,28 @@ def _edge_level(spectrum: Spectrum, lam: float, lo: float, hi: float | None = No
     ``lo >= 0``.
     """
     r = spectrum.eigenvalues
+    r2 = r * r
+    p = r.size
 
-    def g(mu: float) -> float:
-        inv2 = 1.0 / (r + mu) ** 2
-        return mu * mu * float(np.mean(r * inv2)) / float(np.mean(r * r * inv2)) + lam
-
-    def gprime(mu: float) -> float:
-        inv = 1.0 / (r + mu)
-        s2, s3 = float(np.mean(r * inv**2)), float(np.mean(r * inv**3))
-        t2, t3 = float(np.mean((r * inv) ** 2)), float(np.mean(r * r * inv**3))
-        return 2.0 * mu * ((s2 - mu * s3) * t2 + mu * s2 * t3) / (t2 * t2)
+    def g(mu: float) -> tuple[float, float]:
+        # 1 / s**2 and (1 / s)**2 differ in the last bit; the value uses the
+        # first and the slope the second, and swapping either moves results
+        s = r + mu
+        inv2 = 1.0 / s**2
+        inv = 1.0 / s
+        inv3 = inv**3
+        s2, s3 = float((r * inv**2).sum()) / p, float((r * inv3).sum()) / p
+        t2, t3 = float(((r * inv) ** 2).sum()) / p, float((r2 * inv3).sum()) / p
+        return (mu * mu * (float((r * inv2).sum()) / p) / (float((r2 * inv2).sum()) / p) + lam,
+                2.0 * mu * ((s2 - mu * s3) * t2 + mu * s2 * t3) / (t2 * t2))
 
     if hi is None:
         hi = max(1.0, spectrum.r_max, 2.0 * lo)
-        while g(hi) < 0.0:
+        while g(hi)[0] < 0.0:
             hi *= 2.0
             if hi > 1e300:
                 raise SolverFailureError("edge level bracket expansion diverged")
-    return _solve_monotone(g, gprime, lo, hi, g(lo), g(hi), increasing=lo >= 0.0,
+    return _solve_monotone(g, lo, hi, g(lo)[0], g(hi)[0], increasing=lo >= 0.0,
                            f_noise=4.0 * _EPS * abs(lam))
 
 

@@ -16,6 +16,7 @@ Conventions for the scalar functionals:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import InitVar, dataclass, field
 from typing import Literal
 
@@ -84,7 +85,7 @@ class Spectrum:
         return cls(np.sort(np.asarray(values, dtype=float)))
 
     def _check_shift(self, mu: float) -> None:
-        if not np.isfinite(mu) or mu <= -self.r_min:
+        if not math.isfinite(mu) or mu <= -self.r_min:
             raise SingularResolventError(
                 f"resolvent shift mu={mu} is at or below -r_min={-self.r_min}"
             )
@@ -93,7 +94,7 @@ class Spectrum:
         """Averaged trace ``tr[S^a (S + mu I)^-power] / p`` of the diagonal train covariance."""
         self._check_shift(mu)
         r = self.eigenvalues
-        return float(np.mean(r**sigma_power / (r + mu) ** power))
+        return float((r**sigma_power / (r + mu) ** power).sum()) / r.size
 
 
 def build_ar1(p: int, rho: float) -> tuple[Spectrum, np.ndarray]:

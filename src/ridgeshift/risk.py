@@ -327,8 +327,9 @@ def _minima(wt: _Weights, phi: float, mus: np.ndarray, risks: np.ndarray,
         j = i + 1 if slopes[i] < 0.0 else i - 1
         if 0 <= j < n and slopes[i] * slopes[j] < 0.0:
             a, b = min(i, j), max(i, j)
-            root = _solve_monotone(slope, None, float(mus[a]), float(mus[b]),
-                                   float(slopes[a]), float(slopes[b]), increasing=True)
+            root = _solve_monotone(slope, float(mus[a]), float(mus[b]),
+                                   float(slopes[a]), float(slopes[b]), increasing=True,
+                                   secant=True)
             at_root = float(_kernel(wt, [root], phi, slopes=False).total[0])
             if at_root < risk:
                 mu, risk = root, at_root

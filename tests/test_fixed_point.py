@@ -16,10 +16,12 @@ from ridgeshift import (
     InvalidParameterError,
     PSI_INFINITE,
     Spectrum,
+    ensemble_risk,
     equivalence_path,
     lambda_min,
     make_model,
     mu_zero,
+    risk_at_mu,
     solve_mu,
     tilde_v,
 )
@@ -183,6 +185,29 @@ class TestSolveMu:
         sol = solve_mu(sp, -1.0, 4.0, boundary_ok=True)
         assert sol.mu == pytest.approx(1.0, abs=1e-10)
 
+    def test_boundary_ok_snaps_a_penalty_just_below_the_minimum(self):
+        sp = Spectrum.identity(3)
+        lam = lambda_min(sp, 4.0) - 1e-12
+        assert solve_mu(sp, lam, 4.0, boundary_ok=True).mu == mu_zero(sp, 4.0)
+        with pytest.raises(BelowMinimumPenaltyError):
+            solve_mu(sp, lam, 4.0)
+
+    @pytest.mark.parametrize("psi", [1.0 + 3e-11, 1.0 + 3e-9, 1.0 + 3e-7])
+    def test_root_just_above_a_tiny_minimum(self, psi):
+        # On an identity spectrum lam = 0 has the root psi - 1, twice the
+        # edge sqrt(psi) - 1, and lambda_min = -(sqrt(psi) - 1)^2 is far
+        # smaller than 1e-11: the penalty is above the minimum and must be
+        # solved, not snapped to the edge. At psi = 1 + 3e-11 the root also
+        # lies below the solver's lower guard mu0 + 1e-10 (1 + |mu0|).
+        sp = Spectrum.identity(4)
+        model = make_model(sp, beta=np.ones(4) / 2.0, sigma2=0.3)
+        root = psi - 1.0
+        for boundary_ok in (False, True):
+            mu = solve_mu(sp, 0.0, psi, boundary_ok=boundary_ok).mu
+            assert mu == pytest.approx(root, rel=1e-6)
+        total = ensemble_risk(model, 0.0, 1.0, psi).total
+        assert total == pytest.approx(risk_at_mu(model, root, 1.0).total, rel=1e-6)
+
     def test_infinite_aspect_sentinel(self):
         sol = solve_mu(Spectrum.identity(3), 0.5, PSI_INFINITE)
         assert math.isinf(sol.mu) and sol.v == 0.0
@@ -216,18 +241,19 @@ def criterion_1_draws():
 @pytest.fixture
 def root_work(monkeypatch):
     """Count the roots the scalar solver finds and the function evaluations
-    each costs, the two bracket ends its caller evaluated included."""
+    each costs, the two bracket ends its caller evaluated included. One
+    evaluation yields the value and the slope together."""
     counts = {"roots": 0, "evals": 0}
     solve_monotone = fixed_point._solve_monotone
 
-    def counting(f, fprime, *args, **kwargs):
+    def counting(f, *args, **kwargs):
         def counted(x):
             counts["evals"] += 1
             return f(x)
 
         counts["roots"] += 1
         counts["evals"] += 2
-        return solve_monotone(counted, fprime, *args, **kwargs)
+        return solve_monotone(counted, *args, **kwargs)
 
     monkeypatch.setattr(fixed_point, "_solve_monotone", counting)
     return counts
@@ -321,6 +347,72 @@ class TestSolverWork:
         for got in results:
             assert [got[phi] for phi in phis] == want
         assert len(sp._edges) <= fixed_point._EDGE_MEMO_SIZE
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Record every (x, value and slope) the scalar solver asks for."""
+    seen = []
+    solve_monotone = fixed_point._solve_monotone
+
+    def recording(f, *args, **kwargs):
+        def recorded(x):
+            out = f(x)
+            seen.append((x, out))
+            return out
+
+        return solve_monotone(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(fixed_point, "_solve_monotone", recording)
+    return seen
+
+
+class TestFusedEvaluation:
+    """One pass over the spectrum gives the value and the slope that the
+    ``np.mean`` forms of the equations give, bit for bit."""
+
+    SPECTRUM = Spectrum.from_values(np.exp(np.random.default_rng(8).uniform(-2.0, 2.0, 48)))
+
+    def test_penalty_equation(self, evaluations):
+        sp, r = self.SPECTRUM, self.SPECTRUM.eigenvalues
+        for lam, phi in ((0.3, 0.5), (-0.005, 0.7), (2.0, 4.0)):
+            mu_zero(sp, phi)
+            evaluations.clear()
+            solve_mu(sp, lam, phi)
+            assert evaluations
+            for mu, (value, slope) in evaluations:
+                assert value == mu * (1.0 - phi * float(np.mean(r / (r + mu)))) - lam
+                assert slope == 1.0 - phi * float(np.mean((r / (r + mu)) ** 2))
+
+    def test_edge_equation(self, evaluations):
+        sp, r = self.SPECTRUM, self.SPECTRUM.eigenvalues
+        for phi in (0.05, 0.9, 1.2, 30.0):
+            evaluations.clear()
+            fixed_point._solve_edge(sp, phi)
+            assert evaluations
+            for mu, (value, slope) in evaluations:
+                assert value == phi * float(np.mean((r / (r + mu)) ** 2)) - 1.0
+                assert slope == -2.0 * phi * float(np.mean(r**2 / (r + mu) ** 3))
+
+    def test_edge_level_equation(self, evaluations):
+        sp, r = self.SPECTRUM, self.SPECTRUM.eigenvalues
+        lam = 0.5 * lambda_min(sp, 0.5)
+        fixed_point._edge_level(sp, lam, 0.0)
+        assert evaluations
+        for mu, (value, slope) in evaluations:
+            inv2 = 1.0 / (r + mu) ** 2
+            assert value == mu * mu * float(np.mean(r * inv2)) / float(np.mean(r * r * inv2)) + lam
+            inv = 1.0 / (r + mu)
+            s2, s3 = float(np.mean(r * inv**2)), float(np.mean(r * inv**3))
+            t2, t3 = float(np.mean((r * inv) ** 2)), float(np.mean(r * r * inv**3))
+            assert slope == 2.0 * mu * ((s2 - mu * s3) * t2 + mu * s2 * t3) / (t2 * t2)
+
+    def test_resolvent_trace(self):
+        sp, r = self.SPECTRUM, self.SPECTRUM.eigenvalues
+        for mu in (-0.5 * sp.r_min, 0.0, 0.7, 1e3):
+            for power, sigma_power in ((1, 1), (2, 2), (2, 1), (1, 0)):
+                want = float(np.mean(r**sigma_power / (r + mu) ** power))
+                assert sp.resolvent_trace(mu, power, sigma_power) == want
 
 
 class TestTildeV:
