@@ -15,6 +15,7 @@ Conventions for the scalar functionals:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import InitVar, dataclass, field
@@ -97,20 +98,141 @@ class Spectrum:
         return float((r**sigma_power / (r + mu) ** power).sum()) / r.size
 
 
-def build_ar1(p: int, rho: float) -> tuple[Spectrum, np.ndarray]:
-    """Eigendecompose the banded correlation matrix with entries rho**|i-j|.
+# pi = _PI_HI + _PI_LO with 25 significant bits in _PI_HI, so k * _PI_HI is
+# exact for every integer k < 2**28
+_PI_HI = float.fromhex("0x1.921fb5p+1")
+_PI_LO = 3.178650954705639e-08
+_SPLITTER = 2.0**27 + 1.0  # Veltkamp: the high part keeps 26 significant bits
 
-    Returns the ascending spectrum and the matching orthonormal eigenvector
-    matrix (columns ordered like the eigenvalues).
+
+class _AR1Eigensystem:
+    """Closed-form eigensystem of the AR(1) correlation matrix A = rho**|i-j|.
+
+    The Kac-Murdock-Szego matrix A is a dense Toeplitz matrix whose inverse
+    is tridiagonal: (1 - rho^2) A^-1 has diagonal (1, 1 + rho^2, ...,
+    1 + rho^2, 1) and off-diagonal -rho. Its eigenvectors are the columns
+    x_j = sin(j theta) - rho sin((j - 1) theta), j = 1..p, at the p roots
+    theta_k of sin((p+1) theta) - 2 rho sin(p theta) + rho^2 sin((p-1) theta),
+    one in each interval ((k-1) pi / p, k pi / (p+1)); the eigenvalues are
+    (1 - rho^2) / ((1 - rho)^2 + 4 rho sin^2(theta_k / 2)). Kac, Murdock &
+    Szego, J. Rational Mech. Anal. 2 (1953); Grenander & Szego, Toeplitz
+    Forms and Their Applications (1958).
+
+    The left side of that equation is -D(theta) sin((p+1) theta - 2 psi(theta))
+    with D = |1 - rho e^{-i theta}|^2 > 0 and psi = atan2(1 - rho cos theta,
+    rho sin theta), so theta_k is the root of the phase (p+1) theta - (k-1) pi
+    - 2 psi(theta), whose slope lies in (p, p + 1 + 2 rho / (1 - rho)]. All p
+    roots are solved at once by Newton steps kept inside the brackets by
+    bisection. The phase is summed in split arithmetic (the products
+    (p+1) theta and (k-1) pi each carried as two doubles), which keeps each
+    eigenvalue within a few ulp.
+
+    Everything is stored in ascending eigenvalue order (descending theta):
+    ``first_row`` is the first row u of the orthonormal eigenvector matrix W,
+    positive by the sign convention, and ``parity`` is +1 for a symmetric and
+    -1 for a skew-symmetric eigenvector, so the last row of W is parity * u.
+    The column norms are n_k^2 = (p D_k + 1 - rho^2) / 2, which gives
+    u_k = sin(theta_k) / n_k. All of this is O(p); W itself is formed in
+    O(p^2) on first use of ``eigenvectors``.
     """
-    if p < 2:
-        raise InvalidParameterError("p must be >= 2")
-    if not (0.0 < rho < 1.0):
-        raise InvalidParameterError("rho must lie strictly inside (0, 1)")
-    idx = np.arange(p)
-    mat = rho ** np.abs(idx[:, None] - idx[None, :])
-    eigenvalues, eigenvectors = np.linalg.eigh(mat)
-    return Spectrum(eigenvalues), eigenvectors
+
+    def __init__(self, p: int, rho: float) -> None:
+        if p < 2:
+            raise InvalidParameterError("p must be >= 2")
+        if not (0.0 < rho < 1.0):
+            raise InvalidParameterError("rho must lie strictly inside (0, 1)")
+        k = np.arange(p, 0, -1, dtype=float)  # root index, largest theta first
+        lo = (k - 1.0) * (math.pi / p)
+        hi = k * (math.pi / (p + 1))
+        off_hi = (k - 1.0) * _PI_HI
+        off_lo = (k - 1.0) * _PI_LO
+        theta = 0.5 * (lo + hi)
+        tiny = 2.0 * np.finfo(float).eps
+        for _ in range(100):
+            half2 = np.sin(0.5 * theta) ** 2
+            split = theta * _SPLITTER
+            th_hi = split - (split - theta)
+            th_lo = theta - th_hi
+            phase = (((p + 1) * th_hi - off_hi) + ((p + 1) * th_lo - off_lo)) - 2.0 * np.arctan2(
+                (1.0 - rho) + 2.0 * rho * half2, rho * np.sin(theta)
+            )
+            lo = np.where(phase < 0.0, theta, lo)
+            hi = np.where(phase > 0.0, theta, hi)
+            dist = (1.0 - rho) ** 2 + 4.0 * rho * half2
+            step = phase / ((p + 1) + 2.0 * rho * (np.cos(theta) - rho) / dist)
+            nxt = theta - step
+            nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            converged = bool(np.all(np.abs(step) <= tiny * theta))
+            theta = nxt
+            if converged:
+                break
+        dist = (1.0 - rho) ** 2 + 4.0 * rho * np.sin(0.5 * theta) ** 2
+        one_minus_rho2 = (1.0 - rho) * (1.0 + rho)
+        self.p = p
+        self.rho = rho
+        self.theta = theta
+        self.eigenvalues = one_minus_rho2 / dist
+        self.first_row = np.sin(theta) / np.sqrt(0.5 * (p * dist + one_minus_rho2))
+        self.parity = np.where(k % 2.0 == 1.0, 1.0, -1.0)
+
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """W, columns ordered like the eigenvalues, first row positive.
+
+        Centred on (p + 1) / 2, the column of root k is (-1)^(k // 2) times
+        cos(t theta_k) (symmetric) or sin(t theta_k) (skew), t = j - (p + 1) / 2,
+        of squared norm (p + lambda_k) / 2; the upper half of the rows is
+        evaluated and the lower half mirrored by parity.
+        """
+        p = self.p
+        half = (p + 1) // 2
+        t = np.arange(1, half + 1) - 0.5 * (p + 1)
+        sym = self.parity > 0.0
+        top = np.empty((half, p))
+        top[:, sym] = np.cos(np.multiply.outer(t, self.theta[sym]))
+        top[:, ~sym] = np.sin(np.multiply.outer(t, self.theta[~sym]))
+        sign = np.where(np.arange(p, 0, -1) % 4 < 2, 1.0, -1.0)
+        top *= sign / np.sqrt(0.5 * (p + self.eigenvalues))
+        w = np.empty((p, p))
+        w[:half] = top
+        w[half:] = top[: p - half][::-1] * self.parity
+        return w
+
+    def rotated_ar1(self, rho0: float) -> np.ndarray:
+        """W' S0 W for the test covariance S0 = rho0**|i-j|, -1 < rho0 < 1.
+
+        From the tridiagonal inverses, W' S0^-1 W = (diag(d) + g (u u' + v v'))
+        / (1 - rho0^2) with d_k = (1 - rho0)^2 + 4 rho0 sin^2(theta_k / 2),
+        g = rho0 (rho - rho0) and v = parity * u. Eigenvectors of opposite
+        parity do not couple, and within one parity class the rank-one term
+        is 2 g u u', so each class block is a Sherman-Morrison inverse.
+        """
+        # d = 1 - 2 rho0 cos(theta) + rho0^2, as a sum of nonnegative terms
+        half = np.sin(0.5 * self.theta) if rho0 >= 0.0 else np.cos(0.5 * self.theta)
+        d = (1.0 - abs(rho0)) ** 2 + 4.0 * abs(rho0) * (half * half)
+        g2 = 2.0 * rho0 * (self.rho - rho0)
+        w = self.first_row / d
+        out = np.zeros((self.p, self.p))
+        for start in (0, 1):  # parity alternates along the ascending order
+            u, wc, block = self.first_row[start::2], w[start::2], out[start::2, start::2]
+            kappa = g2 / (1.0 + g2 * float(u @ wc))
+            np.multiply.outer(wc, wc, out=block)
+            block *= -kappa
+            block[np.diag_indices(wc.size)] += 1.0 / d[start::2]
+        out *= (1.0 - rho0) * (1.0 + rho0)
+        return out
+
+
+def build_ar1(p: int, rho: float) -> tuple[Spectrum, np.ndarray]:
+    """Eigensystem of the AR(1) correlation matrix with entries rho**|i-j|.
+
+    Built from the Kac-Murdock-Szego closed form in O(p^2) (see
+    ``_AR1Eigensystem``). Returns the ascending spectrum and the matching
+    orthonormal eigenvector matrix: columns ordered like the eigenvalues,
+    each with a positive first component.
+    """
+    ar1 = _AR1Eigensystem(p, rho)
+    return Spectrum(ar1.eigenvalues), ar1.eigenvectors
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,6 +531,9 @@ class ModelConfig:
             self.spectrum.rho is not None and 0.0 < self.spectrum.rho < 1.0
         ):
             raise InvalidParameterError("ar1 spectrum needs rho in (0, 1)")
+        s0 = self.shift.sigma0
+        if s0 is not None and s0.kind == "ar1" and not (s0.rho is not None and -1.0 < s0.rho < 1.0):
+            raise InvalidParameterError("ar1 sigma0 needs rho in (-1, 1)")
         if self.signal.kind not in _SIGNAL_KINDS:
             raise InvalidParameterError(f"unknown signal kind {self.signal.kind!r}")
         if self.signal.basis not in ("sigma", "sigma0"):
@@ -486,14 +611,15 @@ def _load_column(path: str) -> np.ndarray:
     return np.loadtxt(path, dtype=float, ndmin=1)
 
 
-def _spectrum_from_spec(spec: SpectrumSpec, p: int) -> tuple[Spectrum, np.ndarray | None]:
-    """Returns the spectrum plus the eigenvector matrix when the train
-    covariance is given in the standard basis (None means the standard basis
-    already diagonalizes it)."""
+def _spectrum_from_spec(spec: SpectrumSpec, p: int) -> tuple[Spectrum, _AR1Eigensystem | None]:
+    """Returns the spectrum plus, for an ``ar1`` train covariance, its
+    closed-form eigensystem (None means the standard basis already
+    diagonalizes the train covariance)."""
     if spec.kind == "identity":
         return Spectrum.identity(p), None
     if spec.kind == "ar1":
-        return build_ar1(p, float(spec.rho))
+        ar1 = _AR1Eigensystem(p, float(spec.rho))
+        return Spectrum(ar1.eigenvalues), ar1
     if spec.kind == "explicit":
         if spec.values is None:
             raise InvalidParameterError("explicit spectrum needs values")
@@ -522,13 +648,15 @@ def build_model(config: ModelConfig) -> ShiftModel:
     """Realize a parsed configuration as a ShiftModel in the train eigenbasis.
 
     A test covariance given in the standard basis (kind ``ar1``) is rotated
-    into the train eigenbasis as ``W' S0 W``. A signal specified as an
+    into the train eigenbasis as ``W' S0 W``; for an ``ar1`` train
+    covariance W and the rotation come from the closed form, and W is formed
+    only when a standard-basis vector needs rotating. A signal specified as an
     eigenvector combination of the *test* covariance (``basis: sigma0``)
     requires an isotropic train covariance; the working basis is then the
     test eigenbasis.
     """
     p = config.p
-    eigvecs: np.ndarray | None = None
+    ar1: _AR1Eigensystem | None = None
 
     if config.signal.basis == "sigma0":
         # Work in the test covariance eigenbasis; valid only when the train
@@ -544,11 +672,10 @@ def build_model(config: ModelConfig) -> ShiftModel:
         if config.shift.beta0 is not None and config.shift.beta0.kind != "scale":
             raise InvalidParameterError("signal basis 'sigma0' supports only scaled beta0")
         spectrum = Spectrum.identity(p)
-        s0_spectrum, _ = build_ar1(p, float(config.shift.sigma0.rho))
-        sigma0 = s0_spectrum.eigenvalues
+        sigma0 = _AR1Eigensystem(p, float(config.shift.sigma0.rho)).eigenvalues
         beta = _combination_vector(p, config.signal.indices, config.signal.weights)
     else:
-        spectrum, eigvecs = _spectrum_from_spec(config.spectrum, p)
+        spectrum, ar1 = _spectrum_from_spec(config.spectrum, p)
 
         if config.signal.kind == "isotropic":
             beta = None
@@ -563,16 +690,17 @@ def build_model(config: ModelConfig) -> ShiftModel:
             if vals.size != p:
                 raise InvalidParameterError("signal values do not match p")
             # explicit signals are given in the standard basis
-            beta = vals if eigvecs is None else eigvecs.T @ vals
+            beta = vals if ar1 is None else ar1.eigenvectors.T @ vals
 
         if config.shift.kind in ("covariate", "joint"):
             s0spec = config.shift.sigma0
             if s0spec.kind == "identity":
                 sigma0 = np.ones(p)
+            elif s0spec.kind == "ar1" and ar1 is not None:
+                sigma0 = ar1.rotated_ar1(float(s0spec.rho))
             elif s0spec.kind == "ar1":
                 idx = np.arange(p)
-                s0_std = float(s0spec.rho) ** np.abs(idx[:, None] - idx[None, :])
-                sigma0 = s0_std if eigvecs is None else eigvecs.T @ s0_std @ eigvecs
+                sigma0 = float(s0spec.rho) ** np.abs(idx[:, None] - idx[None, :])
             elif s0spec.kind == "diagonal":
                 vals = (
                     _load_column(s0spec.path)
@@ -605,7 +733,7 @@ def build_model(config: ModelConfig) -> ShiftModel:
             )
             if vals.size != p:
                 raise InvalidParameterError("beta0 values do not match p")
-            beta0 = vals if eigvecs is None else eigvecs.T @ vals
+            beta0 = vals if ar1 is None else ar1.eigenvectors.T @ vals
         else:
             raise InvalidParameterError(f"unknown beta0 kind {b0spec.kind!r}")
 

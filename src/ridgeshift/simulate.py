@@ -230,9 +230,15 @@ def _ridge_solve_direct(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     the pseudoinverse factorization at exact singularity."""
     n, p = x.shape
     try:
+        # the penalty goes onto the diagonal of the fresh Gram matrix in
+        # place: the same bits as adding lam * I, without the identity
         if p <= n:
-            return np.linalg.solve(x.T @ x / n + lam * np.eye(p), x.T @ y / n)
-        return x.T @ np.linalg.solve(x @ x.T / n + lam * np.eye(n), y) / n
+            gram = x.T @ x / n
+            gram.flat[:: p + 1] += lam
+            return np.linalg.solve(gram, x.T @ y / n)
+        gram = x @ x.T / n
+        gram.flat[:: n + 1] += lam
+        return x.T @ np.linalg.solve(gram, y) / n
     except np.linalg.LinAlgError:
         return ridge_fit(x, y, lam)
 

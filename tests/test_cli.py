@@ -238,6 +238,18 @@ class TestErrors:
         code = main(["risk", "--config", str(bad), "--phi", "2", "--grid", "0:1:3"])
         assert code == 1
 
+    @pytest.mark.parametrize("sigma0", [{"kind": "ar1"}, {"kind": "ar1", "rho": 1.0}])
+    def test_ar1_test_covariance_needs_rho_inside_the_unit_interval(self, tmp_path, capsys, sigma0):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "p": 4, "spectrum": {"kind": "ar1", "rho": 0.5},
+            "signal": {"kind": "eigvec-combination", "indices": [1], "weights": [1.0]},
+            "shift": {"kind": "covariate", "sigma0": sigma0}, "sigma2": 0.1,
+        }))
+        code = main(["fixpoint", "--config", str(bad), "--phi", "2", "--lambda", "0.1"])
+        assert code == 1
+        assert "invalid configuration" in capsys.readouterr().err
+
     def test_unparseable_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

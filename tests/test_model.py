@@ -1,7 +1,12 @@
 """Model construction, trace functionals, and the configuration loader."""
 
+import math
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ridgeshift import (
     InvalidParameterError,
@@ -10,11 +15,36 @@ from ridgeshift import (
     Spectrum,
     build_ar1,
     build_model,
+    lambda_min,
     make_model,
 )
 
+EPS = np.finfo(float).eps
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
-class TestBandedCorrelationEigendecomposition:
+
+def dense_ar1(p, rho):
+    """The AR(1) correlation matrix rho**|i-j|, built entry by entry."""
+    idx = np.arange(p)
+    return rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+@st.composite
+def ar1_cases(draw):
+    """(p, rho): p from 2 to 300, rho from 1e-12 to 0.99, drawn both
+    uniformly and log-uniformly."""
+    p = draw(st.integers(2, 300))
+    rho = draw(st.one_of(
+        st.floats(1e-12, 0.99),
+        st.floats(-12.0, math.log10(0.99)).map(lambda e: 10.0**e),
+    ))
+    return p, rho
+
+
+class TestAR1Eigensystem:
+    """The Kac-Murdock-Szego closed form against a dense eigendecomposition:
+    rho**|i-j| is a dense Toeplitz matrix whose inverse is tridiagonal."""
+
     def test_two_by_two_closed_form(self):
         # [[1, rho], [rho, 1]] has eigenvalues 1 -+ rho
         spectrum, _ = build_ar1(2, 0.5)
@@ -40,6 +70,67 @@ class TestBandedCorrelationEigendecomposition:
     def test_invalid_rho(self, rho):
         with pytest.raises(InvalidParameterError):
             build_ar1(4, rho)
+
+    @PROPERTY_SETTINGS
+    @given(ar1_cases())
+    def test_eigenvalues_match_dense(self, case):
+        p, rho = case
+        spectrum, _ = build_ar1(p, rho)
+        ref = np.linalg.eigvalsh(dense_ar1(p, rho))
+        np.testing.assert_allclose(spectrum.eigenvalues, ref, rtol=0.0,
+                                   atol=8 * p * EPS * ref[-1])
+
+    @PROPERTY_SETTINGS
+    @given(ar1_cases())
+    def test_eigenvectors_orthonormal_and_signed(self, case):
+        p, rho = case
+        spectrum, w = build_ar1(p, rho)
+        tol = 8 * p * EPS
+        assert np.max(np.abs(w.T @ w - np.eye(p))) <= tol
+        residual = dense_ar1(p, rho) @ w - w * spectrum.eigenvalues
+        assert np.max(np.abs(residual)) <= tol * spectrum.r_max
+        # the sign convention: every eigenvector starts positive, and each is
+        # symmetric or skew-symmetric, alternating along the ascending order
+        assert np.all(w[0] > 0.0)
+        parity = np.where(np.arange(p, 0, -1) % 2 == 1, 1.0, -1.0)
+        np.testing.assert_array_equal(w[::-1], w * parity)
+
+    @PROPERTY_SETTINGS
+    @given(ar1_cases(), st.one_of(st.sampled_from([0.0, -0.5, 0.5]), st.floats(-0.99, 0.99)))
+    def test_rotated_test_covariance_matches_dense(self, case, rho0):
+        p, rho = case
+        cfg = ModelConfig.from_dict({
+            "p": p,
+            "spectrum": {"kind": "ar1", "rho": rho},
+            "signal": {"kind": "eigvec-combination", "indices": [1], "weights": [1.0]},
+            "shift": {"kind": "covariate", "sigma0": {"kind": "ar1", "rho": rho0}},
+        })
+        _, w = build_ar1(p, rho)
+        dense = w.T @ dense_ar1(p, rho0) @ w
+        scale = np.max(np.abs(dense))
+        tol = 8 * EPS * (p + 1.0 / (1.0 - abs(rho0))) * scale
+        np.testing.assert_allclose(build_model(cfg).sigma0_matrix, dense, rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+    def test_eigenvalues_against_40_digit_reference(self, rho):
+        # each root of the secular equation sin((p+1) t) - 2 rho sin(p t)
+        # + rho^2 sin((p-1) t) = 0, refined at 40 digits from the computed one
+        p = 500
+        spectrum, _ = build_ar1(p, rho)
+        with mpmath.workdps(40):
+            r = mpmath.mpf(rho)
+
+            def secular(t):
+                sin = mpmath.sin
+                return sin((p + 1) * t) - 2 * r * sin(p * t) + r * r * sin((p - 1) * t)
+
+            for lam in spectrum.eigenvalues:
+                # invert lam = (1 - rho^2) / (1 - 2 rho cos t + rho^2) for the start
+                start = math.acos((1.0 + rho * rho - (1.0 - rho * rho) / lam) / (2.0 * rho))
+                t = mpmath.findroot(secular, mpmath.mpf(start))
+                exact = (1 - r * r) / (1 - 2 * r * mpmath.cos(t) + r * r)
+                ulps = abs(mpmath.mpf(float(lam)) - exact) / np.spacing(float(exact))
+                assert ulps <= 4.0, (lam, float(exact))
 
 
 class TestSpectrum:
@@ -285,6 +376,8 @@ class TestBuildModel:
             {"shift": {"kind": "covariate"}},  # missing sigma0 spec
             {"signal": {"kind": "isotropic"}},  # missing alpha2 caught at build
             {"p": 1},
+            {"shift": {"kind": "covariate", "sigma0": {"kind": "ar1"}}},  # missing rho
+            {"shift": {"kind": "covariate", "sigma0": {"kind": "ar1", "rho": 1.0}}},
         ],
     )
     def test_invalid_configs_rejected(self, patch):
@@ -298,6 +391,41 @@ class TestBuildModel:
         base.update(patch)
         with pytest.raises(InvalidParameterError):
             build_model(ModelConfig.from_dict(base))
+
+    def test_explicit_vectors_rotate_into_the_eigenbasis(self):
+        rng = np.random.default_rng(2)
+        values, shifted = rng.standard_normal(7), rng.standard_normal(7)
+        cfg = ModelConfig.from_dict({
+            "p": 7,
+            "spectrum": {"kind": "ar1", "rho": 0.4},
+            "signal": {"kind": "explicit", "values": list(values)},
+            "shift": {"kind": "regression", "beta0": {"kind": "explicit", "values": list(shifted)}},
+        })
+        m = build_model(cfg)
+        _, w = build_ar1(7, 0.4)
+        np.testing.assert_array_equal(m.beta, w.T @ values)
+        np.testing.assert_array_equal(m.beta0, w.T @ shifted)
+
+    def test_large_ar1_model_is_built_without_a_dense_matrix(self):
+        # one 4000 x 4000 float64 array alone would take 128 MB
+        p = 4000
+        cfg = ModelConfig.from_dict({
+            "p": p,
+            "spectrum": {"kind": "ar1", "rho": 0.5},
+            "signal": {"kind": "eigvec-combination", "indices": [1, p], "weights": [0.5, 0.5]},
+            "shift": {"kind": "none"},
+            "sigma2": 0.01,
+        })
+        tracemalloc.start()
+        try:
+            model = build_model(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        # the extreme eigenvalues approach (1 - rho) / (1 + rho) and its inverse
+        assert model.spectrum.r_min + model.spectrum.r_max == pytest.approx(10.0 / 3.0, abs=1e-4)
+        assert -model.spectrum.r_min < lambda_min(model.spectrum, 2.0) < 0.0
 
     def test_sigma0_basis_requires_identity_train_cov(self):
         cfg = {

@@ -18,7 +18,7 @@ from ridgeshift import (
     mc_experiment,
     ridge_fit,
 )
-from ridgeshift.simulate import RidgeFactorization
+from ridgeshift.simulate import RidgeFactorization, _ridge_solve_direct
 
 
 def unit_signal(p):
@@ -104,6 +104,20 @@ class TestRidgeFit:
         beta = ridge_fit(x, y, lam)
         direct = np.linalg.solve(x.T @ x / 60 + lam * np.eye(12), x.T @ y / 60)
         np.testing.assert_allclose(beta, direct, atol=1e-8)
+
+    @pytest.mark.parametrize("n, p", [(40, 12), (12, 40)])
+    @pytest.mark.parametrize("lam", [-0.03, 0.0, 0.7])
+    def test_direct_solve_bits_match_identity_penalty(self, n, p, lam):
+        # the penalty added to the Gram diagonal in place gives the same bits
+        # as adding lam * I
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((n, p))
+        y = rng.standard_normal(n)
+        if p <= n:
+            old = np.linalg.solve(x.T @ x / n + lam * np.eye(p), x.T @ y / n)
+        else:
+            old = x.T @ np.linalg.solve(x @ x.T / n + lam * np.eye(n), y) / n
+        assert _ridge_solve_direct(x, y, lam).tobytes() == old.tobytes()
 
     def test_factorization_reuse_matches_fresh_fits(self):
         rng = np.random.default_rng(9)
