@@ -29,7 +29,6 @@ from .fixed_point import (
     lambda_of_mu,
     mu_zero,
     solve_mu,
-    tilde_v,
 )
 from .risk import (
     OptimalPoint,
@@ -42,6 +41,7 @@ from .risk import (
     risk_at_mu,
     risk_decomposition,
     risk_mu_derivative,
+    tilde_v,
 )
 from .conditions import (
     ConditionReport,
@@ -62,7 +62,6 @@ from .simulate import (
     SimConfig,
     SimResult,
     empirical_risk,
-    ensemble_fit,
     generate_data,
     mc_experiment,
     ridge_fit,
@@ -92,7 +91,6 @@ __all__ = [
     "lambda_min",
     "lambda_of_mu",
     "solve_mu",
-    "tilde_v",
     "equivalence_path",
     # risk
     "RiskDecomposition",
@@ -102,6 +100,7 @@ __all__ = [
     "risk_decomposition",
     "ensemble_risk",
     "risk_mu_derivative",
+    "tilde_v",
     "optimal_lambda",
     "optimal_psi",
     "isotropic_optimal_risk",
@@ -124,7 +123,6 @@ __all__ = [
     "RidgeFactorization",
     "generate_data",
     "ridge_fit",
-    "ensemble_fit",
     "empirical_risk",
     "mc_experiment",
 ]

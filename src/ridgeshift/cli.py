@@ -42,7 +42,6 @@ from .fixed_point import (
     lambda_min,
     mu_zero,
     solve_mu,
-    tilde_v,
 )
 from .model import ModelConfig, ShiftModel, build_model
 from .risk import (
@@ -51,6 +50,7 @@ from .risk import (
     optimal_lambda,
     optimal_psi,
     risk_decomposition,
+    tilde_v,
 )
 from .simulate import EnsembleConfig, SimConfig, mc_experiment
 
@@ -126,13 +126,14 @@ def _cmd_fixpoint(args) -> None:
     phi = args.phi
     psi = args.psi if args.psi is not None else phi
     sol = solve_mu(model.spectrum, args.lam, psi, boundary_ok=psi > phi)
+    v = math.inf if sol.mu == 0.0 else 1.0 / sol.mu  # 0 at mu = inf
     tv = tilde_v(model, sol.mu, phi, psi)
     _write_table(
         args,
         "fixpoint",
         {"lambda": args.lam, "phi": phi, "psi": psi},
         ["lambda", "phi", "psi", "mu", "v", "tilde_v", "residual"],
-        [(args.lam, phi, psi, sol.mu, sol.v, tv, sol.residual)],
+        [(args.lam, phi, psi, sol.mu, v, tv, sol.residual)],
     )
 
 

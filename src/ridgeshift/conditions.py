@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BranchViolationError, InvalidParameterError
 from .fixed_point import solve_mu
 from .model import ShiftModel
-from .risk import _blocks, _kernel, _weights
+from .risk import _blocks, _kernel, _null_risk, _weights
 
 ConditionId = Literal[
     "in-dist-alignment",
@@ -56,7 +56,6 @@ class MuGrid:
     points: int = 400
     cap_factor: float = 1e4  # upper end = cap_factor * r_max
     floor: float = 1e-8
-    include_zero: bool = False
 
     def values(self, start: float, r_max: float) -> np.ndarray:
         lo = max(start, self.floor)
@@ -64,9 +63,7 @@ class MuGrid:
         if hi <= lo:
             raise InvalidParameterError("empty level grid")
         grid = np.geomspace(lo, hi, self.points)
-        grid[0] = max(start, self.floor)
-        if self.include_zero and start <= 0.0:
-            grid = np.concatenate([[0.0], grid])
+        grid[0] = lo
         return grid
 
 
@@ -136,7 +133,7 @@ def check_cov_shift_overparam(model: ShiftModel, phi: float) -> ConditionReport:
     if phi <= 1.0:
         raise InvalidParameterError("wrong regime: requires phi > 1")
     mu0 = solve_mu(model.spectrum, 0.0, phi).mu  # = phi - 1 for identity
-    lhs = model.signal_sigma0_form(0.0, 0, 0, right="beta")  # b' S0 b
+    lhs = _null_risk(model).bias  # b' S0 b
     alpha2 = model.alpha2
     rhs = float(np.mean(model.sigma0_diag)) * (
         alpha2 + (1.0 + mu0) ** 3 / mu0**3 * model.sigma2
@@ -147,12 +144,11 @@ def check_cov_shift_overparam(model: ShiftModel, phi: float) -> ConditionReport:
 
 def check_reg_shift_alignment(model: ShiftModel, grid: MuGrid | None = None) -> ConditionReport:
     """Regression-shift alignment: b' S^2 (S+mu I)^-2 (b0 - b) > 0 for every
-    level mu >= 0."""
+    level mu >= 0; the grid's levels are checked after mu = 0 itself."""
     if model.is_isotropic_signal or not model.has_regression_shift:
         raise InvalidParameterError("degenerate shift: beta0 equals beta")
-    grid = grid or MuGrid(include_zero=True)
-    sp = model.spectrum
-    mus = grid.values(0.0, sp.r_max) if grid.include_zero else grid.values(grid.floor, sp.r_max)
+    grid = grid or MuGrid()
+    mus = np.concatenate([[0.0], grid.values(0.0, model.spectrum.r_max)])
     margins = _blocks(_weights(model), mus).a2
     return _report(
         "reg-shift-alignment", margins, f"mu in [0, {mus[-1]:.6g}], {mus.size} points"

@@ -25,11 +25,10 @@ import numpy as np
 
 from .errors import (
     BelowMinimumPenaltyError,
-    BranchViolationError,
     InvalidParameterError,
     SolverFailureError,
 )
-from .model import ShiftModel, Spectrum
+from .model import Spectrum
 
 #: Sentinel for an infinite subsample aspect ratio (the null-risk endpoint).
 PSI_INFINITE = math.inf
@@ -49,17 +48,12 @@ _EDGE_MEMO_SIZE = 256
 
 @dataclass(frozen=True)
 class FixedPointSolution:
-    """One admissible solution of the penalty equation.
-
-    ``v`` is the reciprocal 1/mu, flagged infinite at mu = 0 (ridgeless,
-    underparameterized); consumers should use ``mu`` directly.
-    """
+    """One admissible solution of the penalty equation at penalty ``lam``
+    and aspect ratio ``aspect``."""
 
     lam: float
-    phi: float
-    psi: float
+    aspect: float
     mu: float
-    v: float
     residual: float
 
 
@@ -180,17 +174,15 @@ def _solve_edge(spectrum: Spectrum, phi: float) -> float:
 def lambda_of_mu(spectrum: Spectrum, mu, aspect: float):
     """Penalty on the admissible branch that induces the level ``mu``:
     lam = mu * (1 - aspect * tr[S (S + mu I)^-1] / p). ``mu`` may be a
-    scalar or an array of levels."""
+    scalar (a float is returned) or an array of levels."""
     _check_phi(aspect)
-    if np.ndim(mu) > 0:
-        mus = np.asarray(mu, dtype=float)
-        r = spectrum.eigenvalues
-        return mus * (1.0 - aspect * np.mean(r / (r + mus[:, None]), axis=1))
-    if mu == 0.0:
-        return 0.0
-    if math.isinf(mu):
-        return math.inf
-    return mu * (1.0 - aspect * spectrum.resolvent_trace(mu, power=1, sigma_power=1))
+    mus = np.asarray(mu, dtype=float)
+    if mus.ndim == 0 and mu != math.inf:
+        spectrum._check_shift(mu)
+    r = spectrum.eigenvalues
+    lam = mus * (1.0 - aspect * ((r / (r + mus[..., None])).sum(axis=-1) / r.size))
+    # + 0.0 turns the -0.0 of mu = 0 at aspect > 1 into 0
+    return lam if mus.ndim else float(lam) + 0.0
 
 
 def lambda_min(spectrum: Spectrum, phi: float) -> float:
@@ -217,8 +209,10 @@ def solve_mu(
     by at most 1e-11 (1 + |lambda_min|), returns the edge solution instead
     of raising (used by ensemble evaluations where the edge is admissible).
     """
+    if not math.isfinite(lam):
+        raise InvalidParameterError(f"penalty must be finite, got {lam}")
     if aspect == PSI_INFINITE:
-        return FixedPointSolution(lam=lam, phi=aspect, psi=aspect, mu=math.inf, v=0.0, residual=0.0)
+        return FixedPointSolution(lam=lam, aspect=aspect, mu=math.inf, residual=0.0)
     _check_phi(aspect)
 
     mu0 = mu_zero(spectrum, aspect)
@@ -227,11 +221,7 @@ def solve_mu(
     # |lmin| + |mu0|, and a penalty above that is solved, however close
     if lam <= lmin + 4.0 * _EPS * (abs(lmin) + abs(mu0)):
         if boundary_ok and lam >= lmin - 1e-11 * (1.0 + abs(lmin)):
-            return FixedPointSolution(
-                lam=lam, phi=aspect, psi=aspect, mu=mu0,
-                v=math.inf if mu0 == 0.0 else 1.0 / mu0,
-                residual=abs(lam - lmin),
-            )
+            return FixedPointSolution(lam=lam, aspect=aspect, mu=mu0, residual=abs(lam - lmin))
         raise BelowMinimumPenaltyError(
             f"penalty {lam} is not above the minimum {lmin} at aspect {aspect}"
         )
@@ -262,18 +252,12 @@ def solve_mu(
         mu = _solve_monotone(f, lo, hi, flo, fhi, increasing=True)
 
     residual = abs(mu - lam - aspect * (float((mu * r / (r + mu)).sum()) / p))
-    if residual > 1e-10 * (1.0 + abs(lam) + abs(mu)):
+    # written so that a NaN residual fails too
+    if not residual <= 1e-10 * (1.0 + abs(lam) + abs(mu)):
         raise SolverFailureError(
             f"penalty equation residual {residual:.3e} at lam={lam}, aspect={aspect}"
         )
-    return FixedPointSolution(
-        lam=lam,
-        phi=aspect,
-        psi=aspect,
-        mu=float(mu),
-        v=math.inf if mu == 0.0 else 1.0 / float(mu),
-        residual=float(residual),
-    )
+    return FixedPointSolution(lam=lam, aspect=aspect, mu=float(mu), residual=float(residual))
 
 
 def _edge_level(spectrum: Spectrum, lam: float, lo: float, hi: float | None = None) -> float:
@@ -310,30 +294,6 @@ def _edge_level(spectrum: Spectrum, lam: float, lo: float, hi: float | None = No
                 raise SolverFailureError("edge level bracket expansion diverged")
     return _solve_monotone(g, lo, hi, g(lo)[0], g(hi)[0], increasing=lo >= 0.0,
                            f_noise=4.0 * _EPS * abs(lam))
-
-
-def tilde_v(model: ShiftModel, mu: float, phi: float, psi: float | None = None) -> float:
-    """Variance-scale companion of the fixed point:
-
-        tv = phi * tr[S0 S (S+mu I)^-2] / p  /  (1 - phi * tr[S^2 (S+mu I)^-2] / p)
-
-    ``mu`` must be the level solved at aspect ``psi`` (psi = phi for plain
-    ridge); the denominator is positive on that branch and a nonpositive
-    value signals a level below the branch edge.
-    """
-    _check_phi(phi)
-    if psi is None:
-        psi = phi
-    if psi != PSI_INFINITE and psi < phi - 1e-12:
-        raise InvalidParameterError(f"subsample aspect {psi} must be >= data aspect {phi}")
-    if math.isinf(mu):
-        return 0.0
-    denom = 1.0 - phi * model.spectrum.resolvent_trace(mu, power=2, sigma_power=2)
-    if denom <= 0.0:
-        raise BranchViolationError(
-            f"nonpositive denominator {denom:.3e}: mu={mu} is below the branch edge"
-        )
-    return phi * model.sigma0_resolvent_trace(mu, power=2, sigma_power=1) / denom
 
 
 @dataclass(frozen=True)

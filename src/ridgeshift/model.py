@@ -1,16 +1,11 @@
 """Train/test distribution pairs expressed in the eigenbasis of the train covariance.
 
 Everything downstream works in the basis where the train covariance is
-diagonal. The test covariance is stored dense in that basis (its diagonal
-cached, since most trace functionals only need the diagonal), and signal
-vectors are stored as projection coefficients in the same basis.
-
-Conventions for the scalar functionals:
-
-- covariance-type traces are averaged, ``tr[A] / p``;
-- signal-weighted forms are plain quadratic forms ``b' A b`` with no ``1/p``,
-  so they sit on the same scale as the noise level ``sigma2`` (an isotropic
-  random signal of energy ``alpha2`` has ``E[b' A b] = alpha2 * tr[A] / p``).
+diagonal. The test covariance is kept dense in that basis, or as its
+diagonal alone when it is diagonal there, and signal vectors are stored as
+projection coefficients in the same basis. The trace and quadratic-form
+functionals of a model are evaluated by the risk kernel
+(:mod:`ridgeshift.risk`).
 """
 
 from __future__ import annotations
@@ -19,7 +14,6 @@ import functools
 import json
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Literal
 
 import numpy as np
 
@@ -367,59 +361,6 @@ class ShiftModel:
         if self.is_isotropic_signal:
             return self.alpha2 * float(np.mean(self.sigma0_diag)) + self.sigma0_sq
         return float(self.sigma0_product(self.beta0) @ self.beta0) + self.sigma0_sq
-
-    # -- scalar functionals -------------------------------------------------
-
-    def sigma0_resolvent_trace(self, mu: float, power: int = 1, sigma_power: int = 1) -> float:
-        """Averaged trace ``tr[S0 S^a (S + mu I)^-power] / p`` using the cached diagonal."""
-        self.spectrum._check_shift(mu)
-        r = self.spectrum.eigenvalues
-        return float(np.mean(self.sigma0_diag * r**sigma_power / (r + mu) ** power))
-
-    def signal_form(
-        self,
-        mu: float,
-        power: int = 1,
-        sigma_power: int = 1,
-        right: Literal["beta", "beta0", "shift"] = "beta",
-    ) -> float:
-        """Quadratic form ``beta' S^a (S + mu I)^-power x`` with diagonal middle weight.
-
-        ``right`` selects x = beta, beta0, or (beta0 - beta). Isotropic
-        signals are evaluated in expectation (where the cross terms with
-        ``beta0 - beta`` vanish).
-        """
-        self.spectrum._check_shift(mu)
-        r = self.spectrum.eigenvalues
-        w = r**sigma_power / (r + mu) ** power
-        if self.is_isotropic_signal:
-            if right == "shift":
-                return 0.0
-            return float(self.signal_alpha2) * float(np.mean(w))
-        x = {"beta": self.beta, "beta0": self.beta0, "shift": self.beta0 - self.beta}[right]
-        return float(np.sum(self.beta * w * x))
-
-    def signal_sigma0_form(
-        self,
-        mu: float,
-        left_power: int = 1,
-        right_power: int = 1,
-        right: Literal["beta", "beta0", "shift"] = "beta",
-    ) -> float:
-        """Sandwich form ``beta' (S+mu I)^-lp  S0  (S+mu I)^-rp x`` with the dense test covariance."""
-        self.spectrum._check_shift(mu)
-        r = self.spectrum.eigenvalues
-        if self.is_isotropic_signal:
-            if right != "beta":
-                raise InvalidParameterError("isotropic signal has no regression shift")
-            # E[b' M b] = alpha2 tr[M] / p; only the diagonal of S0 contributes.
-            return float(self.signal_alpha2) * float(
-                np.mean(self.sigma0_diag / (r + mu) ** (left_power + right_power))
-            )
-        x = {"beta": self.beta, "beta0": self.beta0, "shift": self.beta0 - self.beta}[right]
-        wl = self.beta / (r + mu) ** left_power
-        wr = x / (r + mu) ** right_power
-        return float(self.sigma0_product(wl) @ wr)
 
 
 def _sigma0_matrix(self: ShiftModel) -> np.ndarray:

@@ -9,10 +9,10 @@ regularization level mu and the data aspect ratio phi:
     shift    = 2 mu b'(S+mu I)^-1 S0 (b0 - b)        (regression-shift cross term)
     kappa2   = (b0-b)' S0 (b0-b) + sigma0_sq         (irreducible)
 
-with ``tv`` from :func:`ridgeshift.fixed_point.tilde_v`. The same expressions
-evaluated at the level solved at a subsample aspect psi >= phi give the risk
-of the full average of fits over all size-k subsamples (psi = p/k), which is
-how penalties and subsample ratios trade off along equivalence contours.
+with ``tv`` from :func:`tilde_v`. The same expressions evaluated at the
+level solved at a subsample aspect psi >= phi give the risk of the full
+average of fits over all size-k subsamples (psi = p/k), which is how
+penalties and subsample ratios trade off along equivalence contours.
 
 Isotropic-random signals replace the rank-one signal matrix by its
 expectation, energy/p times the identity.
@@ -171,13 +171,14 @@ def _blocks(wt: _Weights, mus) -> _Blocks:
 class _Parts(NamedTuple):
     """Risk parts and their mu-derivatives (None when not asked for) over an
     array of levels. ``denom`` = 1 - phi tr[S^2 R^2] / p is positive exactly
-    on the branch."""
+    on the branch; ``tv`` is the variance scale, variance = sigma2 * tv."""
 
     bias: np.ndarray
     variance: np.ndarray
     shift: np.ndarray
     kappa2: float
     denom: np.ndarray
+    tv: np.ndarray
     d_bias: np.ndarray | None = None
     d_variance: np.ndarray | None = None
     d_shift: np.ndarray | None = None
@@ -199,9 +200,9 @@ def _kernel(wt: _Weights, mus, phi: float, slopes: bool = True) -> _Parts:
     mu2 = mu * mu
     denom = 1.0 - phi * bl.t2
     with np.errstate(divide="ignore", invalid="ignore"):
-        tv = phi * bl.n2 / denom  # tilde_v
+        tv = phi * bl.n2 / denom
         inner = tv * bl.b2 + bl.q2
-        parts = _Parts(mu2 * inner, wt.sigma2 * tv, 2.0 * mu * bl.c1, wt.kappa2, denom)
+        parts = _Parts(mu2 * inner, wt.sigma2 * tv, 2.0 * mu * bl.c1, wt.kappa2, denom, tv)
         if not slopes:
             return parts
         d_tv = -2.0 * phi * (bl.n3 + tv * bl.t3) / denom
@@ -223,6 +224,23 @@ def _at_mu(model: ShiftModel, mu: float, phi: float, slopes: bool) -> _Parts:
             f"edge at phi={phi}"
         )
     return parts
+
+
+def tilde_v(model: ShiftModel, mu: float, phi: float, psi: float | None = None) -> float:
+    """Variance-scale companion of the fixed point:
+
+        tv = phi * tr[S0 S (S+mu I)^-2] / p  /  (1 - phi * tr[S^2 (S+mu I)^-2] / p)
+
+    ``mu`` must be the level solved at aspect ``psi`` (psi = phi for plain
+    ridge); the denominator is positive on that branch and a nonpositive
+    value signals a level below the branch edge. One point of the kernel.
+    """
+    _check_phi(phi)
+    if psi is not None and psi != PSI_INFINITE and psi < phi - 1e-12:
+        raise InvalidParameterError(f"subsample aspect {psi} must be >= data aspect {phi}")
+    if math.isinf(mu):
+        return 0.0
+    return float(_at_mu(model, mu, phi, slopes=False).tv[0])
 
 
 def _null_risk(model: ShiftModel) -> RiskDecomposition:

@@ -243,32 +243,6 @@ def _ridge_solve_direct(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
         return ridge_fit(x, y, lam)
 
 
-def ensemble_fit(
-    x: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    k: int,
-    n_subsamples: int,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Average of ridge fits over independently drawn size-k subsamples
-    (without replacement within a subsample)."""
-    n = x.shape[0]
-    if not (1 <= k <= n):
-        raise InvalidParameterError(f"invalid subsample size k={k} for n={n}")
-    if n_subsamples < 1:
-        raise InvalidParameterError("n_subsamples must be >= 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    if k == n:
-        return ridge_fit(x, y, lam)  # every subsample is the full sample
-    acc = np.zeros(x.shape[1])
-    for _ in range(n_subsamples):
-        idx = rng.choice(n, size=k, replace=False)
-        acc += ridge_fit(x[idx], y[idx], lam)
-    return acc / n_subsamples
-
-
 def empirical_risk(
     beta_hat: np.ndarray, model: ShiftModel, beta0: np.ndarray | None = None
 ) -> float:
@@ -382,36 +356,30 @@ def mc_experiment(
         beta0 = beta if model.is_isotropic_signal else model.beta0
         out: dict[int, float] = {}
         psi = groups[gidx]
-        if psi is None:
+        k = n if psi is None else round(model.p / psi)
+        if k == n:
+            # plain ridge, or an ensemble whose every subsample is the full sample
             fact = RidgeFactorization(x)
             for idx in group_cells[gidx]:
                 bh = fact.solve(y, cells[idx].lam)
                 out[idx] = empirical_risk(bh, model, beta0=beta0)
-        else:
-            k = round(model.p / psi)
-            # one set of index draws shared across the penalty sweep
-            if k == n:
-                subsets = None
-                facts = None
+            return out
+        # one set of index draws shared across the penalty sweep
+        subsets = [rng.choice(n, size=k, replace=False) for _ in range(n_subsamples)]
+        # a one-point penalty grid does not pay for eigendecompositions
+        single_lam = len(group_cells[gidx]) == 1
+        facts = None if single_lam else [RidgeFactorization(x[i]) for i in subsets]
+        for idx in group_cells[gidx]:
+            lam = cells[idx].lam
+            bh = np.zeros(model.p)
+            if facts is None:
+                for sub in subsets:
+                    bh += _ridge_solve_direct(x[sub], y[sub], lam)
             else:
-                subsets = [rng.choice(n, size=k, replace=False) for _ in range(n_subsamples)]
-                # a one-point penalty grid does not pay for eigendecompositions
-                single_lam = len(group_cells[gidx]) == 1
-                facts = None if single_lam else [RidgeFactorization(x[i]) for i in subsets]
-            for idx in group_cells[gidx]:
-                lam = cells[idx].lam
-                if subsets is None:
-                    bh = ridge_fit(x, y, lam)
-                else:
-                    bh = np.zeros(model.p)
-                    if facts is None:
-                        for sub in subsets:
-                            bh += _ridge_solve_direct(x[sub], y[sub], lam)
-                    else:
-                        for sub, fact in zip(subsets, facts):
-                            bh += fact.solve(y[sub], lam)
-                    bh /= n_subsamples
-                out[idx] = empirical_risk(bh, model, beta0=beta0)
+                for sub, fact in zip(subsets, facts):
+                    bh += fact.solve(y[sub], lam)
+            bh /= n_subsamples
+            out[idx] = empirical_risk(bh, model, beta0=beta0)
         return out
 
     tasks = [(g, rep) for g in group_cells for rep in range(config.reps)]

@@ -66,6 +66,29 @@ class TestFixpoint:
         code = main(["fixpoint", "--config", iso_config, "--phi", "4", "--lambda", "-2"])
         assert code == 2
 
+    def _row(self, tmp_path, config, *flags):
+        code, out = run_to_file(tmp_path, ["fixpoint", "--config", config, *flags])
+        assert code == 0
+        lines = out.read_text().strip().splitlines()
+        return dict(zip(lines[0].split(","), lines[1].split(",")))
+
+    def test_infinite_aspect_sentinel(self, tmp_path, iso_config):
+        row = self._row(tmp_path, iso_config, "--phi", "2", "--lambda", "0.5", "--psi", "inf")
+        assert (row["mu"], row["v"], row["tilde_v"], row["residual"]) == ("inf", "0", "0", "0")
+
+    def test_ridgeless_v_flagged_infinite(self, tmp_path, iso_config):
+        row = self._row(tmp_path, iso_config, "--phi", "0.5", "--lambda", "0")
+        assert (row["mu"], row["v"]) == ("0", "inf")
+
+    def test_v_is_the_reciprocal_level(self, tmp_path, iso_config):
+        row = self._row(tmp_path, iso_config, "--phi", "2", "--lambda", "0")
+        assert float(row["v"]) == 1.0 / float(row["mu"])
+
+    def test_nan_penalty_is_invalid(self, capsys, iso_config):
+        code = main(["fixpoint", "--config", iso_config, "--phi", "2", "--lambda", "nan"])
+        assert code == 1
+        assert "penalty must be finite" in capsys.readouterr().err
+
 
 class TestLambdamin:
     def test_grid(self, tmp_path, iso_config):
@@ -100,6 +123,22 @@ class TestRisk:
         for line in out.read_text().strip().splitlines()[1:]:
             _, _, b, v, s, k, t = map(float, line.split(","))
             assert t == pytest.approx(b + v + s + k, abs=1e-15)
+
+    def test_nan_penalty_is_invalid(self, tmp_path, iso_config):
+        code, out = run_to_file(
+            tmp_path, ["risk", "--config", iso_config, "--phi", "2", "--grid", "nan:1:3"]
+        )
+        assert code == 1
+        assert not out.exists()
+
+    def test_sweep_keeps_a_nan_penalty_as_a_nan_cell(self, tmp_path, iso_config):
+        code, out = run_to_file(
+            tmp_path,
+            ["sweep", "--config", iso_config, "--grid", "nan:1:2", "--phi-grid", "0.5:2:2"],
+        )
+        assert code == 0
+        totals = [line.split(",")[2] for line in out.read_text().strip().splitlines()[1:]]
+        assert totals[:2] == ["nan", "nan"] and "nan" not in totals[2:]
 
 
 class TestOptimize:

@@ -80,7 +80,8 @@ class TestNoiselessLogDerivativeForm:
             h = 1e-6 * (1.0 + mus)
 
             def log_signal(x):
-                return np.log([m.signal_form(v, power=2, sigma_power=1) for v in x])
+                r = sp.eigenvalues
+                return np.log([float(np.sum(m.beta * m.beta * r / (r + v) ** 2)) for v in x])
 
             def log_spec(x):
                 return np.log([sp.resolvent_trace(v, power=2, sigma_power=1) for v in x])
@@ -141,6 +142,16 @@ class TestRegShiftAlignment:
         m = extreme_pair_model()
         with pytest.raises(InvalidParameterError):
             check_reg_shift_alignment(m)
+
+    def test_caller_grid_includes_zero(self):
+        # b' S^2 (S+mu I)^-2 (b0 - b) is -0.5 at mu = 0 and positive from
+        # far below this grid's floor on: only the level mu = 0 fails
+        sp = Spectrum.from_values([0.01, 100.0])
+        m = make_model(sp, beta=np.array([1.0, 1.0]), beta0=np.array([0.0, 1.5]))
+        report = check_reg_shift_alignment(m, MuGrid(points=5, floor=1.0))
+        assert not report.holds
+        assert report.worst_margin == pytest.approx(-0.5, rel=1e-12)
+        assert report.grid.startswith("mu in [0, ") and report.grid.endswith(", 6 points")
 
 
 class TestRegShiftGeneralBalance:

@@ -15,10 +15,13 @@ from ridgeshift import (
     BranchViolationError,
     InvalidParameterError,
     PSI_INFINITE,
+    SingularResolventError,
+    SolverFailureError,
     Spectrum,
     ensemble_risk,
     equivalence_path,
     lambda_min,
+    lambda_of_mu,
     make_model,
     mu_zero,
     risk_at_mu,
@@ -106,6 +109,19 @@ class TestLambdaMin:
         assert np.all(np.diff(below) > 0)
         assert np.all(np.diff(above) < 0)
         assert lambda_min(sp, 1.0) == pytest.approx(0.0, abs=1e-11)
+
+
+class TestLambdaOfMu:
+    def test_scalar_ends_are_exact(self):
+        sp = Spectrum.from_values([0.5, 1.0, 2.0])
+        zero = lambda_of_mu(sp, 0.0, 3.0)  # mu * (1 - 3) would be -0.0
+        assert type(zero) is float and zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        assert lambda_of_mu(sp, math.inf, 3.0) == math.inf
+
+    @pytest.mark.parametrize("mu", [-0.5, -1.0, -math.inf, math.nan])
+    def test_singular_scalar_shift_raises(self, mu):
+        with pytest.raises(SingularResolventError):
+            lambda_of_mu(Spectrum.from_values([0.5, 1.0, 2.0]), mu, 3.0)
 
 
 class TestSolveMu:
@@ -210,11 +226,21 @@ class TestSolveMu:
 
     def test_infinite_aspect_sentinel(self):
         sol = solve_mu(Spectrum.identity(3), 0.5, PSI_INFINITE)
-        assert math.isinf(sol.mu) and sol.v == 0.0
+        assert math.isinf(sol.mu) and sol.residual == 0.0
 
-    def test_ridgeless_v_flagged_infinite(self):
-        sol = solve_mu(Spectrum.identity(3), 0.0, 0.5)
-        assert sol.mu == 0.0 and math.isinf(sol.v)
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_penalty_rejected(self, lam):
+        for aspect in (0.5, 2.0, PSI_INFINITE):
+            with pytest.raises(InvalidParameterError, match="penalty"):
+                solve_mu(Spectrum.identity(3), lam, aspect)
+
+    def test_nan_residual_is_a_failure(self, monkeypatch):
+        # a comparison with NaN is False: the residual check must not pass it
+        sp = Spectrum.identity(3)
+        mu_zero(sp, 2.0)  # memoized before the root finder breaks
+        monkeypatch.setattr(fixed_point, "_solve_monotone", lambda *args, **kwargs: math.nan)
+        with pytest.raises(SolverFailureError):
+            solve_mu(sp, 0.5, 2.0)
 
     def test_extreme_aspect_ratios(self):
         # phi -> 0: the branch edge collapses onto the negated smallest

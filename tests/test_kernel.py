@@ -21,6 +21,7 @@ from ridgeshift import (
     risk_at_mu,
     risk_mu_derivative,
     solve_mu,
+    tilde_v,
 )
 from ridgeshift import risk
 
@@ -114,6 +115,14 @@ class TestKernelProperties:
                                    (dn.bias, dn.variance, dn.shift)):
                 fd = (hi - lo) / (2.0 * h)
                 assert _close(got, fd, scale, 1e-6), (mu, got, fd)
+
+    @PROPERTY_SETTINGS
+    @given(kernel_cases())
+    def test_tilde_v_is_the_variance_scale(self, case):
+        model, phi, mus = case
+        for mu in mus[:: max(1, mus.size // 8)]:
+            tv = tilde_v(model, float(mu), phi)
+            assert tv * model.sigma2 == risk_at_mu(model, float(mu), phi).variance
 
 
 class TestClosedFormMaps:

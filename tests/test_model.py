@@ -18,6 +18,7 @@ from ridgeshift import (
     lambda_min,
     make_model,
 )
+from ridgeshift.risk import _blocks, _weights
 
 EPS = np.finfo(float).eps
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -157,8 +158,7 @@ class TestAvgTraceResolvent:
         beta = np.zeros(5)
         beta[2] = 1.0
         m = make_model(Spectrum.identity(5), beta=beta, sigma2=0.0)
-        val = m.signal_sigma0_form(1.0, 1, 1, right="beta")
-        assert val == pytest.approx(0.25, abs=1e-14)
+        assert _blocks(_weights(m), [1.0]).q2[0] == pytest.approx(0.25, abs=1e-14)
 
     def test_two_point_spectrum(self):
         sp = Spectrum.from_values([1.0, 2.0])
@@ -177,20 +177,21 @@ class TestAvgTraceResolvent:
         a = rng.standard_normal((30, 30))
         s0 = a @ a.T / 30
         m = make_model(sp, beta=rng.standard_normal(30), sigma0=s0, sigma2=0.1)
-        for mu in (0.0, 0.5, 3.0):
-            fast = m.sigma0_resolvent_trace(mu, power=2, sigma_power=1)
-            r = sp.eigenvalues
+        mus = (0.0, 0.5, 3.0)
+        fast = _blocks(_weights(m), mus).n2
+        r = sp.eigenvalues
+        for mu, got in zip(mus, fast):
             dense = np.trace(s0 @ np.diag(r) @ np.diag(1.0 / (r + mu) ** 2)) / 30
-            assert fast == pytest.approx(dense, rel=1e-10)
+            assert got == pytest.approx(dense, rel=1e-10)
 
     def test_strictly_decreasing_in_mu(self):
         rng = np.random.default_rng(4)
         sp = Spectrum.from_values(np.exp(rng.uniform(-1, 1, 20)))
         m = make_model(sp, beta=rng.standard_normal(20), sigma2=0.0)
         mus = np.linspace(-0.5 * sp.r_min, 50.0, 40)
-        for trace in (m.spectrum.resolvent_trace, m.sigma0_resolvent_trace):
-            vals = [trace(mu, power=2, sigma_power=1) for mu in mus]
-            assert np.all(np.diff(vals) < 0)
+        vals = [m.spectrum.resolvent_trace(mu, power=2, sigma_power=1) for mu in mus]
+        assert np.all(np.diff(vals) < 0)
+        assert np.all(np.diff(_blocks(_weights(m), mus).n2) < 0)  # tr[S0 S R^2] / p
 
 
 class TestDiagonalTestCovariance:
@@ -212,9 +213,9 @@ class TestDiagonalTestCovariance:
         x = rng.standard_normal(9)
         np.testing.assert_array_equal(m.sigma0_product(x), x @ m.sigma0_matrix)
         assert m.null_risk() == float(m.beta0 @ m.sigma0_matrix @ m.beta0)
-        assert m.signal_sigma0_form(0.3, 1, 1) == pytest.approx(
-            float((beta / (sp.eigenvalues + 0.3)) @ m.sigma0_matrix @ (beta / (sp.eigenvalues + 0.3))),
-            rel=1e-15)
+        wb = beta / (sp.eigenvalues + 0.3)
+        assert _blocks(_weights(m), [0.3]).q2[0] == pytest.approx(
+            float(wb @ m.sigma0_matrix @ wb), rel=1e-15)
         assert m.has_covariate_shift
 
     def test_negative_diagonal_rejected(self):
@@ -241,13 +242,8 @@ class TestRotationInvariance:
                 sigma0=w.T @ s0_std @ w,
                 sigma2=0.3,
             )
-            vals.append(
-                (
-                    m.sigma0_resolvent_trace(0.7, power=2),
-                    m.signal_form(0.7, power=2),
-                    m.signal_sigma0_form(0.7, 1, 1, right="beta"),
-                )
-            )
+            bl = _blocks(_weights(m), [0.7])
+            vals.append((bl.n2[0], bl.b2[0], bl.q2[0]))
         np.testing.assert_allclose(vals[0], vals[1], rtol=1e-8)
 
 

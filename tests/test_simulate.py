@@ -1,5 +1,5 @@
-"""Monte Carlo harness: data generation, pseudoinverse ridge fits, subsample
-averages, and the seeded experiment driver."""
+"""Monte Carlo harness: data generation, pseudoinverse ridge fits, empirical
+risks, and the seeded experiment driver with its subsample averages."""
 
 import math
 
@@ -12,12 +12,12 @@ from ridgeshift import (
     EnsembleConfig,
     Spectrum,
     empirical_risk,
-    ensemble_fit,
     generate_data,
     make_model,
     mc_experiment,
     ridge_fit,
 )
+from ridgeshift import simulate
 from ridgeshift.simulate import RidgeFactorization, _ridge_solve_direct
 
 
@@ -129,39 +129,48 @@ class TestRidgeFit:
 
 
 class TestEnsembleFit:
-    def test_full_subsample_equals_plain_fit(self):
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal((15, 8))
-        y = rng.standard_normal(15)
-        np.testing.assert_array_equal(
-            ensemble_fit(x, y, 0.4, k=15, n_subsamples=7, rng=0),
-            ridge_fit(x, y, 0.4),
-        )
+    """Subsample-average fits inside mc_experiment."""
+
+    def test_full_subsample_equals_plain_fit(self, monkeypatch):
+        # at psi = phi every subsample is the full sample: the group is
+        # fitted like plain ridge, one factorization per replicate for all
+        # penalties, and the same group index gives the same data stream
+        built = []
+
+        class Counting(RidgeFactorization):
+            def __init__(self, x):
+                built.append(x.shape)
+                super().__init__(x)
+
+        m = make_model(Spectrum.identity(40), beta=unit_signal(40), sigma2=0.25)
+        grid = [0.1, 0.4, 1.0]
+        plain = mc_experiment(m, SimConfig(p=40, phi=2.0, reps=3, seed=9), grid)
+        monkeypatch.setattr(simulate, "RidgeFactorization", Counting)
+        cfg = SimConfig(p=40, phi=2.0, reps=3, seed=9, include_plain=False,
+                        ensemble=EnsembleConfig(psi=2.0, n_subsamples=7))
+        ens = mc_experiment(m, cfg, grid)
+        assert len(built) == 3
+        assert [c.k for c in ens.cells] == [20] * 3
+        assert ([c.empirical_mean.hex() for c in ens.cells]
+                == [c.empirical_mean.hex() for c in plain.cells])
 
     def test_single_subsample(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((20, 6))
-        y = rng.standard_normal(20)
-        out = ensemble_fit(x, y, 0.2, k=10, n_subsamples=1, rng=42)
-        idx = np.random.default_rng(42).choice(20, size=10, replace=False)
-        np.testing.assert_allclose(out, ridge_fit(x[idx], y[idx], 0.2), atol=1e-12)
-
-    def test_averaging_rate(self):
-        # distance to a large-m reference shrinks roughly like 1/sqrt(m)
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((40, 25))
-        y = rng.standard_normal(40)
-        ref = ensemble_fit(x, y, 0.3, k=20, n_subsamples=4000, rng=99)
-        err_small = np.linalg.norm(ensemble_fit(x, y, 0.3, k=20, n_subsamples=50, rng=1) - ref)
-        err_large = np.linalg.norm(ensemble_fit(x, y, 0.3, k=20, n_subsamples=800, rng=2) - ref)
-        ratio = err_small / err_large  # expected ~ four, allow wide slack
-        assert 1.5 < ratio < 12.0
+        # with one subsample per replicate the ensemble cell is the ridge fit
+        # on the rows drawn right after the replicate's data
+        m = make_model(Spectrum.identity(6), beta=unit_signal(6), sigma2=0.1)
+        cfg = SimConfig(p=6, phi=0.3, reps=1, seed=42, include_plain=False,
+                        ensemble=EnsembleConfig(psi=0.6, n_subsamples=1))
+        cell = mc_experiment(m, cfg, [0.2]).cells[0]
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(42, 0, 0)))
+        x, y = generate_data(m, 20, rng=rng)
+        idx = rng.choice(20, size=10, replace=False)
+        want = empirical_risk(ridge_fit(x[idx], y[idx], 0.2), m)
+        assert cell.empirical_mean == pytest.approx(want, rel=1e-12)
 
     def test_invalid_subsample_size(self):
-        x = np.zeros((5, 3))
-        y = np.zeros(5)
+        # psi below phi asks for subsamples larger than the sample
         with pytest.raises(InvalidParameterError):
-            ensemble_fit(x, y, 0.1, k=6, n_subsamples=2)
+            SimConfig(p=40, phi=2.0, reps=1, seed=0, ensemble=EnsembleConfig(psi=1.0))
 
 
 class TestEmpiricalRisk:
