@@ -64,7 +64,6 @@ from .simulate import (
     empirical_risk,
     generate_data,
     mc_experiment,
-    ridge_fit,
 )
 
 __all__ = [
@@ -122,7 +121,6 @@ __all__ = [
     "NearSingularRidgeWarning",
     "RidgeFactorization",
     "generate_data",
-    "ridge_fit",
     "empirical_risk",
     "mc_experiment",
 ]

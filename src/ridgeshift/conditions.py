@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BranchViolationError, InvalidParameterError
 from .fixed_point import solve_mu
 from .model import ShiftModel
-from .risk import _blocks, _kernel, _null_risk, _weights
+from .risk import _blocks, _kernel, _weights
 
 ConditionId = Literal[
     "in-dist-alignment",
@@ -49,17 +49,20 @@ Regime = Literal["underparameterized", "overparameterized"]
 _STRICT = 1e-12
 
 
+#: upper end of every level grid, in multiples of the largest eigenvalue
+CAP_FACTOR = 1e4
+
+
 @dataclass(frozen=True)
 class MuGrid:
     """Log-spaced evaluation grid for the 'for all levels' quantifiers."""
 
     points: int = 400
-    cap_factor: float = 1e4  # upper end = cap_factor * r_max
     floor: float = 1e-8
 
     def values(self, start: float, r_max: float) -> np.ndarray:
         lo = max(start, self.floor)
-        hi = self.cap_factor * r_max
+        hi = CAP_FACTOR * r_max
         if hi <= lo:
             raise InvalidParameterError("empty level grid")
         grid = np.geomspace(lo, hi, self.points)
@@ -133,7 +136,7 @@ def check_cov_shift_overparam(model: ShiftModel, phi: float) -> ConditionReport:
     if phi <= 1.0:
         raise InvalidParameterError("wrong regime: requires phi > 1")
     mu0 = solve_mu(model.spectrum, 0.0, phi).mu  # = phi - 1 for identity
-    lhs = _null_risk(model).bias  # b' S0 b
+    lhs = model.null_parts()[0]  # b' S0 b
     alpha2 = model.alpha2
     rhs = float(np.mean(model.sigma0_diag)) * (
         alpha2 + (1.0 + mu0) ** 3 / mu0**3 * model.sigma2

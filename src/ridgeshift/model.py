@@ -356,11 +356,27 @@ class ShiftModel:
             return x * self.sigma0_diag
         return x @ self.sigma0_dense
 
-    def null_risk(self) -> float:
-        """Risk of the zero predictor: beta0' S0 beta0 + sigma0_sq."""
+    @property
+    def kappa2(self) -> float:
+        """Irreducible risk (b0-b)' S0 (b0-b) + sigma0_sq."""
+        if not self.has_regression_shift:
+            return self.sigma0_sq
+        d = self.beta0 - self.beta
+        return self.sigma0_sq + float(self.sigma0_product(d) @ d)
+
+    def null_parts(self) -> tuple[float, float]:
+        """Bias b' S0 b and cross term 2 b' S0 (b0-b) of the zero predictor
+        (in expectation for isotropic signals, where the cross term vanishes)."""
         if self.is_isotropic_signal:
-            return self.alpha2 * float(np.mean(self.sigma0_diag)) + self.sigma0_sq
-        return float(self.sigma0_product(self.beta0) @ self.beta0) + self.sigma0_sq
+            return self.alpha2 * float(np.mean(self.sigma0_diag)), 0.0
+        b_s0 = self.sigma0_product(self.beta)
+        return float(b_s0 @ self.beta), 2.0 * float(b_s0 @ (self.beta0 - self.beta))
+
+    def null_risk(self) -> float:
+        """Risk of the zero predictor, beta0' S0 beta0 + sigma0_sq, summed as
+        bias + shift + kappa2 like every other risk decomposition."""
+        bias, shift = self.null_parts()
+        return bias + shift + self.kappa2
 
 
 def _sigma0_matrix(self: ShiftModel) -> np.ndarray:

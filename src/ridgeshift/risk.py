@@ -102,7 +102,6 @@ def _make_weights(model: ShiftModel) -> _Weights:
     s0d = model.sigma0_diag
     zero = np.zeros(p)
     beta = sigma0 = None
-    kappa2 = model.sigma0_sq
     if model.is_isotropic_signal:
         # E[b' A b] = alpha2 tr[A] / p; the cross terms with b0 - b vanish
         a = model.alpha2 / p
@@ -115,12 +114,10 @@ def _make_weights(model: ShiftModel) -> _Weights:
             sand = b * b * s0d  # a diagonal S0 needs no dense sandwich
         else:
             sand, beta, sigma0 = zero, b, model.sigma0_dense
-        if model.has_regression_shift:
-            kappa2 += float(dvec @ d)  # (b0-b)' S0 (b0-b)
         sig, c1, c2, align = b * b * r, b * dvec, b * r * dvec, b * r * r * d
     w1 = np.stack([r / p, c1])
     w2 = np.stack([r * r / p, r / p, s0d * r / p, sig, sand, c2, align])
-    return _Weights(r, w1, w2, beta, sigma0, model.sigma2, kappa2)
+    return _Weights(r, w1, w2, beta, sigma0, model.sigma2, model.kappa2)
 
 
 class _Blocks(NamedTuple):
@@ -243,23 +240,13 @@ def tilde_v(model: ShiftModel, mu: float, phi: float, psi: float | None = None) 
     return float(_at_mu(model, mu, phi, slopes=False).tv[0])
 
 
-def _null_risk(model: ShiftModel) -> RiskDecomposition:
-    """Risk at mu = inf: a penalty (or subsampling) strong enough to kill the fit."""
-    if model.is_isotropic_signal:
-        bias = model.alpha2 * float(np.mean(model.sigma0_diag))
-        shift = 0.0
-    else:
-        b_s0 = model.sigma0_product(model.beta)
-        bias = float(b_s0 @ model.beta)
-        shift = 2.0 * float(b_s0 @ (model.beta0 - model.beta))
-    return RiskDecomposition.from_parts(bias, 0.0, shift, _weights(model).kappa2)
-
-
 def risk_at_mu(model: ShiftModel, mu: float, phi: float) -> RiskDecomposition:
     """Risk equivalents parameterized directly by the level mu (admissible for
-    some aspect >= phi): one point of the vectorized kernel."""
+    some aspect >= phi): one point of the vectorized kernel. At mu = inf, a
+    penalty (or subsampling) strong enough to kill the fit, the null risk."""
     if math.isinf(mu):
-        return _null_risk(model)
+        bias, shift = model.null_parts()
+        return RiskDecomposition.from_parts(bias, 0.0, shift, model.kappa2)
     parts = _at_mu(model, mu, phi, slopes=False)
     return RiskDecomposition.from_parts(
         float(parts.bias[0]), float(parts.variance[0]), float(parts.shift[0]), parts.kappa2
@@ -295,18 +282,21 @@ def risk_mu_derivative(model: ShiftModel, mu: float, phi: float) -> tuple[float,
 
 # -- optimizers ---------------------------------------------------------------
 
+#: scan controls (see SearchOptions)
+GRID_POINTS = 240
+T_MIN = 1e-6
+T_MAX = 1e6
+
+
 @dataclass(frozen=True)
 class SearchOptions:
-    """Controls for the scans. :func:`optimal_lambda` scans ``grid_points``
+    """Controls for the scans. :func:`optimal_lambda` scans GRID_POINTS
     levels spaced logarithmically in mu - mu_zero(phi) between the levels of
-    the penalties lambda_min + [t_min, t_max] * (1 + |lambda_min|) (the
+    the penalties lambda_min + [T_MIN, T_MAX] * (1 + |lambda_min|) (the
     floor, when given and higher, replaces the lower end);
     :func:`optimal_psi` scans as many levels per piece of its reachable set.
     Every local minimum of a scan is refined to the root of dR/dmu."""
 
-    grid_points: int = 240
-    t_min: float = 1e-6
-    t_max: float = 1e6
     lambda_floor: float | None = None
 
 
@@ -372,10 +362,12 @@ def optimal_lambda(
     sp = model.spectrum
     lmin = lambda_min(sp, phi)
     scale = 1.0 + abs(lmin)
-    t_lo = opts.t_min * scale
-    t_hi = opts.t_max * scale
+    t_lo = T_MIN * scale
+    t_hi = T_MAX * scale
     floor_active = False
     if opts.lambda_floor is not None:
+        if math.isnan(opts.lambda_floor):
+            raise InvalidParameterError("lambda_floor is NaN")
         t_floor = opts.lambda_floor - lmin
         if t_floor > t_hi:
             raise InvalidParameterError("lambda_floor above the search window")
@@ -387,7 +379,7 @@ def optimal_lambda(
     mu0 = mu_zero(sp, phi)
     mu_lo = solve_mu(sp, lam_lo, phi).mu
     mu_hi = solve_mu(sp, lam_hi, phi).mu
-    mus = mu0 + np.geomspace(mu_lo - mu0, mu_hi - mu0, opts.grid_points)
+    mus = mu0 + np.geomspace(mu_lo - mu0, mu_hi - mu0, GRID_POINTS)
     mus[0], mus[-1] = mu_lo, mu_hi
     wt = _weights(model)
     risks, slopes = _scan(wt, mus, phi)
@@ -414,7 +406,7 @@ def optimal_lambda(
     flag: BoundaryFlag = "interior"
     if floor_active and t_star <= t_lo * (1.0 + 1e-9):
         flag = "at-floor"
-    elif t_star <= 10.0 * opts.t_min * scale:
+    elif t_star <= 10.0 * T_MIN * scale:
         flag = "at-lambda-min"
     elif t_star >= 0.1 * t_hi:
         null = model.null_risk()
@@ -430,12 +422,7 @@ def optimal_lambda(
     )
 
 
-def optimal_psi(
-    model: ShiftModel,
-    lam: float,
-    phi: float,
-    opts: SearchOptions | None = None,
-) -> tuple[float, float]:
+def optimal_psi(model: ShiftModel, lam: float, phi: float) -> tuple[float, float]:
     """Minimize the subsample-average risk over psi in [phi, inf] at a fixed
     penalty.
 
@@ -449,7 +436,6 @@ def optimal_psi(
     :func:`optimal_lambda`; no probe solves for mu. With lam = 0 and phi < 1
     every psi in [phi, 1] has mu = 0, reported as psi = phi.
     """
-    opts = opts or SearchOptions()
     sp = model.spectrum
     mu0 = mu_zero(sp, phi)
     try:
@@ -469,7 +455,7 @@ def optimal_psi(
             pieces.append((_edge_level(sp, lam, mu0, mu_phi), mu_phi))
 
     wt = _weights(model)
-    n = opts.grid_points
+    n = GRID_POINTS
     # at large psi the level grows like psi * tr[S]/p, so the half-line scan
     # spans the aspects up to about phi + 1e6 (1 + phi)
     spread = (1.0 + phi) * float(np.mean(sp.eigenvalues))
@@ -488,7 +474,7 @@ def optimal_psi(
             k = int(np.argmin(found_risk))
             best_mu, best_risk = float(found_mu[k]), float(found_risk[k])
 
-    null = _null_risk(model).total
+    null = model.null_risk()
     if null < best_risk:
         return PSI_INFINITE, float(null)
     if best_mu == mu_phi:

@@ -8,9 +8,9 @@ form. Replicates derive independent random streams from
 bit-identical regardless of execution order or thread count.
 
 One dataset per (aspect-ratio group, replicate) is shared across the whole
-penalty grid: the design is eigendecomposed once and every penalty reuses
-the factorization, which is what makes dense negative-to-positive sweeps
-cheap.
+penalty grid: each (sub)sample design is eigendecomposed once and every
+penalty reuses the factorization, which is what makes dense
+negative-to-positive sweeps cheap; a one-point grid takes a direct solve.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ Dist = Literal["gaussian", "rademacher", "student-t"]
 ILL_CONDITION_RATIO = 1e12
 #: relative cutoff under which a shifted eigenvalue counts as a pseudoinverse zero
 PINV_RTOL = 1e-10
+
+#: finite-sample margin of the admissible penalties (see mc_experiment)
+EDGE_GUARD = 0.05
 
 MAX_THREADS_ENV = "RIDGESHIFT_MAX_THREADS"
 
@@ -64,7 +67,6 @@ class SimConfig:
     student_df: float = 8.0
     ensemble: EnsembleConfig | None = None
     include_plain: bool = True  # False: ensemble cells only (deep-negative penalties)
-    edge_guard: float = 0.05
     keep_replicates: bool = False
     threads: int = 1
 
@@ -73,15 +75,14 @@ class SimConfig:
             raise InvalidParameterError("p and reps must be positive")
         if self.phi <= 0.0:
             raise InvalidParameterError("phi must be positive")
-        if round(self.p / self.phi) < 1:
+        if self.n < 1:
             raise InvalidParameterError("n = round(p/phi) must be >= 1")
         # 4th-moment margin for heavy-tailed entries
         if (self.z_dist == "student-t" or self.noise_dist == "student-t") and self.student_df < 4.5:
             raise InvalidParameterError("student-t df must be >= 4.5")
         if self.ensemble is not None:
             k = round(self.p / self.ensemble.psi)
-            n = round(self.p / self.phi)
-            if not (1 <= k <= n):
+            if not (1 <= k <= self.n):
                 raise InvalidParameterError("subsample size k must satisfy 1 <= k <= n")
 
     @property
@@ -185,14 +186,12 @@ class RidgeFactorization:
         n, p = x.shape
         self.n = n
         self.dual = p > n
+        self.xt = x.T
         if self.dual:
             gram = x @ x.T / n
-            self.eigvals, self.eigvecs = np.linalg.eigh(gram)
-            self.xt = x.T
         else:
-            cov = x.T @ x / n
-            self.eigvals, self.eigvecs = np.linalg.eigh(cov)
-            self.xt = x.T
+            gram = x.T @ x / n
+        self.eigvals, self.eigvecs = np.linalg.eigh(gram)
 
     def solve(self, y: np.ndarray, lam: float) -> np.ndarray:
         s = self.eigvals
@@ -218,29 +217,28 @@ class RidgeFactorization:
         return self.eigvecs @ (inv * coeffs)
 
 
-def ridge_fit(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Pseudoinverse ridge fit accepting any real penalty; the zero-penalty
-    overparameterized case returns the minimum-norm interpolator."""
-    return RidgeFactorization(x).solve(y, lam)
-
-
-def _ridge_solve_direct(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Single-penalty fit by a direct linear solve (much cheaper than an
-    eigendecomposition when the penalty grid has one point); falls back to
-    the pseudoinverse factorization at exact singularity."""
-    n, p = x.shape
-    try:
-        # the penalty goes onto the diagonal of the fresh Gram matrix in
-        # place: the same bits as adding lam * I, without the identity
-        if p <= n:
-            gram = x.T @ x / n
-            gram.flat[:: p + 1] += lam
-            return np.linalg.solve(gram, x.T @ y / n)
-        gram = x @ x.T / n
-        gram.flat[:: n + 1] += lam
-        return x.T @ np.linalg.solve(gram, y) / n
-    except np.linalg.LinAlgError:
-        return ridge_fit(x, y, lam)
+def _fits(x: np.ndarray, y: np.ndarray, lams: Sequence[float]) -> np.ndarray:
+    """Pseudoinverse ridge fits of (x, y), one row per penalty. Several
+    penalties share one :class:`RidgeFactorization`; a single penalty takes
+    a direct linear solve (much cheaper than an eigendecomposition), with
+    the factorization as the fallback at exact singularity."""
+    if len(lams) == 1:
+        n, p = x.shape
+        lam = lams[0]
+        try:
+            # the penalty goes onto the diagonal of the fresh Gram matrix in
+            # place: the same bits as adding lam * I, without the identity
+            if p <= n:
+                gram = x.T @ x / n
+                gram.flat[:: p + 1] += lam
+                return np.linalg.solve(gram, x.T @ y / n)[None]
+            gram = x @ x.T / n
+            gram.flat[:: n + 1] += lam
+            return (x.T @ np.linalg.solve(gram, y) / n)[None]
+        except np.linalg.LinAlgError:
+            pass
+    fact = RidgeFactorization(x)
+    return np.stack([fact.solve(y, lam) for lam in lams])
 
 
 def empirical_risk(
@@ -258,86 +256,65 @@ def empirical_risk(
     return float(model.sigma0_product(d) @ d) + model.sigma0_sq
 
 
-@dataclass(frozen=True)
-class _Cell:
-    lam: float
-    psi: float | None  # None = plain ridge
-    group: int  # data-sharing group index
-
-
-def _admissible_bound(model: ShiftModel, aspect: float, guard: float) -> float:
+def _admissible_bound(model: ShiftModel, aspect: float) -> float:
     lmin = lambda_min(model.spectrum, aspect)
-    return lmin + guard * abs(lmin)
+    return lmin + EDGE_GUARD * abs(lmin)
 
 
 def mc_experiment(
     model: ShiftModel,
     config: SimConfig,
     lambda_grid: Sequence[float],
-    psi_grid: Sequence[float] | None = None,
 ) -> SimResult:
     """Estimate empirical risks on a penalty grid (plus optional ensemble
     cells) and attach the deterministic equivalents.
 
     Plain cells must respect the finite-sample guard
-    lam >= lambda_min(phi) + guard * |lambda_min(phi)| (smallest design
-    eigenvalues fluctuate around the asymptotic edge); ensemble combinations
-    failing their own guard are skipped. Within one aspect-ratio group all
-    penalties share each replicate's dataset and factorization.
+    lam >= lambda_min(phi) + EDGE_GUARD * |lambda_min(phi)| (smallest design
+    eigenvalues fluctuate around the asymptotic edge); ensemble penalties
+    failing their own guard at psi are skipped. Within one aspect-ratio
+    group all penalties share each replicate's dataset and subsamples.
     """
     lambda_grid = [float(l) for l in lambda_grid]
     if not lambda_grid:
         raise InvalidParameterError("empty penalty grid")
+    if config.p != model.p:
+        raise InvalidParameterError(f"config p={config.p} but the model has p={model.p}")
     phi = config.phi
     n = config.n
+    ens = config.ensemble
 
-    psis: list[float] = []
-    if psi_grid is not None:
-        psis = [float(p) for p in psi_grid]
-    elif config.ensemble is not None:
-        psis = [float(config.ensemble.psi)]
-    n_subsamples = config.ensemble.n_subsamples if config.ensemble is not None else 100
-
-    cells: list[_Cell] = []
-    groups: list[float | None] = []
+    # data-sharing groups (psi, penalties); psi None is plain ridge at aspect phi
+    groups: list[tuple[float | None, list[float]]] = []
     if config.include_plain:
-        bound = _admissible_bound(model, phi, config.edge_guard)
+        bound = _admissible_bound(model, phi)
         offenders = [l for l in lambda_grid if l < bound - 1e-12]
         if offenders:
             raise InvalidParameterError(
                 f"penalties {offenders} below the finite-sample bound {bound:.6g}"
             )
-        groups.append(None)  # plain ridge at aspect phi
-        cells.extend(_Cell(lam=l, psi=None, group=0) for l in lambda_grid)
-    elif not psis:
+        groups.append((None, lambda_grid))
+    elif ens is None:
         raise InvalidParameterError("include_plain=False needs ensemble cells")
-    for psi in psis:
+    if ens is not None:
+        psi = float(ens.psi)
         if psi < phi - 1e-12:
             raise InvalidParameterError(f"psi={psi} below phi={phi}")
-        gbound = _admissible_bound(model, psi, config.edge_guard)
+        gbound = _admissible_bound(model, psi)
         admissible = [l for l in lambda_grid if l >= gbound - 1e-12]
-        if not admissible:
-            continue
-        groups.append(psi)
-        gidx = len(groups) - 1
-        cells.extend(_Cell(lam=l, psi=psi, group=gidx) for l in admissible)
+        if admissible:
+            groups.append((psi, admissible))
 
-    theory: dict[tuple[float, float], float] = {}
-    for cell in cells:
-        psi = phi if cell.psi is None else cell.psi
-        key = (cell.lam, psi)
-        if key not in theory:
-            if cell.psi is None:
-                theory[key] = risk_decomposition(model, cell.lam, phi).total
-            else:
-                theory[key] = ensemble_risk(model, cell.lam, phi, psi).total
+    # the equivalents come first, so that a numeric failure surfaces before any fit
+    theory = [
+        [risk_decomposition(model, lam, phi).total if psi is None
+         else ensemble_risk(model, lam, phi, psi).total for lam in lams]
+        for psi, lams in groups
+    ]
 
-    # replicate task: one dataset per (group, rep); sweep all penalties in it
-    group_cells: dict[int, list[int]] = {}
-    for idx, cell in enumerate(cells):
-        group_cells.setdefault(cell.group, []).append(idx)
-
-    def run_replicate(gidx: int, rep: int) -> dict[int, float]:
+    def run_replicate(gidx: int, rep: int) -> list[float] | None:
+        """Risks of the group's penalties on one dataset; None when a fit
+        fails to factorize."""
         seq = np.random.SeedSequence(entropy=(config.seed, gidx, rep))
         rng = np.random.default_rng(seq)
         if model.is_isotropic_signal:
@@ -354,80 +331,55 @@ def mc_experiment(
             beta=beta,
         )
         beta0 = beta if model.is_isotropic_signal else model.beta0
-        out: dict[int, float] = {}
-        psi = groups[gidx]
+        psi, lams = groups[gidx]
         k = n if psi is None else round(model.p / psi)
         if k == n:
             # plain ridge, or an ensemble whose every subsample is the full sample
-            fact = RidgeFactorization(x)
-            for idx in group_cells[gidx]:
-                bh = fact.solve(y, cells[idx].lam)
-                out[idx] = empirical_risk(bh, model, beta0=beta0)
-            return out
-        # one set of index draws shared across the penalty sweep
-        subsets = [rng.choice(n, size=k, replace=False) for _ in range(n_subsamples)]
-        # a one-point penalty grid does not pay for eigendecompositions
-        single_lam = len(group_cells[gidx]) == 1
-        facts = None if single_lam else [RidgeFactorization(x[i]) for i in subsets]
-        for idx in group_cells[gidx]:
-            lam = cells[idx].lam
-            bh = np.zeros(model.p)
-            if facts is None:
-                for sub in subsets:
-                    bh += _ridge_solve_direct(x[sub], y[sub], lam)
-            else:
-                for sub, fact in zip(subsets, facts):
-                    bh += fact.solve(y[sub], lam)
-            bh /= n_subsamples
-            out[idx] = empirical_risk(bh, model, beta0=beta0)
-        return out
+            subsets = [slice(None)]
+        else:
+            subsets = [rng.choice(n, size=k, replace=False) for _ in range(ens.n_subsamples)]
+        fits = np.zeros((len(lams), model.p))
+        try:
+            for sub in subsets:
+                fits += _fits(x[sub], y[sub], lams)
+        except np.linalg.LinAlgError:
+            return None
+        fits /= len(subsets)
+        return [empirical_risk(bh, model, beta0=beta0) for bh in fits]
 
-    tasks = [(g, rep) for g in group_cells for rep in range(config.reps)]
+    tasks = [(g, rep) for g in range(len(groups)) for rep in range(config.reps)]
     max_threads = int(os.environ.get(MAX_THREADS_ENV, "0")) or None
     threads = config.threads if max_threads is None else min(config.threads, max_threads)
-
-    results: dict[tuple[int, int], dict[int, float]] = {}
-    failed_groups: set[int] = set()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(run_replicate, g, rep): (g, rep) for g, rep in tasks}
-            for fut, key in futures.items():
-                try:
-                    results[key] = fut.result()
-                except np.linalg.LinAlgError:
-                    failed_groups.add(key[0])
+            results = list(pool.map(lambda task: run_replicate(*task), tasks))
     else:
-        for g, rep in tasks:
-            try:
-                results[(g, rep)] = run_replicate(g, rep)
-            except np.linalg.LinAlgError:
-                failed_groups.add(g)
+        results = [run_replicate(*task) for task in tasks]
 
     out_cells: list[CellResult] = []
-    for idx, cell in enumerate(cells):
-        psi = phi if cell.psi is None else cell.psi
-        k = n if cell.psi is None else round(model.p / cell.psi)
-        m = 1 if cell.psi is None else n_subsamples
-        th = theory[(cell.lam, psi)]
-        if cell.group in failed_groups:
+    for gidx, ((psi, lams), ths) in enumerate(zip(groups, theory)):
+        reps = results[gidx * config.reps:(gidx + 1) * config.reps]
+        failed = any(r is None for r in reps)
+        for j, (lam, th) in enumerate(zip(lams, ths)):
+            mean = se = rel = math.nan
+            kept = None
+            if not failed:
+                risks = np.array([r[j] for r in reps])
+                mean = float(np.mean(risks))
+                se = 0.0
+                if config.reps > 1:
+                    se = float(np.std(risks, ddof=1) / math.sqrt(config.reps))
+                rel = abs(mean - th) / th if th > 0.0 else math.nan
+                if config.keep_replicates:
+                    kept = tuple(risks)
             out_cells.append(
                 CellResult(
-                    lam=cell.lam, phi=phi, psi=psi, n=n, k=k, n_subsamples=m,
-                    reps=config.reps, empirical_mean=math.nan, empirical_se=math.nan,
-                    theory_total=th, rel_error=math.nan, failed=True,
+                    lam=lam, phi=phi, psi=phi if psi is None else psi, n=n,
+                    k=n if psi is None else round(model.p / psi),
+                    n_subsamples=1 if psi is None else ens.n_subsamples,
+                    reps=config.reps, empirical_mean=mean, empirical_se=se,
+                    theory_total=th, rel_error=rel, failed=failed,
+                    replicate_risks=kept,
                 )
             )
-            continue
-        risks = np.array([results[(cell.group, rep)][idx] for rep in range(config.reps)])
-        mean = float(np.mean(risks))
-        se = float(np.std(risks, ddof=1) / math.sqrt(config.reps)) if config.reps > 1 else 0.0
-        rel = abs(mean - th) / th if th > 0.0 else math.nan
-        out_cells.append(
-            CellResult(
-                lam=cell.lam, phi=phi, psi=psi, n=n, k=k, n_subsamples=m,
-                reps=config.reps, empirical_mean=mean, empirical_se=se,
-                theory_total=th, rel_error=rel,
-                replicate_risks=tuple(risks) if config.keep_replicates else None,
-            )
-        )
     return SimResult(cells=tuple(out_cells), seed=config.seed)

@@ -289,6 +289,11 @@ class TestErrors:
         assert code == 1
         assert "invalid configuration" in capsys.readouterr().err
 
+    def test_nan_lambda_floor_is_invalid(self, capsys, iso_config):
+        code = main(["optimize", "--config", iso_config, "--phi", "2", "--lambda-floor", "nan"])
+        assert code == 1
+        assert "lambda_floor" in capsys.readouterr().err
+
     def test_unparseable_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_psd, random_spectrum
 from ridgeshift import (
@@ -131,6 +132,20 @@ class TestEnsembleRisk:
         assert d.shift == pytest.approx(2 * beta @ s0 @ (beta0 - beta), rel=1e-12)
         assert d.total == pytest.approx(m.null_risk(), rel=1e-12)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 40), shift=st.floats(0.0, 2.0))
+    def test_null_risk_is_the_risk_at_infinite_level(self, seed, p, shift):
+        # the zero predictor's risk has one evaluator: ShiftModel.null_risk
+        # and the mu = inf decomposition agree bit for bit, also under a
+        # regression shift with a dense test covariance
+        rng = np.random.default_rng(seed)
+        beta = rng.standard_normal(p)
+        beta0 = beta + shift * rng.standard_normal(p)
+        m = make_model(random_spectrum(rng, p), beta=beta, beta0=beta0,
+                       sigma0=random_psd(rng, p), sigma2=0.3, sigma0_sq=rng.uniform(0.0, 1.0))
+        assert m.null_risk().hex() == risk_at_mu(m, math.inf, 1.0).total.hex()
+        assert m.null_risk().hex() == ensemble_risk(m, 0.1, 0.7, PSI_INFINITE).total.hex()
+
     def test_invalid_subsample_ratio(self):
         m = make_model(Spectrum.identity(4), beta=unit_signal(4), sigma2=0.1)
         with pytest.raises(InvalidParameterError):
@@ -230,6 +245,11 @@ class TestOptimalLambda:
         assert floored.lambda_star >= 2.0 - 1e-12
         assert floored.risk_star >= free.risk_star - 1e-12
         assert floored.boundary_flag == "at-floor"
+
+    def test_nan_floor_is_invalid(self):
+        m = make_model(Spectrum.identity(24), alpha2=1.0, sigma2=0.5)
+        with pytest.raises(InvalidParameterError, match="lambda_floor"):
+            optimal_lambda(m, 2.0, SearchOptions(lambda_floor=math.nan))
 
     def test_degenerate_flat_risk(self):
         m = make_model(Spectrum.identity(5), beta=np.zeros(5), sigma2=0.0, sigma0_sq=0.3)

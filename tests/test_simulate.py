@@ -2,6 +2,7 @@
 risks, and the seeded experiment driver with its subsample averages."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,10 +16,9 @@ from ridgeshift import (
     generate_data,
     make_model,
     mc_experiment,
-    ridge_fit,
 )
 from ridgeshift import simulate
-from ridgeshift.simulate import RidgeFactorization, _ridge_solve_direct
+from ridgeshift.simulate import RidgeFactorization, _fits
 
 
 def unit_signal(p):
@@ -65,14 +65,14 @@ class TestRidgeFit:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((10, 25))
         y = rng.standard_normal(10)
-        beta = ridge_fit(x, y, 0.0)
+        beta = RidgeFactorization(x).solve(y, 0.0)
         np.testing.assert_allclose(x @ beta, y, atol=1e-8 * np.linalg.norm(y))
 
     def test_minimum_norm_property(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 20))
         y = rng.standard_normal(8)
-        beta = ridge_fit(x, y, 0.0)
+        beta = RidgeFactorization(x).solve(y, 0.0)
         # any other interpolator differs by a null-space vector, orthogonal
         # to the row space that contains beta
         lstsq = np.linalg.lstsq(x, y, rcond=None)[0]
@@ -82,7 +82,7 @@ class TestRidgeFit:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((40, 12))
         y = rng.standard_normal(40)
-        beta = ridge_fit(x, y, 1.0)
+        beta = RidgeFactorization(x).solve(y, 1.0)
         direct = np.linalg.solve(x.T @ x / 40 + np.eye(12), x.T @ y / 40)
         np.testing.assert_allclose(beta, direct, atol=1e-10)
 
@@ -91,7 +91,7 @@ class TestRidgeFit:
         x = rng.standard_normal((20, 30))
         y = rng.standard_normal(20)
         lam = 0.5
-        dual = ridge_fit(x, y, lam)  # p > n path
+        dual = RidgeFactorization(x).solve(y, lam)  # p > n path
         cov = x.T @ x / 20
         primal = np.linalg.solve(cov + lam * np.eye(30), x.T @ y / 20)
         np.testing.assert_allclose(dual, primal, atol=1e-10)
@@ -101,15 +101,15 @@ class TestRidgeFit:
         x = rng.standard_normal((60, 12))
         y = rng.standard_normal(60)
         lam = -0.05
-        beta = ridge_fit(x, y, lam)
+        beta = RidgeFactorization(x).solve(y, lam)
         direct = np.linalg.solve(x.T @ x / 60 + lam * np.eye(12), x.T @ y / 60)
         np.testing.assert_allclose(beta, direct, atol=1e-8)
 
     @pytest.mark.parametrize("n, p", [(40, 12), (12, 40)])
     @pytest.mark.parametrize("lam", [-0.03, 0.0, 0.7])
     def test_direct_solve_bits_match_identity_penalty(self, n, p, lam):
-        # the penalty added to the Gram diagonal in place gives the same bits
-        # as adding lam * I
+        # a single penalty is a direct solve; the penalty added to the Gram
+        # diagonal in place gives the same bits as adding lam * I
         rng = np.random.default_rng(13)
         x = rng.standard_normal((n, p))
         y = rng.standard_normal(n)
@@ -117,15 +117,31 @@ class TestRidgeFit:
             old = np.linalg.solve(x.T @ x / n + lam * np.eye(p), x.T @ y / n)
         else:
             old = x.T @ np.linalg.solve(x @ x.T / n + lam * np.eye(n), y) / n
-        assert _ridge_solve_direct(x, y, lam).tobytes() == old.tobytes()
+        fits = _fits(x, y, [lam])
+        assert fits.shape == (1, p)
+        assert fits[0].tobytes() == old.tobytes()
+
+    def test_direct_solve_falls_back_to_pseudoinverse(self):
+        # a zero column makes the Gram matrix exactly singular at lam = 0
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((30, 6))
+        x[:, 2] = 0.0
+        y = rng.standard_normal(30)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(x.T @ x / 30, x.T @ y / 30)
+        fit = _fits(x, y, [0.0])[0]
+        assert fit.tobytes() == RidgeFactorization(x).solve(y, 0.0).tobytes()
+        assert abs(fit[2]) < 1e-12
 
     def test_factorization_reuse_matches_fresh_fits(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((30, 18))
         y = rng.standard_normal(30)
-        fact = RidgeFactorization(x)
-        for lam in (-0.02, 0.0, 0.3, 2.0):
-            np.testing.assert_allclose(fact.solve(y, lam), ridge_fit(x, y, lam), atol=1e-12)
+        lams = (-0.02, 0.0, 0.3, 2.0)
+        shared = _fits(x, y, lams)
+        for row, lam in zip(shared, lams):
+            assert row.tobytes() == RidgeFactorization(x).solve(y, lam).tobytes()
+            np.testing.assert_allclose(row, _fits(x, y, [lam])[0], atol=1e-12)
 
 
 class TestEnsembleFit:
@@ -154,6 +170,42 @@ class TestEnsembleFit:
         assert ([c.empirical_mean.hex() for c in ens.cells]
                 == [c.empirical_mean.hex() for c in plain.cells])
 
+    @staticmethod
+    def _count_factorizations(monkeypatch):
+        """Record every RidgeFactorization built, and the most alive at once."""
+        live = weakref.WeakSet()
+        seen = {"built": 0, "peak": 0}
+
+        class Counting(RidgeFactorization):
+            def __init__(self, x):
+                super().__init__(x)
+                live.add(self)
+                seen["built"] += 1
+                seen["peak"] = max(seen["peak"], len(live))
+
+        monkeypatch.setattr(simulate, "RidgeFactorization", Counting)
+        return seen
+
+    def test_single_penalty_plain_builds_no_factorization(self, monkeypatch):
+        # a one-point grid takes the direct solve
+        seen = self._count_factorizations(monkeypatch)
+        m = make_model(Spectrum.identity(40), beta=unit_signal(40), sigma2=0.25)
+        cell = mc_experiment(m, SimConfig(p=40, phi=2.0, reps=3, seed=9), [0.4]).cells[0]
+        assert math.isfinite(cell.empirical_mean)
+        assert seen["built"] == 0
+
+    def test_ensemble_holds_one_factorization_at_a_time(self, monkeypatch):
+        # each subsample's factorization serves every penalty and is released
+        # before the next subsample is fitted
+        seen = self._count_factorizations(monkeypatch)
+        m = make_model(Spectrum.identity(40), beta=unit_signal(40), sigma2=0.25)
+        cfg = SimConfig(p=40, phi=2.0, reps=2, seed=9, include_plain=False,
+                        ensemble=EnsembleConfig(psi=4.0, n_subsamples=6))
+        result = mc_experiment(m, cfg, [0.2, 0.5, 1.0])
+        assert [c.k for c in result.cells] == [10] * 3
+        assert seen["built"] == 2 * 6
+        assert seen["peak"] == 1
+
     def test_single_subsample(self):
         # with one subsample per replicate the ensemble cell is the ridge fit
         # on the rows drawn right after the replicate's data
@@ -164,7 +216,7 @@ class TestEnsembleFit:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(42, 0, 0)))
         x, y = generate_data(m, 20, rng=rng)
         idx = rng.choice(20, size=10, replace=False)
-        want = empirical_risk(ridge_fit(x[idx], y[idx], 0.2), m)
+        want = empirical_risk(RidgeFactorization(x[idx]).solve(y[idx], 0.2), m)
         assert cell.empirical_mean == pytest.approx(want, rel=1e-12)
 
     def test_invalid_subsample_size(self):
@@ -220,6 +272,13 @@ class TestMcExperiment:
         result = mc_experiment(m, SimConfig(p=150, phi=2.0, reps=8, seed=3), [0.0, 0.3])
         for cell in result.cells:
             assert cell.rel_error < 0.15
+
+    def test_config_dimension_must_match_the_model(self):
+        # p = 20 at phi = 2 would draw n = 10 rows of a p = 40 model, whose
+        # real aspect ratio is 4
+        m = self._model(40)
+        with pytest.raises(InvalidParameterError, match=r"p=20.*p=40"):
+            mc_experiment(m, SimConfig(p=20, phi=2.0, reps=1, seed=0), [0.5])
 
     def test_guard_rejects_penalties_near_edge(self):
         m = self._model(40)
@@ -313,4 +372,4 @@ class TestNearSingularWarning:
         s = np.linalg.eigvalsh(x.T @ x / 50)
         lam = -float(s[5]) + 1e-14  # numerically on top of an interior eigenvalue
         with pytest.warns(Warning, match="near-singular"):
-            ridge_fit(x, y, lam)
+            RidgeFactorization(x).solve(y, lam)
