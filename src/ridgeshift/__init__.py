@@ -13,7 +13,6 @@ from .errors import (
     SolverFailureError,
 )
 from .model import (
-    ModelConfig,
     ShiftModel,
     Spectrum,
     build_ar1,
@@ -78,7 +77,6 @@ __all__ = [
     # model
     "Spectrum",
     "ShiftModel",
-    "ModelConfig",
     "build_ar1",
     "build_model",
     "make_model",

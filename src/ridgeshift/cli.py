@@ -43,7 +43,7 @@ from .fixed_point import (
     mu_zero,
     solve_mu,
 )
-from .model import ModelConfig, ShiftModel, build_model
+from .model import ShiftModel, build_model
 from .risk import (
     SearchOptions,
     ensemble_risk,
@@ -118,7 +118,8 @@ def _write_table(args, command: str, params: dict, columns: list[str], rows: lis
 def _load_model(args) -> ShiftModel:
     if not getattr(args, "config", None):
         raise InvalidParameterError("this subcommand needs --config")
-    return build_model(ModelConfig.from_json_file(args.config))
+    with open(args.config) as fh:
+        return build_model(json.load(fh))
 
 
 def _cmd_fixpoint(args) -> None:

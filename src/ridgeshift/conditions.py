@@ -51,6 +51,8 @@ _STRICT = 1e-12
 
 #: upper end of every level grid, in multiples of the largest eigenvalue
 CAP_FACTOR = 1e4
+#: lower end of every level grid; a grid that starts below it starts here
+FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,9 @@ class MuGrid:
     """Log-spaced evaluation grid for the 'for all levels' quantifiers."""
 
     points: int = 400
-    floor: float = 1e-8
 
     def values(self, start: float, r_max: float) -> np.ndarray:
-        lo = max(start, self.floor)
+        lo = max(start, FLOOR)
         hi = CAP_FACTOR * r_max
         if hi <= lo:
             raise InvalidParameterError("empty level grid")
@@ -169,7 +170,7 @@ def check_reg_shift_general_balance(
     sp = model.spectrum
     mu_start = solve_mu(sp, 0.0, phi).mu
     mus = grid.values(mu_start, sp.r_max)
-    if mu_start <= grid.floor:
+    if mu_start <= FLOOR:
         mus = np.concatenate([[mu_start], mus])
     parts = _kernel(_weights(model), mus, phi)
     if np.any(parts.denom <= 0.0):

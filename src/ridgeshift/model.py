@@ -5,13 +5,13 @@ diagonal. The test covariance is kept dense in that basis, or as its
 diagonal alone when it is diagonal there, and signal vectors are stored as
 projection coefficients in the same basis. The trace and quadratic-form
 functionals of a model are evaluated by the risk kernel
-(:mod:`ridgeshift.risk`).
+(:mod:`ridgeshift.risk`). :func:`build_model` builds a model from a parsed
+JSON config, whose format the README's "CLI" section documents.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import InitVar, dataclass, field
 
@@ -23,7 +23,10 @@ _PSD_RTOL = 1e-10
 _IDENTITY_ATOL = 1e-12
 
 def _as_float_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} must be numbers") from None
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidParameterError(f"{name} must be a non-empty 1-d array")
     if not np.all(np.isfinite(arr)):
@@ -419,190 +422,85 @@ def make_model(
 
 # -- configuration ----------------------------------------------------------
 
-_SPECTRUM_KINDS = ("identity", "ar1", "explicit", "file")
-_SIGNAL_KINDS = ("isotropic", "eigvec-combination", "explicit")
-_SHIFT_KINDS = ("none", "covariate", "regression", "joint")
-_SIGMA0_KINDS = ("identity", "ar1", "diagonal")
-_BETA0_KINDS = ("scale", "explicit")
+#: the keys each section of a JSON model config may hold (README, "CLI")
+_KEYS = {
+    "model config": ("p", "spectrum", "signal", "shift", "sigma2", "sigma0_sq"),
+    "spectrum": ("kind", "rho", "values", "path"),
+    "signal": ("kind", "alpha2", "indices", "weights", "values", "path", "basis"),
+    "shift": ("kind", "sigma0", "beta0"),
+    "sigma0": ("kind", "rho", "values", "path"),
+    "beta0": ("kind", "factor", "values", "path"),
+}
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
-    kind: str
-    rho: float | None = None
-    values: tuple[float, ...] | None = None
-    path: str | None = None
+def _section(name: str, raw) -> dict:
+    """``raw``, checked to be a JSON object holding only keys of section ``name``."""
+    if not isinstance(raw, dict):
+        raise InvalidParameterError(f"{name} must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(_KEYS[name]))
+    if unknown:
+        raise InvalidParameterError(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in {name}"
+            f" (allowed: {', '.join(_KEYS[name])})"
+        )
+    return raw
 
 
-@dataclass(frozen=True)
-class SignalSpec:
-    kind: str
-    alpha2: float | None = None
-    indices: tuple[int, ...] | None = None
-    weights: tuple[float, ...] | None = None
-    values: tuple[float, ...] | None = None
-    path: str | None = None
-    basis: str = "sigma"
+def _kind(section: dict, name: str, kinds: tuple[str, ...], default: str) -> str:
+    kind = section.get("kind", default)
+    if kind not in kinds:
+        raise InvalidParameterError(f"unknown {name} kind {kind!r} (one of {', '.join(kinds)})")
+    return kind
 
 
-@dataclass(frozen=True)
-class Sigma0Spec:
-    kind: str
-    rho: float | None = None
-    values: tuple[float, ...] | None = None
-    path: str | None = None
+def _number(section: dict, name: str, key: str, default: float | None = None) -> float:
+    """``section[key]`` as a float, ``default`` when absent; required without a default."""
+    value = section.get(key, default)
+    if value is None:
+        raise InvalidParameterError(f"{name} needs {key!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} {key!r} must be a number, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class Beta0Spec:
-    kind: str
-    factor: float | None = None
-    values: tuple[float, ...] | None = None
-    path: str | None = None
-
-
-@dataclass(frozen=True)
-class ShiftSpec:
-    kind: str
-    sigma0: Sigma0Spec | None = None
-    beta0: Beta0Spec | None = None
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Structured model description parsed from a JSON document."""
-
-    p: int
-    spectrum: SpectrumSpec
-    signal: SignalSpec
-    shift: ShiftSpec
-    sigma2: float
-    sigma0_sq: float
-
-    def __post_init__(self) -> None:
-        if self.p < 2:
-            raise InvalidParameterError("p must be >= 2")
-        if self.spectrum.kind not in _SPECTRUM_KINDS:
-            raise InvalidParameterError(f"unknown spectrum kind {self.spectrum.kind!r}")
-        if self.spectrum.kind == "ar1" and not (
-            self.spectrum.rho is not None and 0.0 < self.spectrum.rho < 1.0
-        ):
-            raise InvalidParameterError("ar1 spectrum needs rho in (0, 1)")
-        s0 = self.shift.sigma0
-        if s0 is not None and s0.kind == "ar1" and not (s0.rho is not None and -1.0 < s0.rho < 1.0):
-            raise InvalidParameterError("ar1 sigma0 needs rho in (-1, 1)")
-        if self.signal.kind not in _SIGNAL_KINDS:
-            raise InvalidParameterError(f"unknown signal kind {self.signal.kind!r}")
-        if self.signal.basis not in ("sigma", "sigma0"):
-            raise InvalidParameterError("signal basis must be 'sigma' or 'sigma0'")
-        if self.shift.kind not in _SHIFT_KINDS:
-            raise InvalidParameterError(f"unknown shift kind {self.shift.kind!r}")
-        if self.shift.kind in ("covariate", "joint") and self.shift.sigma0 is None:
-            raise InvalidParameterError(f"{self.shift.kind} shift needs a sigma0 spec")
-        if self.shift.kind in ("regression", "joint") and self.shift.beta0 is None:
-            raise InvalidParameterError(f"{self.shift.kind} shift needs a beta0 spec")
-        if self.sigma2 < 0.0 or self.sigma0_sq < 0.0:
-            raise InvalidParameterError("noise levels must be nonnegative")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ModelConfig":
-        def tup(x):
-            return None if x is None else tuple(x)
-
+def _vector(name: str, p: int, values=None, path=None) -> np.ndarray:
+    """p values given inline, else read from a file with one value per line."""
+    if values is not None:
+        vals = _as_float_vector(values, f"{name} values")
+    elif path is not None:
         try:
-            spec = raw.get("spectrum", {})
-            sig = raw.get("signal", {})
-            shift = raw.get("shift", {"kind": "none"})
-            s0raw = shift.get("sigma0")
-            b0raw = shift.get("beta0")
-            return cls(
-                p=int(raw["p"]),
-                spectrum=SpectrumSpec(
-                    kind=spec.get("kind", "identity"),
-                    rho=spec.get("rho"),
-                    values=tup(spec.get("values")),
-                    path=spec.get("path"),
-                ),
-                signal=SignalSpec(
-                    kind=sig.get("kind", "isotropic"),
-                    alpha2=sig.get("alpha2"),
-                    indices=tup(sig.get("indices")),
-                    weights=tup(sig.get("weights")),
-                    values=tup(sig.get("values")),
-                    path=sig.get("path"),
-                    basis=sig.get("basis", "sigma"),
-                ),
-                shift=ShiftSpec(
-                    kind=shift.get("kind", "none"),
-                    sigma0=None
-                    if s0raw is None
-                    else Sigma0Spec(
-                        kind=s0raw.get("kind", "identity"),
-                        rho=s0raw.get("rho"),
-                        values=tup(s0raw.get("values")),
-                        path=s0raw.get("path"),
-                    ),
-                    beta0=None
-                    if b0raw is None
-                    else Beta0Spec(
-                        kind=b0raw.get("kind", "scale"),
-                        factor=b0raw.get("factor"),
-                        values=tup(b0raw.get("values")),
-                        path=b0raw.get("path"),
-                    ),
-                ),
-                sigma2=float(raw.get("sigma2", 0.0)),
-                sigma0_sq=float(raw.get("sigma0_sq", 0.0)),
-            )
-        except (KeyError, TypeError) as exc:
-            raise InvalidParameterError(f"malformed model config: {exc}") from exc
-
-    @classmethod
-    def from_json_file(cls, path) -> "ModelConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-
-def _load_column(path: str) -> np.ndarray:
-    # one value per line
-    return np.loadtxt(path, dtype=float, ndmin=1)
-
-
-def _spectrum_from_spec(spec: SpectrumSpec, p: int) -> tuple[Spectrum, _AR1Eigensystem | None]:
-    """Returns the spectrum plus, for an ``ar1`` train covariance, its
-    closed-form eigensystem (None means the standard basis already
-    diagonalizes the train covariance)."""
-    if spec.kind == "identity":
-        return Spectrum.identity(p), None
-    if spec.kind == "ar1":
-        ar1 = _AR1Eigensystem(p, float(spec.rho))
-        return Spectrum(ar1.eigenvalues), ar1
-    if spec.kind == "explicit":
-        if spec.values is None:
-            raise InvalidParameterError("explicit spectrum needs values")
-        vals = _as_float_vector(spec.values, "spectrum values")
-        if vals.size != p:
-            raise InvalidParameterError("spectrum values do not match p")
-        return Spectrum.from_values(vals), None
-    vals = _load_column(spec.path)
+            vals = np.loadtxt(path, dtype=float, ndmin=1)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(f"{name} file {path!r}: {exc}") from None
+    else:
+        raise InvalidParameterError(f"{name} needs 'values' or 'path'")
     if vals.size != p:
-        raise InvalidParameterError("spectrum file does not match p")
-    return Spectrum.from_values(vals), None
+        raise InvalidParameterError(f"{name} has {vals.size} values, p is {p}")
+    return vals
 
 
-def _combination_vector(p: int, indices, weights) -> np.ndarray:
-    if indices is None or weights is None or len(indices) != len(weights):
-        raise InvalidParameterError("eigvec-combination needs matching indices and weights")
+def _combination_vector(p: int, signal: dict) -> np.ndarray:
+    """Sum of weighted unit vectors at the 1-based ``indices``."""
+    try:
+        idx = np.asarray(signal.get("indices"), dtype=float)
+        weights = np.asarray(signal.get("weights"), dtype=float)
+    except (TypeError, ValueError):
+        idx = weights = None
+    if idx is None or idx.ndim != 1 or idx.shape != weights.shape:
+        raise InvalidParameterError("eigvec-combination needs matching lists of indices and weights")
+    bad = idx[(idx != np.round(idx)) | (idx < 1) | (idx > p)]
+    if bad.size:
+        raise InvalidParameterError(f"eigenvector index {bad[0]:g} is not an integer in 1..{p}")
     beta = np.zeros(p)
-    for one_based, w in zip(indices, weights):
-        if not (1 <= int(one_based) <= p):
-            raise InvalidParameterError(f"eigenvector index {one_based} outside 1..{p}")
-        beta[int(one_based) - 1] += float(w)
+    for i, w in zip(idx.astype(int), weights):
+        beta[i - 1] += w
     return beta
 
 
-def build_model(config: ModelConfig) -> ShiftModel:
-    """Realize a parsed configuration as a ShiftModel in the train eigenbasis.
+def build_model(doc: dict) -> ShiftModel:
+    """Realize a parsed JSON model config (README, "CLI") as a ShiftModel in
+    the train eigenbasis.
 
     A test covariance given in the standard basis (kind ``ar1``) is rotated
     into the train eigenbasis as ``W' S0 W``; for an ``ar1`` train
@@ -610,100 +508,111 @@ def build_model(config: ModelConfig) -> ShiftModel:
     only when a standard-basis vector needs rotating. A signal specified as an
     eigenvector combination of the *test* covariance (``basis: sigma0``)
     requires an isotropic train covariance; the working basis is then the
-    test eigenbasis.
+    test eigenbasis. Every malformed document raises InvalidParameterError.
     """
-    p = config.p
+    doc = _section("model config", doc)
+    try:
+        p = int(doc["p"])
+    except KeyError:
+        raise InvalidParameterError("model config needs 'p'") from None
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(f"'p' must be an integer, got {doc['p']!r}") from None
+    if p < 2:
+        raise InvalidParameterError("p must be >= 2")
+    spec = _section("spectrum", doc.get("spectrum", {}))
+    signal = _section("signal", doc.get("signal", {}))
+    shift = _section("shift", doc.get("shift", {}))
+    s0spec, b0spec = (
+        None if shift.get(key) is None else _section(key, shift[key]) for key in ("sigma0", "beta0")
+    )
+    spectrum_kind = _kind(spec, "spectrum", ("identity", "ar1", "explicit", "file"), "identity")
+    signal_kind = _kind(signal, "signal", ("isotropic", "eigvec-combination", "explicit"), "isotropic")
+    shift_kind = _kind(shift, "shift", ("none", "covariate", "regression", "joint"), "none")
+    covariate_shift = shift_kind in ("covariate", "joint")
+    regression_shift = shift_kind in ("regression", "joint")
+    if covariate_shift and s0spec is None:
+        raise InvalidParameterError(f"{shift_kind} shift needs a sigma0 spec")
+    if regression_shift and b0spec is None:
+        raise InvalidParameterError(f"{shift_kind} shift needs a beta0 spec")
+    rho0 = None  # of an ar1 test covariance, also when the shift kind leaves it unused
+    if s0spec is not None and s0spec.get("kind", "identity") == "ar1":
+        rho0 = _number(s0spec, "sigma0", "rho")
+        if not -1.0 < rho0 < 1.0:
+            raise InvalidParameterError(f"ar1 sigma0 needs rho in (-1, 1), got {rho0}")
+    basis = signal.get("basis", "sigma")
+    if basis not in ("sigma", "sigma0"):
+        raise InvalidParameterError(f"signal basis must be 'sigma' or 'sigma0', got {basis!r}")
     ar1: _AR1Eigensystem | None = None
+    alpha2 = None
 
-    if config.signal.basis == "sigma0":
+    if basis == "sigma0":
         # Work in the test covariance eigenbasis; valid only when the train
         # covariance is isotropic (it stays diagonal under any rotation).
-        if config.spectrum.kind != "identity":
+        if spectrum_kind != "identity":
             raise InvalidParameterError(
                 "signal basis 'sigma0' requires an identity train covariance"
             )
-        if config.shift.sigma0 is None or config.shift.sigma0.kind != "ar1":
+        if rho0 is None:
             raise InvalidParameterError("signal basis 'sigma0' needs an ar1 sigma0 spec")
-        if config.signal.kind != "eigvec-combination":
+        if signal_kind != "eigvec-combination":
             raise InvalidParameterError("signal basis 'sigma0' needs an eigvec-combination signal")
-        if config.shift.beta0 is not None and config.shift.beta0.kind != "scale":
+        if b0spec is not None and b0spec.get("kind", "scale") != "scale":
             raise InvalidParameterError("signal basis 'sigma0' supports only scaled beta0")
         spectrum = Spectrum.identity(p)
-        sigma0 = _AR1Eigensystem(p, float(config.shift.sigma0.rho)).eigenvalues
-        beta = _combination_vector(p, config.signal.indices, config.signal.weights)
+        sigma0 = _AR1Eigensystem(p, rho0).eigenvalues
+        beta = _combination_vector(p, signal)
     else:
-        spectrum, ar1 = _spectrum_from_spec(config.spectrum, p)
-
-        if config.signal.kind == "isotropic":
-            beta = None
-        elif config.signal.kind == "eigvec-combination":
-            beta = _combination_vector(p, config.signal.indices, config.signal.weights)
+        if spectrum_kind == "identity":
+            spectrum = Spectrum.identity(p)
+        elif spectrum_kind == "ar1":
+            ar1 = _AR1Eigensystem(p, _number(spec, "spectrum", "rho"))
+            spectrum = Spectrum(ar1.eigenvalues)
+        elif spectrum_kind == "explicit":
+            spectrum = Spectrum.from_values(_vector("spectrum", p, values=spec.get("values")))
         else:
-            vals = (
-                _load_column(config.signal.path)
-                if config.signal.values is None
-                else _as_float_vector(config.signal.values, "signal values")
-            )
-            if vals.size != p:
-                raise InvalidParameterError("signal values do not match p")
+            spectrum = Spectrum.from_values(_vector("spectrum", p, path=spec.get("path")))
+
+        if signal_kind == "isotropic":
+            beta = None
+            alpha2 = _number(signal, "isotropic signal", "alpha2")
+        elif signal_kind == "eigvec-combination":
+            beta = _combination_vector(p, signal)
+        else:
+            vals = _vector("signal", p, signal.get("values"), signal.get("path"))
             # explicit signals are given in the standard basis
             beta = vals if ar1 is None else ar1.eigenvectors.T @ vals
 
-        if config.shift.kind in ("covariate", "joint"):
-            s0spec = config.shift.sigma0
-            if s0spec.kind == "identity":
+        if covariate_shift:
+            s0kind = _kind(s0spec, "sigma0", ("identity", "ar1", "diagonal"), "identity")
+            if s0kind == "identity":
                 sigma0 = np.ones(p)
-            elif s0spec.kind == "ar1" and ar1 is not None:
-                sigma0 = ar1.rotated_ar1(float(s0spec.rho))
-            elif s0spec.kind == "ar1":
+            elif s0kind == "ar1" and ar1 is not None:
+                sigma0 = ar1.rotated_ar1(rho0)
+            elif s0kind == "ar1":
                 idx = np.arange(p)
-                sigma0 = float(s0spec.rho) ** np.abs(idx[:, None] - idx[None, :])
-            elif s0spec.kind == "diagonal":
-                vals = (
-                    _load_column(s0spec.path)
-                    if s0spec.values is None
-                    else _as_float_vector(s0spec.values, "sigma0 values")
-                )
-                if vals.size != p:
-                    raise InvalidParameterError("sigma0 values do not match p")
-                # diagonal entries are interpreted in the train eigenbasis
-                sigma0 = vals
+                sigma0 = rho0 ** np.abs(idx[:, None] - idx[None, :])
             else:
-                raise InvalidParameterError(f"unknown sigma0 kind {s0spec.kind!r}")
+                # diagonal entries are interpreted in the train eigenbasis
+                sigma0 = _vector("sigma0", p, s0spec.get("values"), s0spec.get("path"))
         else:
             sigma0 = spectrum.eigenvalues
 
     beta0 = None
-    if config.shift.kind in ("regression", "joint"):
+    if regression_shift:
         if beta is None:
             raise InvalidParameterError("regression shift needs an explicit signal")
-        b0spec = config.shift.beta0
-        if b0spec.kind == "scale":
-            if b0spec.factor is None:
-                raise InvalidParameterError("beta0 scale spec needs a factor")
-            beta0 = float(b0spec.factor) * beta
-        elif b0spec.kind == "explicit":
-            vals = (
-                _load_column(b0spec.path)
-                if b0spec.values is None
-                else _as_float_vector(b0spec.values, "beta0 values")
-            )
-            if vals.size != p:
-                raise InvalidParameterError("beta0 values do not match p")
-            beta0 = vals if ar1 is None else ar1.eigenvectors.T @ vals
+        if _kind(b0spec, "beta0", ("scale", "explicit"), "scale") == "scale":
+            beta0 = _number(b0spec, "beta0", "factor") * beta
         else:
-            raise InvalidParameterError(f"unknown beta0 kind {b0spec.kind!r}")
-
-    alpha2 = config.signal.alpha2 if config.signal.kind == "isotropic" else None
-    if config.signal.kind == "isotropic" and alpha2 is None:
-        raise InvalidParameterError("isotropic signal needs alpha2")
+            vals = _vector("beta0", p, b0spec.get("values"), b0spec.get("path"))
+            beta0 = vals if ar1 is None else ar1.eigenvectors.T @ vals
 
     return ShiftModel(
         spectrum=spectrum,
         sigma0_matrix=sigma0,
         beta=beta,
         beta0=beta0,
-        sigma2=config.sigma2,
-        sigma0_sq=config.sigma0_sq,
+        sigma2=_number(doc, "model config", "sigma2", 0.0),
+        sigma0_sq=_number(doc, "model config", "sigma0_sq", 0.0),
         signal_alpha2=alpha2,
     )

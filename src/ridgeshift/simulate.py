@@ -20,7 +20,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .errors import InvalidParameterError
 from .fixed_point import lambda_min
 from .model import ShiftModel
 from .risk import ensemble_risk, risk_decomposition
-
-Dist = Literal["gaussian", "rademacher", "student-t"]
 
 #: ratio of extreme retained design eigenvalues beyond which a fit is flagged
 ILL_CONDITION_RATIO = 1e12
@@ -62,9 +60,6 @@ class SimConfig:
     phi: float
     reps: int
     seed: int
-    z_dist: Dist = "gaussian"
-    noise_dist: Dist = "gaussian"
-    student_df: float = 8.0
     ensemble: EnsembleConfig | None = None
     include_plain: bool = True  # False: ensemble cells only (deep-negative penalties)
     keep_replicates: bool = False
@@ -77,9 +72,6 @@ class SimConfig:
             raise InvalidParameterError("phi must be positive")
         if self.n < 1:
             raise InvalidParameterError("n = round(p/phi) must be >= 1")
-        # 4th-moment margin for heavy-tailed entries
-        if (self.z_dist == "student-t" or self.noise_dist == "student-t") and self.student_df < 4.5:
-            raise InvalidParameterError("student-t df must be >= 4.5")
         if self.ensemble is not None:
             k = round(self.p / self.ensemble.psi)
             if not (1 <= k <= self.n):
@@ -131,29 +123,15 @@ class SimResult:
                     )
 
 
-def _standardized_entries(rng: np.random.Generator, shape, dist: Dist, df: float) -> np.ndarray:
-    if dist == "gaussian":
-        return rng.standard_normal(shape)
-    if dist == "rademacher":
-        return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-    if dist == "student-t":
-        # unit variance: t_df has variance df/(df-2)
-        return rng.standard_t(df, size=shape) * math.sqrt((df - 2.0) / df)
-    raise InvalidParameterError(f"unknown distribution {dist!r}")
-
-
 def generate_data(
     model: ShiftModel,
     n: int,
     *,
-    z_dist: Dist = "gaussian",
-    noise_dist: Dist = "gaussian",
     rng: np.random.Generator | int | None = None,
-    student_df: float = 8.0,
     beta: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (X, y) in the train eigenbasis: X = Z diag(sqrt(r)) with
-    standardized i.i.d. entries, y = X beta + noise * sqrt(sigma2).
+    standard normal entries, y = X beta + noise * sqrt(sigma2).
 
     ``beta`` overrides the model signal (isotropic-random models must pass
     the realized draw here)."""
@@ -165,11 +143,11 @@ def generate_data(
         if model.is_isotropic_signal:
             raise InvalidParameterError("isotropic-random model needs an explicit beta draw")
         beta = model.beta
-    z = _standardized_entries(rng, (n, model.p), z_dist, student_df)
+    z = rng.standard_normal((n, model.p))
     x = z * np.sqrt(model.spectrum.eigenvalues)[None, :]
     y = x @ beta
     if model.sigma2 > 0.0:
-        y = y + math.sqrt(model.sigma2) * _standardized_entries(rng, (n,), noise_dist, student_df)
+        y = y + math.sqrt(model.sigma2) * rng.standard_normal(n)
     return x, y
 
 
@@ -321,15 +299,7 @@ def mc_experiment(
             beta = rng.standard_normal(model.p) * math.sqrt(model.alpha2 / model.p)
         else:
             beta = model.beta
-        x, y = generate_data(
-            model,
-            n,
-            z_dist=config.z_dist,
-            noise_dist=config.noise_dist,
-            rng=rng,
-            student_df=config.student_df,
-            beta=beta,
-        )
+        x, y = generate_data(model, n, rng=rng, beta=beta)
         beta0 = beta if model.is_isotropic_signal else model.beta0
         psi, lams = groups[gidx]
         k = n if psi is None else round(model.p / psi)

@@ -289,6 +289,33 @@ class TestErrors:
         assert code == 1
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"p": "abc", "signal": {"kind": "isotropic", "alpha2": 1.0}}, "'p'"),
+            ({"p": 4, "spectrum": 5, "signal": {"kind": "isotropic", "alpha2": 1.0}}, "spectrum"),
+            ([1, 2], "model config"),
+            ({"p": 4, "signal": {"kind": "isotropic", "alpha2": 1.0}, "sigma2": "x"}, "'sigma2'"),
+            # unknown keys are errors, not silently ignored
+            ({"p": 4, "signal": {"kind": "isotropic", "alpha2": 1.0}, "sigma_2": 0.5}, "'sigma_2'"),
+            ({"p": 4, "signal": {"kind": "isotropic", "alpha2": 1.0},
+              "shift": {"kind": "covariate", "sigma0": {"kind": "identity", "rh0": 0.5}}}, "'rh0'"),
+            # an eigenvector index must be an integer, not truncated to one
+            ({"p": 4, "signal": {"kind": "eigvec-combination", "indices": [1.7],
+                                 "weights": [1.0]}}, "eigenvector index 1.7"),
+        ],
+        ids=["p-not-a-number", "spectrum-not-an-object", "top-level-list", "sigma2-not-a-number",
+             "misspelled-top-level-key", "misspelled-sigma0-key", "fractional-index"],
+    )
+    def test_malformed_document_is_invalid_configuration(self, tmp_path, capsys, doc, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["fixpoint", "--config", str(bad), "--phi", "2", "--lambda", "0.1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration") and key in err
+        assert "Traceback" not in err
+
     def test_nan_lambda_floor_is_invalid(self, capsys, iso_config):
         code = main(["optimize", "--config", iso_config, "--phi", "2", "--lambda-floor", "nan"])
         assert code == 1

@@ -19,6 +19,7 @@ from ridgeshift import (
     predict_sign,
     solve_mu,
 )
+from ridgeshift import conditions
 
 
 def extreme_pair_model(p=100, rho=0.5, sigma2=0.0, beta0_factor=None):
@@ -143,12 +144,13 @@ class TestRegShiftAlignment:
         with pytest.raises(InvalidParameterError):
             check_reg_shift_alignment(m)
 
-    def test_caller_grid_includes_zero(self):
+    def test_caller_grid_includes_zero(self, monkeypatch):
         # b' S^2 (S+mu I)^-2 (b0 - b) is -0.5 at mu = 0 and positive from
         # far below this grid's floor on: only the level mu = 0 fails
+        monkeypatch.setattr(conditions, "FLOOR", 1.0)
         sp = Spectrum.from_values([0.01, 100.0])
         m = make_model(sp, beta=np.array([1.0, 1.0]), beta0=np.array([0.0, 1.5]))
-        report = check_reg_shift_alignment(m, MuGrid(points=5, floor=1.0))
+        report = check_reg_shift_alignment(m, MuGrid(points=5))
         assert not report.holds
         assert report.worst_margin == pytest.approx(-0.5, rel=1e-12)
         assert report.grid.startswith("mu in [0, ") and report.grid.endswith(", 6 points")

@@ -1,7 +1,10 @@
 """Model construction, trace functionals, and the configuration loader."""
 
+import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from ridgeshift import (
     InvalidParameterError,
-    ModelConfig,
     SingularResolventError,
     Spectrum,
     build_ar1,
@@ -18,6 +20,7 @@ from ridgeshift import (
     lambda_min,
     make_model,
 )
+from ridgeshift.model import _KEYS
 from ridgeshift.risk import _blocks, _weights
 
 EPS = np.finfo(float).eps
@@ -100,12 +103,12 @@ class TestAR1Eigensystem:
     @given(ar1_cases(), st.one_of(st.sampled_from([0.0, -0.5, 0.5]), st.floats(-0.99, 0.99)))
     def test_rotated_test_covariance_matches_dense(self, case, rho0):
         p, rho = case
-        cfg = ModelConfig.from_dict({
+        cfg = {
             "p": p,
             "spectrum": {"kind": "ar1", "rho": rho},
             "signal": {"kind": "eigvec-combination", "indices": [1], "weights": [1.0]},
             "shift": {"kind": "covariate", "sigma0": {"kind": "ar1", "rho": rho0}},
-        })
+        }
         _, w = build_ar1(p, rho)
         dense = w.T @ dense_ar1(p, rho0) @ w
         scale = np.max(np.abs(dense))
@@ -272,57 +275,49 @@ class TestShiftModelValidation:
 
 class TestBuildModel:
     def test_no_shift_identity(self):
-        cfg = ModelConfig.from_dict(
-            {
-                "p": 4,
-                "spectrum": {"kind": "identity"},
-                "signal": {"kind": "explicit", "values": [1.0, 0.0, 0.0, 0.0]},
-                "shift": {"kind": "none"},
-                "sigma2": 0.5,
-            }
-        )
+        cfg = {
+            "p": 4,
+            "spectrum": {"kind": "identity"},
+            "signal": {"kind": "explicit", "values": [1.0, 0.0, 0.0, 0.0]},
+            "shift": {"kind": "none"},
+            "sigma2": 0.5,
+        }
         m = build_model(cfg)
         np.testing.assert_array_equal(m.sigma0_matrix, np.eye(4))
         np.testing.assert_array_equal(m.beta0, m.beta)
         assert not m.has_covariate_shift and not m.has_regression_shift
 
     def test_regression_shift_doubling(self):
-        cfg = ModelConfig.from_dict(
-            {
-                "p": 6,
-                "spectrum": {"kind": "ar1", "rho": 0.5},
-                "signal": {"kind": "eigvec-combination", "indices": [1, 6], "weights": [0.5, 0.5]},
-                "shift": {"kind": "regression", "beta0": {"kind": "scale", "factor": 2.0}},
-                "sigma2": 0.01,
-            }
-        )
+        cfg = {
+            "p": 6,
+            "spectrum": {"kind": "ar1", "rho": 0.5},
+            "signal": {"kind": "eigvec-combination", "indices": [1, 6], "weights": [0.5, 0.5]},
+            "shift": {"kind": "regression", "beta0": {"kind": "scale", "factor": 2.0}},
+            "sigma2": 0.01,
+        }
         m = build_model(cfg)
         np.testing.assert_allclose(m.beta0 - m.beta, m.beta, atol=1e-14)
         assert m.has_regression_shift and not m.has_covariate_shift
 
     def test_identity_sigma0_rotates_to_identity(self):
-        cfg = ModelConfig.from_dict(
-            {
-                "p": 2,
-                "spectrum": {"kind": "ar1", "rho": 0.5},
-                "signal": {"kind": "eigvec-combination", "indices": [1], "weights": [1.0]},
-                "shift": {"kind": "covariate", "sigma0": {"kind": "identity"}},
-                "sigma2": 0.0,
-            }
-        )
+        cfg = {
+            "p": 2,
+            "spectrum": {"kind": "ar1", "rho": 0.5},
+            "signal": {"kind": "eigvec-combination", "indices": [1], "weights": [1.0]},
+            "shift": {"kind": "covariate", "sigma0": {"kind": "identity"}},
+            "sigma2": 0.0,
+        }
         m = build_model(cfg)
         np.testing.assert_allclose(m.sigma0_matrix, np.eye(2), atol=1e-12)
 
     def test_eigvec_combination_in_eigenbasis(self):
-        cfg = ModelConfig.from_dict(
-            {
-                "p": 5,
-                "spectrum": {"kind": "ar1", "rho": 0.3},
-                "signal": {"kind": "eigvec-combination", "indices": [1, 5], "weights": [0.5, 0.5]},
-                "shift": {"kind": "none"},
-                "sigma2": 0.0,
-            }
-        )
+        cfg = {
+            "p": 5,
+            "spectrum": {"kind": "ar1", "rho": 0.3},
+            "signal": {"kind": "eigvec-combination", "indices": [1, 5], "weights": [0.5, 0.5]},
+            "shift": {"kind": "none"},
+            "sigma2": 0.0,
+        }
         m = build_model(cfg)
         expected = np.zeros(5)
         expected[0] = expected[-1] = 0.5
@@ -331,20 +326,18 @@ class TestBuildModel:
     def test_test_covariance_eigenbasis_signal(self):
         # isotropic train covariance, banded test covariance, signal split
         # between the extreme test-covariance eigendirections
-        cfg = ModelConfig.from_dict(
-            {
-                "p": 8,
-                "spectrum": {"kind": "identity"},
-                "signal": {
-                    "kind": "eigvec-combination",
-                    "indices": [1, 8],
-                    "weights": [0.5, 0.5],
-                    "basis": "sigma0",
-                },
-                "shift": {"kind": "covariate", "sigma0": {"kind": "ar1", "rho": 0.5}},
-                "sigma2": 0.01,
-            }
-        )
+        cfg = {
+            "p": 8,
+            "spectrum": {"kind": "identity"},
+            "signal": {
+                "kind": "eigvec-combination",
+                "indices": [1, 8],
+                "weights": [0.5, 0.5],
+                "basis": "sigma0",
+            },
+            "shift": {"kind": "covariate", "sigma0": {"kind": "ar1", "rho": 0.5}},
+            "sigma2": 0.01,
+        }
         m = build_model(cfg)
         assert m.spectrum.is_identity
         ref, _ = build_ar1(8, 0.5)
@@ -360,7 +353,7 @@ class TestBuildModel:
             "sigma2": 0.0,
         }
         with pytest.raises(InvalidParameterError):
-            build_model(ModelConfig.from_dict(cfg))
+            build_model(cfg)
 
     @pytest.mark.parametrize(
         "patch",
@@ -386,17 +379,17 @@ class TestBuildModel:
         }
         base.update(patch)
         with pytest.raises(InvalidParameterError):
-            build_model(ModelConfig.from_dict(base))
+            build_model(base)
 
     def test_explicit_vectors_rotate_into_the_eigenbasis(self):
         rng = np.random.default_rng(2)
         values, shifted = rng.standard_normal(7), rng.standard_normal(7)
-        cfg = ModelConfig.from_dict({
+        cfg = {
             "p": 7,
             "spectrum": {"kind": "ar1", "rho": 0.4},
             "signal": {"kind": "explicit", "values": list(values)},
             "shift": {"kind": "regression", "beta0": {"kind": "explicit", "values": list(shifted)}},
-        })
+        }
         m = build_model(cfg)
         _, w = build_ar1(7, 0.4)
         np.testing.assert_array_equal(m.beta, w.T @ values)
@@ -405,13 +398,13 @@ class TestBuildModel:
     def test_large_ar1_model_is_built_without_a_dense_matrix(self):
         # one 4000 x 4000 float64 array alone would take 128 MB
         p = 4000
-        cfg = ModelConfig.from_dict({
+        cfg = {
             "p": p,
             "spectrum": {"kind": "ar1", "rho": 0.5},
             "signal": {"kind": "eigvec-combination", "indices": [1, p], "weights": [0.5, 0.5]},
             "shift": {"kind": "none"},
             "sigma2": 0.01,
-        })
+        }
         tracemalloc.start()
         try:
             model = build_model(cfg)
@@ -433,22 +426,91 @@ class TestBuildModel:
             "sigma2": 0.1,
         }
         with pytest.raises(InvalidParameterError):
-            build_model(ModelConfig.from_dict(cfg))
+            build_model(cfg)
 
     def test_explicit_files(self, tmp_path):
         spec_path = tmp_path / "spectrum.csv"
         spec_path.write_text("0.5\n1.0\n2.0\n")
         sig_path = tmp_path / "signal.csv"
         sig_path.write_text("1.0\n0.0\n0.0\n")
-        cfg = ModelConfig.from_dict(
-            {
-                "p": 3,
-                "spectrum": {"kind": "file", "path": str(spec_path)},
-                "signal": {"kind": "explicit", "path": str(sig_path)},
-                "shift": {"kind": "none"},
-                "sigma2": 0.1,
-            }
-        )
+        cfg = {
+            "p": 3,
+            "spectrum": {"kind": "file", "path": str(spec_path)},
+            "signal": {"kind": "explicit", "path": str(sig_path)},
+            "shift": {"kind": "none"},
+            "sigma2": 0.1,
+        }
         m = build_model(cfg)
         np.testing.assert_array_equal(m.spectrum.eigenvalues, [0.5, 1.0, 2.0])
         np.testing.assert_array_equal(m.beta, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "patch, key",
+        [
+            ({"sigma_2": 0.5}, "sigma_2"),
+            ({"spectrum": {"kind": "ar1", "rho": 0.5, "values": [1.0], "p": 4}}, "p"),
+            ({"signal": {"kind": "isotropic", "alpha2": 1.0, "weight": [1.0]}}, "weight"),
+            ({"shift": {"kind": "none", "beta_0": {"factor": 2.0}}}, "beta_0"),
+            ({"shift": {"kind": "covariate", "sigma0": {"kind": "identity", "rho0": 0.1}}}, "rho0"),
+            ({"shift": {"kind": "regression", "beta0": {"scale": 2.0}}}, "scale"),
+        ],
+    )
+    def test_unknown_keys_rejected(self, patch, key):
+        cfg = {"p": 4, "signal": {"kind": "explicit", "values": [1.0, 0.0, 0.0, 0.0]}}
+        cfg.update(patch)
+        with pytest.raises(InvalidParameterError, match=f"unknown key.*'{key}'"):
+            build_model(cfg)
+
+    def test_eigenvector_indices_must_be_integers(self):
+        cfg = {"p": 4, "signal": {"kind": "eigvec-combination", "indices": [2.0], "weights": [1.0]}}
+        np.testing.assert_array_equal(build_model(cfg).beta, [0.0, 1.0, 0.0, 0.0])
+        cfg["signal"]["indices"] = [1.7]
+        with pytest.raises(InvalidParameterError, match="index 1.7"):
+            build_model(cfg)
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            # the CLI tests (TestErrors) cover a malformed p, sigma2 and section
+            ({"p": 4, "shift": {"kind": "regression", "beta0": {"factor": [2.0]}}}, "'factor'"),
+            ({"p": 4, "spectrum": {"kind": "explicit", "values": ["a", 1, 2, 3]}}, "spectrum values"),
+            ({"p": 4, "spectrum": {"kind": "explicit"}}, "spectrum needs"),
+        ],
+    )
+    def test_malformed_documents_name_their_key(self, doc, key):
+        doc = dict(doc, signal={"kind": "explicit", "values": [1.0, 0.0, 0.0, 0.0]})
+        with pytest.raises(InvalidParameterError, match=key):
+            build_model(doc)
+
+    def test_unreadable_file_is_invalid_config(self, tmp_path):
+        path = tmp_path / "spectrum.txt"
+        path.write_text("0.5\nabc\n")
+        cfg = {"p": 2, "spectrum": {"kind": "file", "path": str(path)},
+               "signal": {"kind": "isotropic", "alpha2": 1.0}}
+        with pytest.raises(InvalidParameterError, match="spectrum file"):
+            build_model(cfg)
+
+
+class TestReadmeConfigFormat:
+    """The README's "CLI" section documents the config format; it must
+    match the parser."""
+
+    @pytest.fixture(scope="class")
+    def cli_section(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+    def test_example_builds(self, cli_section):
+        example = cli_section.split("```json\n", 1)[1].split("```", 1)[0]
+        model = build_model(json.loads(example))
+        assert model.p == 500 and not model.has_covariate_shift
+
+    def test_table_lists_exactly_the_accepted_keys(self, cli_section):
+        documented = set()
+        for line in cli_section.splitlines():
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            if len(cells) == 4 and cells[1].startswith("`"):
+                section = "model config" if cells[0] == "top level" else cells[0].strip("`")
+                documented.add((section, cells[1].strip("`")))
+        accepted = {(section, key) for section, keys in _KEYS.items() for key in keys}
+        assert documented == accepted

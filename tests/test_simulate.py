@@ -41,17 +41,6 @@ class TestGenerateData:
         cov = x.T @ x / x.shape[0]
         np.testing.assert_allclose(cov, np.diag([1, 2, 3, 4, 5]), atol=0.15, rtol=0.03)
 
-    def test_rademacher_support(self):
-        m = make_model(Spectrum.from_values([4.0, 4.0]), beta=np.ones(2), sigma2=0.0)
-        x, _ = generate_data(m, 200, z_dist="rademacher", rng=2)
-        z = x / 2.0  # unscale by sqrt(eigenvalue)
-        assert set(np.unique(z)) <= {-1.0, 1.0}
-
-    def test_student_t_unit_variance(self):
-        m = make_model(Spectrum.identity(2), beta=np.ones(2), sigma2=0.0)
-        x, _ = generate_data(m, 200_000, z_dist="student-t", rng=3)
-        assert np.var(x) == pytest.approx(1.0, rel=0.05)
-
     def test_deterministic_given_seed(self):
         m = make_model(Spectrum.identity(3), beta=unit_signal(3), sigma2=0.5)
         x1, y1 = generate_data(m, 20, rng=7)
@@ -310,10 +299,6 @@ class TestMcExperiment:
         m = make_model(Spectrum.identity(60), alpha2=1.0, sigma2=0.5)
         result = mc_experiment(m, SimConfig(p=60, phi=0.5, reps=10, seed=9), [0.5])
         assert result.cells[0].rel_error < 0.2
-
-    def test_student_df_validation(self):
-        with pytest.raises(InvalidParameterError):
-            SimConfig(p=20, phi=1.0, reps=1, seed=0, z_dist="student-t", student_df=4.0)
 
     def test_ensemble_cross_term_uses_subsample_level(self):
         # under regression shift, the ensemble cross term tracks the level
