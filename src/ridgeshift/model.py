@@ -511,12 +511,10 @@ def build_model(doc: dict) -> ShiftModel:
     test eigenbasis. Every malformed document raises InvalidParameterError.
     """
     doc = _section("model config", doc)
-    try:
-        p = int(doc["p"])
-    except KeyError:
-        raise InvalidParameterError("model config needs 'p'") from None
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParameterError(f"'p' must be an integer, got {doc['p']!r}") from None
+    p = doc.get("p")  # a JSON number with an integral value, like an eigenvector index
+    if isinstance(p, bool) or not (isinstance(p, int) or isinstance(p, float) and p.is_integer()):
+        raise InvalidParameterError(f"model config needs an integer 'p', got {p!r}")
+    p = int(p)
     if p < 2:
         raise InvalidParameterError("p must be >= 2")
     spec = _section("spectrum", doc.get("spectrum", {}))
@@ -552,8 +550,10 @@ def build_model(doc: dict) -> ShiftModel:
             raise InvalidParameterError(
                 "signal basis 'sigma0' requires an identity train covariance"
             )
-        if rho0 is None:
-            raise InvalidParameterError("signal basis 'sigma0' needs an ar1 sigma0 spec")
+        if rho0 is None or not covariate_shift:
+            raise InvalidParameterError(
+                "signal basis 'sigma0' needs a covariate or joint shift with an ar1 sigma0"
+            )
         if signal_kind != "eigvec-combination":
             raise InvalidParameterError("signal basis 'sigma0' needs an eigvec-combination signal")
         if b0spec is not None and b0spec.get("kind", "scale") != "scale":

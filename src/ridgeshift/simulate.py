@@ -8,9 +8,9 @@ form. Replicates derive independent random streams from
 bit-identical regardless of execution order or thread count.
 
 One dataset per (aspect-ratio group, replicate) is shared across the whole
-penalty grid: each (sub)sample design is eigendecomposed once and every
-penalty reuses the factorization, which is what makes dense
-negative-to-positive sweeps cheap; a one-point grid takes a direct solve.
+penalty grid. Each (sub)sample design forms its Gram matrix once; a short
+grid takes one direct solve per penalty, and a dense negative-to-positive
+sweep eigendecomposes the design once and reuses that for every penalty.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ PINV_RTOL = 1e-10
 
 #: finite-sample margin of the admissible penalties (see mc_experiment)
 EDGE_GUARD = 0.05
+#: longest penalty grid fitted by one direct solve per penalty; on one BLAS
+#: thread a shared eigendecomposition wins from 8-11 penalties (n = 300-800)
+DIRECT_SOLVES_MAX = 7
 
 MAX_THREADS_ENV = "RIDGESHIFT_MAX_THREADS"
 
@@ -137,8 +140,7 @@ def generate_data(
     the realized draw here)."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator passes through unaltered
     if beta is None:
         if model.is_isotropic_signal:
             raise InvalidParameterError("isotropic-random model needs an explicit beta draw")
@@ -165,11 +167,7 @@ class RidgeFactorization:
         self.n = n
         self.dual = p > n
         self.xt = x.T
-        if self.dual:
-            gram = x @ x.T / n
-        else:
-            gram = x.T @ x / n
-        self.eigvals, self.eigvecs = np.linalg.eigh(gram)
+        self.eigvals, self.eigvecs = np.linalg.eigh(x @ x.T / n if self.dual else x.T @ x / n)
 
     def solve(self, y: np.ndarray, lam: float) -> np.ndarray:
         s = self.eigvals
@@ -196,27 +194,29 @@ class RidgeFactorization:
 
 
 def _fits(x: np.ndarray, y: np.ndarray, lams: Sequence[float]) -> np.ndarray:
-    """Pseudoinverse ridge fits of (x, y), one row per penalty. Several
-    penalties share one :class:`RidgeFactorization`; a single penalty takes
-    a direct linear solve (much cheaper than an eigendecomposition), with
-    the factorization as the fallback at exact singularity."""
-    if len(lams) == 1:
-        n, p = x.shape
-        lam = lams[0]
+    """Pseudoinverse ridge fits of (x, y), one row per penalty. Up to
+    DIRECT_SOLVES_MAX penalties take one direct solve each on the Gram
+    matrix, with the factorization as the fallback at exact singularity; a
+    longer grid shares one :class:`RidgeFactorization`."""
+    if len(lams) > DIRECT_SOLVES_MAX:
+        fact = RidgeFactorization(x)
+        return np.stack([fact.solve(y, lam) for lam in lams])
+    n, p = x.shape
+    dual = p > n
+    gram = x @ x.T / n if dual else x.T @ x / n
+    rhs = y if dual else x.T @ y / n
+    fits = np.empty((len(lams), p))
+    fact = None  # built at the first exactly singular penalty, then reused
+    for row, lam in zip(fits, lams):
+        shifted = gram.copy()  # lam onto the diagonal in place: the bits of adding lam * I
+        shifted.flat[:: len(gram) + 1] += lam
         try:
-            # the penalty goes onto the diagonal of the fresh Gram matrix in
-            # place: the same bits as adding lam * I, without the identity
-            if p <= n:
-                gram = x.T @ x / n
-                gram.flat[:: p + 1] += lam
-                return np.linalg.solve(gram, x.T @ y / n)[None]
-            gram = x @ x.T / n
-            gram.flat[:: n + 1] += lam
-            return (x.T @ np.linalg.solve(gram, y) / n)[None]
+            sol = np.linalg.solve(shifted, rhs)
+            row[:] = x.T @ sol / n if dual else sol
         except np.linalg.LinAlgError:
-            pass
-    fact = RidgeFactorization(x)
-    return np.stack([fact.solve(y, lam) for lam in lams])
+            fact = fact or RidgeFactorization(x)
+            row[:] = fact.solve(y, lam)
+    return fits
 
 
 def empirical_risk(

@@ -302,12 +302,12 @@ def test_criterion_8_monte_carlo_validation():
         for phi, ens_lam, psi in ((0.5, 0.5, 1.0), (2.0, -0.5, 4.0)):
             lmin = -((1.0 - math.sqrt(phi)) ** 2)
             grid = [0.5 * lmin, 0.35 * lmin, 0.15 * lmin, 0.0, 0.25, 1.0]
-            cfg = SimConfig(p=p, phi=phi, reps=20, seed=11, threads=2)
+            cfg = SimConfig(p=p, phi=phi, reps=20, seed=11, threads=1)
             result = mc_experiment(model, cfg, grid)
             for cell in result.cells:
                 assert cell.rel_error <= 0.05, (phi, cell.lam, cell.rel_error)
 
-            ens_cfg = SimConfig(p=p, phi=phi, reps=20, seed=99, threads=2,
+            ens_cfg = SimConfig(p=p, phi=phi, reps=20, seed=99, threads=1,
                                 include_plain=False,
                                 ensemble=EnsembleConfig(psi=psi, n_subsamples=200))
             ens_result = mc_experiment(model, ens_cfg, [ens_lam])
@@ -323,7 +323,7 @@ def test_criterion_8_monte_carlo_validation():
             m_dim = make_model(Spectrum.identity(dim), beta=b, sigma2=0.25)
             errs = []
             for seed in range(101, 107):
-                cfg = SimConfig(p=dim, phi=2.0, reps=8, seed=seed, threads=2)
+                cfg = SimConfig(p=dim, phi=2.0, reps=8, seed=seed, threads=1)
                 res = mc_experiment(m_dim, cfg, [0.0, 0.3])
                 errs.extend(c.rel_error for c in res.cells)
             trend[dim] = float(np.mean(errs))
@@ -341,7 +341,7 @@ def test_criterion_9_finite_sample_isotropic_optimum():
     model = make_model(sp, alpha2=1.0, sigma2=1.0)  # snr = 1, optimum at 0.5
     grid = np.linspace(0.02, 2.0, 100)
     with _timer() as t:
-        cfg = SimConfig(p=p, phi=phi, reps=50, seed=77, threads=2)
+        cfg = SimConfig(p=p, phi=phi, reps=50, seed=77, threads=1)
         result = mc_experiment(model, cfg, list(grid))
         means = np.array([c.empirical_mean for c in result.cells])
         best = grid[int(np.argmin(means))]

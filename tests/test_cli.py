@@ -303,9 +303,14 @@ class TestErrors:
             # an eigenvector index must be an integer, not truncated to one
             ({"p": 4, "signal": {"kind": "eigvec-combination", "indices": [1.7],
                                  "weights": [1.0]}}, "eigenvector index 1.7"),
+            # and so must p: neither truncated nor parsed from a string
+            ({"p": 5.9, "signal": {"kind": "isotropic", "alpha2": 1.0}}, "'p'"),
+            ({"p": "5", "signal": {"kind": "isotropic", "alpha2": 1.0}}, "'p'"),
+            ({"p": True, "signal": {"kind": "isotropic", "alpha2": 1.0}}, "'p'"),
         ],
         ids=["p-not-a-number", "spectrum-not-an-object", "top-level-list", "sigma2-not-a-number",
-             "misspelled-top-level-key", "misspelled-sigma0-key", "fractional-index"],
+             "misspelled-top-level-key", "misspelled-sigma0-key", "fractional-index",
+             "fractional-p", "string-p", "bool-p"],
     )
     def test_malformed_document_is_invalid_configuration(self, tmp_path, capsys, doc, key):
         bad = tmp_path / "bad.json"

@@ -428,6 +428,29 @@ class TestBuildModel:
         with pytest.raises(InvalidParameterError):
             build_model(cfg)
 
+    @pytest.mark.parametrize("kind", ["none", "regression"])
+    def test_sigma0_basis_needs_a_test_covariance_shift(self, kind):
+        # without a covariate shift the test covariance is the train one, so
+        # the ar1 sigma0 that would define the basis describes nothing
+        cfg = {
+            "p": 6,
+            "spectrum": {"kind": "identity"},
+            "signal": {"kind": "eigvec-combination", "indices": [1], "weights": [1.0],
+                       "basis": "sigma0"},
+            "shift": {"kind": kind, "sigma0": {"kind": "ar1", "rho": 0.5},
+                      "beta0": {"kind": "scale", "factor": 2.0}},
+            "sigma2": 0.1,
+        }
+        with pytest.raises(InvalidParameterError, match="covariate or joint shift"):
+            build_model(cfg)
+
+    def test_integral_float_dimension_is_accepted(self):
+        # JSON does not tell 5 from 5.0; only a fractional value is an error
+        cfg = {"p": 5.0, "signal": {"kind": "eigvec-combination", "indices": [2.0],
+                                    "weights": [1.0]}}
+        m = build_model(cfg)
+        assert m.p == 5 and m.beta[1] == 1.0
+
     def test_explicit_files(self, tmp_path):
         spec_path = tmp_path / "spectrum.csv"
         spec_path.write_text("0.5\n1.0\n2.0\n")

@@ -123,14 +123,35 @@ class TestRidgeFit:
         assert abs(fit[2]) < 1e-12
 
     def test_factorization_reuse_matches_fresh_fits(self):
+        # a short grid is one direct solve per penalty, each with the bits of
+        # a one-penalty fit; a longer grid shares one factorization
         rng = np.random.default_rng(9)
         x = rng.standard_normal((30, 18))
         y = rng.standard_normal(30)
-        lams = (-0.02, 0.0, 0.3, 2.0)
-        shared = _fits(x, y, lams)
-        for row, lam in zip(shared, lams):
+        short = (-0.02, 0.0, 0.3, 0.7, 1.1, 1.6, 2.0)
+        assert len(short) == simulate.DIRECT_SOLVES_MAX
+        for row, lam in zip(_fits(x, y, short), short):
+            assert row.tobytes() == _fits(x, y, [lam])[0].tobytes()
+        long = np.linspace(-0.02, 2.0, simulate.DIRECT_SOLVES_MAX + 1)
+        for row, lam in zip(_fits(x, y, long), long):
             assert row.tobytes() == RidgeFactorization(x).solve(y, lam).tobytes()
             np.testing.assert_allclose(row, _fits(x, y, [lam])[0], atol=1e-12)
+
+    def test_short_grid_falls_back_per_penalty(self, monkeypatch):
+        # at lam = 0 a zero column makes the Gram matrix exactly singular:
+        # that penalty takes the pseudoinverse bits, the others their direct
+        # solves, and the factorization is built once
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((30, 6))
+        x[:, 2] = 0.0
+        y = rng.standard_normal(30)
+        pinv = RidgeFactorization(x).solve(y, 0.0)
+        direct = _fits(x, y, [0.5])[0]
+        seen = TestEnsembleFit._count_factorizations(monkeypatch)
+        fits = _fits(x, y, (0.0, 0.5, 0.0))
+        assert fits[0].tobytes() == fits[2].tobytes() == pinv.tobytes()
+        assert fits[1].tobytes() == direct.tobytes()
+        assert seen["built"] == 1
 
 
 class TestEnsembleFit:
@@ -138,8 +159,9 @@ class TestEnsembleFit:
 
     def test_full_subsample_equals_plain_fit(self, monkeypatch):
         # at psi = phi every subsample is the full sample: the group is
-        # fitted like plain ridge, one factorization per replicate for all
-        # penalties, and the same group index gives the same data stream
+        # fitted like plain ridge, one factorization per replicate for a
+        # grid too long for direct solves, and the same group index gives
+        # the same data stream
         built = []
 
         class Counting(RidgeFactorization):
@@ -148,14 +170,14 @@ class TestEnsembleFit:
                 super().__init__(x)
 
         m = make_model(Spectrum.identity(40), beta=unit_signal(40), sigma2=0.25)
-        grid = [0.1, 0.4, 1.0]
+        grid = list(np.linspace(0.1, 1.0, simulate.DIRECT_SOLVES_MAX + 1))
         plain = mc_experiment(m, SimConfig(p=40, phi=2.0, reps=3, seed=9), grid)
         monkeypatch.setattr(simulate, "RidgeFactorization", Counting)
         cfg = SimConfig(p=40, phi=2.0, reps=3, seed=9, include_plain=False,
                         ensemble=EnsembleConfig(psi=2.0, n_subsamples=7))
         ens = mc_experiment(m, cfg, grid)
         assert len(built) == 3
-        assert [c.k for c in ens.cells] == [20] * 3
+        assert [c.k for c in ens.cells] == [20] * len(grid)
         assert ([c.empirical_mean.hex() for c in ens.cells]
                 == [c.empirical_mean.hex() for c in plain.cells])
 
@@ -183,15 +205,30 @@ class TestEnsembleFit:
         assert math.isfinite(cell.empirical_mean)
         assert seen["built"] == 0
 
+    def test_short_grid_builds_no_factorization(self, monkeypatch):
+        # a grid of up to DIRECT_SOLVES_MAX penalties takes direct solves,
+        # plain and ensemble cells alike
+        seen = self._count_factorizations(monkeypatch)
+        m = make_model(Spectrum.identity(40), beta=unit_signal(40), sigma2=0.25)
+        grid = list(np.linspace(0.1, 1.0, simulate.DIRECT_SOLVES_MAX))
+        cfg = SimConfig(p=40, phi=2.0, reps=2, seed=9,
+                        ensemble=EnsembleConfig(psi=4.0, n_subsamples=3))
+        result = mc_experiment(m, cfg, grid)
+        assert len(result.cells) == 2 * len(grid)
+        assert all(math.isfinite(c.empirical_mean) for c in result.cells)
+        assert seen["built"] == 0
+
     def test_ensemble_holds_one_factorization_at_a_time(self, monkeypatch):
-        # each subsample's factorization serves every penalty and is released
-        # before the next subsample is fitted
+        # on a grid too long for direct solves, each subsample's factorization
+        # serves every penalty and is released before the next subsample is
+        # fitted
         seen = self._count_factorizations(monkeypatch)
         m = make_model(Spectrum.identity(40), beta=unit_signal(40), sigma2=0.25)
         cfg = SimConfig(p=40, phi=2.0, reps=2, seed=9, include_plain=False,
                         ensemble=EnsembleConfig(psi=4.0, n_subsamples=6))
-        result = mc_experiment(m, cfg, [0.2, 0.5, 1.0])
-        assert [c.k for c in result.cells] == [10] * 3
+        grid = list(np.linspace(0.2, 1.0, simulate.DIRECT_SOLVES_MAX + 1))
+        result = mc_experiment(m, cfg, grid)
+        assert [c.k for c in result.cells] == [10] * len(grid)
         assert seen["built"] == 2 * 6
         assert seen["peak"] == 1
 
