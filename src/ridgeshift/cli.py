@@ -3,6 +3,8 @@
 Subcommands take a JSON model config plus numeric flags and emit
 machine-readable tables (CSV by default, JSON with a fixed schema). All
 floats are printed with 17 significant digits so reruns are byte-identical.
+``main`` builds the model from ``--config`` and writes the table; each
+``_cmd_*`` only computes its params, columns and rows from the model.
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 numeric
 failure (the failing cell is named on stderr).
@@ -21,6 +23,7 @@ import numpy as np
 from . import __version__
 from .conditions import (
     MuGrid,
+    _ridgeless_on_edge,
     check_cov_shift_overparam,
     check_in_dist_alignment,
     check_reg_shift_alignment,
@@ -28,14 +31,7 @@ from .conditions import (
     check_strict_alignment_implication,
     predict_sign,
 )
-from .errors import (
-    BelowMinimumPenaltyError,
-    BranchViolationError,
-    InvalidParameterError,
-    RidgeShiftError,
-    SingularResolventError,
-    SolverFailureError,
-)
+from .errors import InvalidParameterError, RidgeShiftError
 from .fixed_point import (
     PSI_INFINITE,
     equivalence_path,
@@ -54,12 +50,8 @@ from .risk import (
 )
 from .simulate import EnsembleConfig, SimConfig, mc_experiment
 
-_NUMERIC_ERRORS = (
-    BelowMinimumPenaltyError,
-    BranchViolationError,
-    SingularResolventError,
-    SolverFailureError,
-)
+#: What a subcommand computes: the table's params, its columns and its rows.
+_Table = tuple[dict, list[str], list[tuple]]
 
 
 def _fmt(x) -> str:
@@ -71,10 +63,13 @@ def _fmt(x) -> str:
 def _parse_grid(spec: str) -> np.ndarray:
     """start:stop:count[:log] -> inclusive grid."""
     parts = spec.split(":")
-    if len(parts) not in (3, 4):
-        raise InvalidParameterError(f"bad grid spec {spec!r}; want start:stop:count[:log]")
-    start, stop = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    try:
+        if len(parts) not in (3, 4):
+            raise ValueError
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise InvalidParameterError(
+            f"bad grid spec {spec!r}; want start:stop:count[:log]") from None
     if count < 1:
         raise InvalidParameterError("grid count must be >= 1")
     if len(parts) == 4:
@@ -115,53 +110,36 @@ def _write_table(args, command: str, params: dict, columns: list[str], rows: lis
         sys.stdout.write(text)
 
 
-def _load_model(args) -> ShiftModel:
-    if not getattr(args, "config", None):
-        raise InvalidParameterError("this subcommand needs --config")
-    with open(args.config) as fh:
-        return build_model(json.load(fh))
-
-
-def _cmd_fixpoint(args) -> None:
-    model = _load_model(args)
+def _cmd_fixpoint(model: ShiftModel, args) -> _Table:
     phi = args.phi
     psi = args.psi if args.psi is not None else phi
     sol = solve_mu(model.spectrum, args.lam, psi, boundary_ok=psi > phi)
     v = math.inf if sol.mu == 0.0 else 1.0 / sol.mu  # 0 at mu = inf
     tv = tilde_v(model, sol.mu, phi, psi)
-    _write_table(
-        args,
-        "fixpoint",
+    return (
         {"lambda": args.lam, "phi": phi, "psi": psi},
         ["lambda", "phi", "psi", "mu", "v", "tilde_v", "residual"],
         [(args.lam, phi, psi, sol.mu, v, tv, sol.residual)],
     )
 
 
-def _cmd_lambdamin(args) -> None:
-    model = _load_model(args)
-    phis = _parse_grid(args.grid)
+def _cmd_lambdamin(model: ShiftModel, args) -> _Table:
+    sp = model.spectrum
+    rows = [(phi, mu_zero(sp, phi), lambda_min(sp, phi))
+            for phi in map(float, _parse_grid(args.grid))]
+    return {"grid": args.grid}, ["phi", "mu_zero", "lambda_min"], rows
+
+
+def _cmd_risk(model: ShiftModel, args) -> _Table:
     rows = []
-    for phi in phis:
-        m0 = mu_zero(model.spectrum, float(phi))
-        rows.append((float(phi), m0, lambda_min(model.spectrum, float(phi))))
-    _write_table(args, "lambdamin", {"grid": args.grid},
-                 ["phi", "mu_zero", "lambda_min"], rows)
+    for lam in map(float, _parse_grid(args.grid)):
+        d = risk_decomposition(model, lam, args.phi)
+        rows.append((lam, args.phi, d.bias, d.variance, d.shift, d.kappa2, d.total))
+    return ({"phi": args.phi, "grid": args.grid},
+            ["lambda", "phi", "bias", "variance", "shift", "kappa2", "total"], rows)
 
 
-def _cmd_risk(args) -> None:
-    model = _load_model(args)
-    lams = _parse_grid(args.grid)
-    rows = []
-    for lam in lams:
-        d = risk_decomposition(model, float(lam), args.phi)
-        rows.append((float(lam), args.phi, d.bias, d.variance, d.shift, d.kappa2, d.total))
-    _write_table(args, "risk", {"phi": args.phi, "grid": args.grid},
-                 ["lambda", "phi", "bias", "variance", "shift", "kappa2", "total"], rows)
-
-
-def _cmd_optimize(args) -> None:
-    model = _load_model(args)
+def _cmd_optimize(model: ShiftModel, args) -> _Table:
     phi = args.phi
     opts = SearchOptions(lambda_floor=args.lambda_floor)
     point = optimal_lambda(model, phi, opts)
@@ -175,9 +153,8 @@ def _cmd_optimize(args) -> None:
         ("optimum", point.lambda_star, phi, point.risk_star, point.mu_star,
          point.boundary_flag, lmin, naive)
     ]
-    for lam, risk in point.local_minima[1:]:
-        rows.append(("local-min", lam, phi, risk, solve_mu(model.spectrum, lam, phi).mu,
-                     "", lmin, naive))
+    for lam, risk, mu in point.local_minima[1:]:
+        rows.append(("local-min", lam, phi, risk, mu, "", lmin, naive))
     if args.joint:
         # anchor penalty per the subsampling equivalence: ridgeless when
         # underparameterized, the minimum penalty otherwise
@@ -186,57 +163,48 @@ def _cmd_optimize(args) -> None:
         rows.append(("joint-optimum", anchor,
                      math.inf if psi_star == PSI_INFINITE else psi_star,
                      risk_star, math.nan, "", lmin, naive))
-    _write_table(args, "optimize", {"phi": phi}, columns, rows)
+    return {"phi": phi}, columns, rows
 
 
-def _cmd_conditions(args) -> None:
-    model = _load_model(args)
+def _cmd_conditions(model: ShiftModel, args) -> _Table:
     phi = args.phi
     grid = MuGrid(points=args.grid_points)
+    # the checks that start at the ridgeless level have no start on the edge
+    level_checks = not _ridgeless_on_edge(model.spectrum, phi)
     rows: list[tuple] = []
 
     def add(report) -> None:
         rows.append(("condition", report.condition_id, str(report.holds),
                      report.worst_margin, report.grid))
 
-    if phi > 1.0 and not model.is_isotropic_signal:
+    if level_checks and phi > 1.0 and not model.is_isotropic_signal:
         add(check_in_dist_alignment(model, phi, grid))
-    if model.spectrum.is_identity and phi > 1.0:
+    if level_checks and model.spectrum.is_identity and phi > 1.0:
         add(check_cov_shift_overparam(model, phi))
     if not model.is_isotropic_signal and model.has_regression_shift:
         add(check_reg_shift_alignment(model, grid))
-    add(check_reg_shift_general_balance(model, phi, grid))
+    if level_checks:
+        add(check_reg_shift_general_balance(model, phi, grid))
     add(check_strict_alignment_implication(model))
     pred = predict_sign(model, phi, grid)
     rows.append(("sign-prediction", pred.predicted_sign, pred.regime, math.nan,
                  pred.applied_rule))
-    _write_table(args, "conditions", {"phi": phi},
-                 ["record", "id", "value", "worst_margin", "detail"], rows)
+    return {"phi": phi}, ["record", "id", "value", "worst_margin", "detail"], rows
 
 
-def _cmd_path(args) -> None:
-    model = _load_model(args)
-    path = equivalence_path(
-        model.spectrum,
-        args.phi,
-        lambda_bar=args.lambda_bar,
-        psi_bar=args.psi_bar,
-        samples=args.samples,
-    )
-    rows = []
-    for theta, lam, psi in path.points:
-        sol = solve_mu(model.spectrum, lam, psi, boundary_ok=True)
-        rows.append((theta, lam, psi, sol.mu))
-    _write_table(
-        args, "path",
+def _cmd_path(model: ShiftModel, args) -> _Table:
+    path = equivalence_path(model.spectrum, args.phi, lambda_bar=args.lambda_bar,
+                            psi_bar=args.psi_bar, samples=args.samples)
+    rows = [(theta, lam, psi, solve_mu(model.spectrum, lam, psi, boundary_ok=True).mu)
+            for theta, lam, psi in path.points]
+    return (
         {"phi": args.phi, "lambda_bar": path.lambda_bar, "psi_bar": path.psi_bar,
          "mu_star": path.mu_star},
         ["theta", "lambda", "psi", "mu"], rows,
     )
 
 
-def _cmd_simulate(args) -> None:
-    model = _load_model(args)
+def _cmd_simulate(model: ShiftModel, args) -> _Table:
     lams = _parse_grid(args.grid)
     ensemble = None
     if args.psi is not None:
@@ -244,48 +212,43 @@ def _cmd_simulate(args) -> None:
     config = SimConfig(
         p=model.p, phi=args.phi, reps=args.reps, seed=args.seed,
         ensemble=ensemble, include_plain=not args.ensemble_only,
-        threads=args.threads,
-        keep_replicates=args.dump_replicates is not None,
+        threads=args.threads, keep_replicates=args.dump_replicates is not None,
     )
     result = mc_experiment(model, config, [float(l) for l in lams])
     if args.dump_replicates:
         result.dump_replicates_csv(args.dump_replicates)
-    _write_table(
-        args, "simulate",
+    return (
         {"phi": args.phi, "seed": args.seed, "reps": args.reps},
         ["lambda", "phi", "psi", "empirical_mean", "empirical_se", "theory_total", "rel_error"],
         result.to_rows(),
     )
 
 
-def _cmd_sweep(args) -> None:
-    model = _load_model(args)
+def _cmd_sweep(model: ShiftModel, args) -> _Table:
     lams = _parse_grid(args.grid)
-    rows: list[tuple] = []
     if args.psi_grid is not None:
         if args.phi is None:
             raise InvalidParameterError("--psi-grid mode needs --phi")
-        phi = args.phi
-        psis = _parse_grid(args.psi_grid)
-        for lam in lams:
-            for psi in psis:
-                try:
-                    total = ensemble_risk(model, float(lam), phi, float(psi)).total
-                except (InvalidParameterError, *_NUMERIC_ERRORS):
-                    total = math.nan
-                rows.append((float(lam), float(psi), total))
+        ys = _parse_grid(args.psi_grid)
+
+        def total(lam: float, psi: float) -> float:
+            return ensemble_risk(model, lam, args.phi, psi).total
     elif args.phi_grid is not None:
-        phis = _parse_grid(args.phi_grid)
-        for lam in lams:
-            for phi in phis:
-                try:
-                    total = risk_decomposition(model, float(lam), float(phi)).total
-                except (InvalidParameterError, *_NUMERIC_ERRORS):
-                    total = math.nan
-                rows.append((float(lam), float(phi), total))
+        ys = _parse_grid(args.phi_grid)
+
+        def total(lam: float, phi: float) -> float:
+            return risk_decomposition(model, lam, phi).total
     else:
         raise InvalidParameterError("sweep needs --psi-grid or --phi-grid")
-    _write_table(args, "sweep", {"grid": args.grid}, ["x", "y", "total"], rows)
+    rows: list[tuple] = []
+    for lam in map(float, lams):
+        for y in map(float, ys):
+            try:
+                cell = total(lam, y)
+            except RidgeShiftError:
+                cell = math.nan  # inadmissible or failed cell
+            rows.append((lam, y, cell))
+    return {"grid": args.grid}, ["x", "y", "total"], rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, config_required: bool = True) -> None:
-        p.add_argument("--config", required=config_required, help="model config JSON path")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", required=True, help="model config JSON path")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -368,18 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        with open(args.config) as fh:
+            model = build_model(json.load(fh))
+        _write_table(args, args.command, *args.func(model, args))
     except (InvalidParameterError, OSError, json.JSONDecodeError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: numeric failure in {args.command}: {exc}", file=sys.stderr)
-        return 2
     except RidgeShiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: numeric failure in {args.command}: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -30,9 +30,9 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import BranchViolationError, InvalidParameterError
+from .errors import BelowMinimumPenaltyError, BranchViolationError, InvalidParameterError
 from .fixed_point import solve_mu
-from .model import ShiftModel
+from .model import ShiftModel, Spectrum
 from .risk import _blocks, _kernel, _weights
 
 ConditionId = Literal[
@@ -61,6 +61,10 @@ class MuGrid:
 
     points: int = 400
 
+    def __post_init__(self) -> None:
+        if self.points < 1:
+            raise InvalidParameterError(f"level grid needs at least 1 point, got {self.points}")
+
     def values(self, start: float, r_max: float) -> np.ndarray:
         lo = max(start, FLOOR)
         hi = CAP_FACTOR * r_max
@@ -85,6 +89,18 @@ class SignPrediction:
     predicted_sign: Sign
     applied_rule: str
     report: ConditionReport | None = None
+
+
+def _ridgeless_on_edge(spectrum: Spectrum, phi: float) -> bool:
+    """Whether the ridgeless penalty is within rounding of lambda_min(phi)
+    (phi at or a few ulps from 1): the penalty equation then has no level
+    above the branch edge at lam = 0, and the checks that start at the
+    ridgeless level have no start."""
+    try:
+        solve_mu(spectrum, 0.0, phi)
+    except BelowMinimumPenaltyError:
+        return True
+    return False
 
 
 def _report(condition_id: ConditionId, margins: np.ndarray, grid_desc: str) -> ConditionReport:
@@ -202,7 +218,9 @@ def check_strict_alignment_implication(model: ShiftModel) -> ConditionReport:
 
 def predict_sign(model: ShiftModel, phi: float, grid: MuGrid | None = None) -> SignPrediction:
     """Route a model through the sufficient sign tests; inconclusive whenever
-    no test's hypotheses are verified."""
+    no test's hypotheses are verified. A test that starts at the ridgeless
+    level is skipped where that level is on the branch edge (phi within
+    rounding of 1), as at phi = 1 itself."""
     regime: Regime = "underparameterized" if phi < 1.0 else "overparameterized"
     cov = model.has_covariate_shift
     reg = model.has_regression_shift
@@ -217,7 +235,7 @@ def predict_sign(model: ShiftModel, phi: float, grid: MuGrid | None = None) -> S
     if not cov and not reg:
         if phi < 1.0:
             return SignPrediction(regime, "nonnegative", "no-shift-underparameterized")
-        if phi > 1.0:
+        if phi > 1.0 and not _ridgeless_on_edge(model.spectrum, phi):
             report = check_in_dist_alignment(model, phi, grid)
             if report.holds:
                 return SignPrediction(regime, "negative", "no-shift-alignment", report)
@@ -232,7 +250,7 @@ def predict_sign(model: ShiftModel, phi: float, grid: MuGrid | None = None) -> S
             off = model.sigma0_diag - 1.0 if s0 is None else s0 - np.eye(model.p)
             if np.max(np.abs(off)) <= 1e-12:
                 return SignPrediction(regime, "nonnegative", "cov-shift-identity-test-cov")
-            if model.spectrum.is_identity:
+            if model.spectrum.is_identity and not _ridgeless_on_edge(model.spectrum, phi):
                 report = check_cov_shift_overparam(model, phi)
                 if report.holds:
                     return SignPrediction(regime, "negative", "cov-shift-alignment", report)
@@ -242,6 +260,8 @@ def predict_sign(model: ShiftModel, phi: float, grid: MuGrid | None = None) -> S
         return SignPrediction(regime, "inconclusive", "cov-shift-uncovered")
 
     if reg and not cov:
+        if _ridgeless_on_edge(model.spectrum, phi):
+            return SignPrediction(regime, "inconclusive", "boundary-aspect-ratio")
         balance = check_reg_shift_general_balance(model, phi, grid)
         if phi < 1.0:
             if balance.holds:

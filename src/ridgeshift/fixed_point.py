@@ -185,13 +185,17 @@ def lambda_of_mu(spectrum: Spectrum, mu, aspect: float):
     return lam if mus.ndim else float(lam) + 0.0
 
 
+def _edge_penalty(spectrum: Spectrum, mu0: float, aspect: float) -> float:
+    """The penalty at the branch edge ``mu0 = mu_zero(aspect)``."""
+    # it is -mu0^2 s2 / t2 <= 0; within an ulp or two of aspect 1 the
+    # rounding of mu0 (1 - aspect t1) can leave it ~1e-32 above zero
+    return min(lambda_of_mu(spectrum, mu0, aspect), 0.0)
+
+
 def lambda_min(spectrum: Spectrum, phi: float) -> float:
     """Minimum admissible ridge penalty: the value of the penalty equation at
     the branch edge. Nonpositive everywhere, zero exactly at phi = 1."""
-    mu0 = mu_zero(spectrum, phi)
-    # the edge penalty is -mu0^2 s2 / t2 <= 0; within an ulp or two of phi = 1
-    # the rounding of mu0 (1 - phi t1) can leave it ~1e-32 above zero
-    return min(lambda_of_mu(spectrum, mu0, phi), 0.0)
+    return _edge_penalty(spectrum, mu_zero(spectrum, phi), phi)
 
 
 def solve_mu(
@@ -216,7 +220,7 @@ def solve_mu(
     _check_phi(aspect)
 
     mu0 = mu_zero(spectrum, aspect)
-    lmin = lambda_of_mu(spectrum, mu0, aspect)
+    lmin = _edge_penalty(spectrum, mu0, aspect)
     # lmin is the product mu0 * (1 - aspect t1): it is known to a few eps of
     # |lmin| + |mu0|, and a penalty above that is solved, however close
     if lam <= lmin + 4.0 * _EPS * (abs(lmin) + abs(mu0)):

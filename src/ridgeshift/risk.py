@@ -306,7 +306,8 @@ class OptimalPoint:
     risk_star: float
     mu_star: float
     boundary_flag: BoundaryFlag
-    local_minima: tuple[tuple[float, float], ...] = ()
+    #: every refined local minimum, best first, as (lam, risk, mu)
+    local_minima: tuple[tuple[float, float, float], ...] = ()
 
 
 def _scan(wt: _Weights, mus: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -418,7 +419,7 @@ def optimal_lambda(
         risk_star=risk_star,
         mu_star=mu_star,
         boundary_flag=flag,
-        local_minima=tuple((lam, f) for _, lam, f, _ in kept),
+        local_minima=tuple((lam, f, mu) for _, lam, f, mu in kept),
     )
 
 

@@ -44,6 +44,33 @@ def banded_config(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def reg_shift_config(tmp_path):
+    cfg = {
+        "p": 40,
+        "spectrum": {"kind": "ar1", "rho": 0.5},
+        "signal": {"kind": "eigvec-combination", "indices": [1, 40], "weights": [0.5, 0.5]},
+        "shift": {"kind": "regression", "beta0": {"kind": "scale", "factor": 2.0}},
+        "sigma2": 0.01,
+    }
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+#: quick valid arguments of every subcommand, besides --config
+SUBCOMMAND_ARGS = {
+    "fixpoint": ["--phi", "2", "--lambda", "0.1"],
+    "lambdamin": ["--grid", "0.5:2:3"],
+    "risk": ["--phi", "2", "--grid", "0.1:1:3"],
+    "optimize": ["--phi", "2", "--joint"],
+    "conditions": ["--phi", "2", "--grid-points", "20"],
+    "path": ["--phi", "0.5", "--psi-bar", "2", "--samples", "3"],
+    "simulate": ["--phi", "2", "--grid", "0.2:1:2", "--reps", "2", "--seed", "1"],
+    "sweep": ["--grid", "0.1:1:2", "--phi-grid", "0.5:2:2"],
+}
+
+
 def run_to_file(tmp_path, args):
     out = tmp_path / "out.txt"
     code = main(args + ["--out", str(out)])
@@ -174,6 +201,18 @@ class TestConditions:
         assert "sign-prediction" in text
         assert "strict-alignment-implication" in text
 
+    @pytest.mark.parametrize("phi", ["0.9999999999999998", "1", "1.0000000000000002"])
+    def test_ridgeless_level_on_the_edge(self, capsys, reg_shift_config, phi):
+        # the checks that start at the ridgeless level are left out where it
+        # is within rounding of the branch edge, and the sign is inconclusive
+        code = main(["conditions", "--config", reg_shift_config, "--phi", phi,
+                     "--grid-points", "50"])
+        assert code == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[1] for row in rows[:-1]] == [
+            "reg-shift-alignment", "strict-alignment-implication"]
+        assert rows[-1][1] == "inconclusive" and rows[-1][4] == "boundary-aspect-ratio"
+
 
 class TestPath:
     def test_contour_rows(self, tmp_path, iso_config):
@@ -265,11 +304,52 @@ class TestJsonFormat:
         assert row[4] == "inf"  # reciprocal level at the ridgeless point
 
 
+class TestOutputFile:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("sub", list(SUBCOMMAND_ARGS))
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, iso_config, sub, fmt):
+        argv = [sub, "--config", iso_config, "--format", fmt, *SUBCOMMAND_ARGS[sub]]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
+
+
 class TestErrors:
-    def test_missing_config_file(self, tmp_path):
-        code = main(["risk", "--config", str(tmp_path / "nope.json"), "--phi", "2",
-                     "--grid", "0:1:3"])
+    @pytest.mark.parametrize("sub", list(SUBCOMMAND_ARGS))
+    def test_missing_config_file(self, tmp_path, capsys, sub):
+        code = main([sub, "--config", str(tmp_path / "nope.json"), *SUBCOMMAND_ARGS[sub]])
         assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["risk", "--phi", "2", "--grid", "a:1:3"],
+            ["risk", "--phi", "2", "--grid", "0:1:2.5"],
+            ["risk", "--phi", "2", "--grid", "0:1"],
+            ["lambdamin", "--grid", "0.5:x:3:log"],
+            ["sweep", "--grid", "0:1:2", "--phi-grid", "0.5:2:b"],
+        ],
+        ids=["bad-start", "fractional-count", "no-count", "bad-stop", "bad-sweep-count"],
+    )
+    def test_malformed_grid_is_invalid_configuration(self, capsys, iso_config, argv):
+        code = main([argv[0], "--config", iso_config, *argv[1:]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: bad grid spec")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_grid_points_below_one_is_invalid_configuration(self, capsys, iso_config, points):
+        code = main(["conditions", "--config", iso_config, "--phi", "2",
+                     "--grid-points", points])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration") and "at least 1 point" in err
 
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.json"

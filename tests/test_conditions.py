@@ -30,6 +30,16 @@ def extreme_pair_model(p=100, rho=0.5, sigma2=0.0, beta0_factor=None):
     return make_model(sp, beta=beta, beta0=beta0, sigma2=sigma2)
 
 
+class TestMuGrid:
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_fewer_than_one_point_rejected(self, points):
+        with pytest.raises(InvalidParameterError, match="at least 1 point"):
+            MuGrid(points=points)
+
+    def test_one_point_is_the_start(self):
+        assert MuGrid(points=1).values(0.5, 2.0).tolist() == [0.5]
+
+
 class TestInDistAlignment:
     def test_isotropic_spectrum_never_holds(self):
         rng = np.random.default_rng(0)
@@ -246,6 +256,19 @@ class TestPredictSign:
         pred = predict_sign(m, 0.5)
         assert pred.predicted_sign == "negative"
         assert pred.applied_rule == "reg-shift-balance"
+
+    @pytest.mark.parametrize("phi", [1.0 - 2**-52, 1.0, 1.0 + 2**-52])
+    @pytest.mark.parametrize("beta0_factor", [2.0, None], ids=["regression", "none"])
+    def test_ridgeless_level_on_the_edge_is_a_boundary(self, phi, beta0_factor):
+        # the ridgeless level is within rounding of the branch edge, where
+        # the checks that start from it cannot be evaluated
+        m = extreme_pair_model(sigma2=0.01, beta0_factor=beta0_factor)
+        pred = predict_sign(m, phi)
+        if beta0_factor is None and phi < 1.0:
+            assert pred.applied_rule == "no-shift-underparameterized"
+        else:
+            assert (pred.predicted_sign, pred.applied_rule) == (
+                "inconclusive", "boundary-aspect-ratio")
 
     def test_joint_shift_inconclusive(self):
         rng = np.random.default_rng(9)

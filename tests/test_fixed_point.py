@@ -208,6 +208,15 @@ class TestSolveMu:
         with pytest.raises(BelowMinimumPenaltyError):
             solve_mu(sp, lam, 4.0)
 
+    def test_edge_at_phi_one_uses_the_clamped_minimum(self):
+        # the unclamped edge penalty at phi = 1 rounds to ~1.6e-32 here;
+        # solve_mu must measure against lambda_min's clamped 0
+        sp = Spectrum.identity(8)
+        assert lambda_min(sp, 1.0) == 0.0
+        assert solve_mu(sp, 0.0, 1.0, boundary_ok=True).residual == 0.0
+        with pytest.raises(BelowMinimumPenaltyError, match="not above the minimum 0.0 "):
+            solve_mu(sp, 0.0, 1.0)
+
     @pytest.mark.parametrize("psi", [1.0 + 3e-11, 1.0 + 3e-9, 1.0 + 3e-7])
     def test_root_just_above_a_tiny_minimum(self, psi):
         # On an identity spectrum lam = 0 has the root psi - 1, twice the

@@ -270,6 +270,18 @@ class TestOptimalLambda:
             assert point.lambda_star == pytest.approx(phi / m.snr, rel=1e-10)
             assert point.mu_star == pytest.approx(solve_mu(sp, phi / m.snr, phi).mu, rel=1e-10)
 
+    def test_local_minima_carry_their_levels(self):
+        # two eigenvalue clusters give two interior minima; each is reported
+        # with its level, the one its penalty solves to, best first
+        sp = Spectrum.from_values(np.r_[np.full(17, 0.002), np.full(3, 6.0)])
+        m = make_model(sp, beta=np.r_[np.full(17, 1.0), np.full(3, 0.2)], sigma2=0.01)
+        point = optimal_lambda(m, 4.0)
+        assert len(point.local_minima) == 2
+        assert point.local_minima[0] == (point.lambda_star, point.risk_star, point.mu_star)
+        for lam, risk, mu in point.local_minima:
+            assert solve_mu(sp, lam, 4.0).mu == pytest.approx(mu, rel=1e-14)
+            assert risk_at_mu(m, mu, 4.0).total == pytest.approx(risk, rel=1e-12)
+
     def test_risk_star_bounds_probes(self):
         rng = np.random.default_rng(10)
         sp = random_spectrum(rng, 12)
