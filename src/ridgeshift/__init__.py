@@ -32,7 +32,6 @@ from .fixed_point import (
 from .risk import (
     OptimalPoint,
     RiskDecomposition,
-    SearchOptions,
     ensemble_risk,
     isotropic_optimal_risk,
     optimal_lambda,
@@ -92,7 +91,6 @@ __all__ = [
     # risk
     "RiskDecomposition",
     "OptimalPoint",
-    "SearchOptions",
     "risk_at_mu",
     "risk_decomposition",
     "ensemble_risk",

@@ -41,7 +41,6 @@ from .fixed_point import (
 )
 from .model import ShiftModel, build_model
 from .risk import (
-    SearchOptions,
     ensemble_risk,
     optimal_lambda,
     optimal_psi,
@@ -141,8 +140,7 @@ def _cmd_risk(model: ShiftModel, args) -> _Table:
 
 def _cmd_optimize(model: ShiftModel, args) -> _Table:
     phi = args.phi
-    opts = SearchOptions(lambda_floor=args.lambda_floor)
-    point = optimal_lambda(model, phi, opts)
+    point = optimal_lambda(model, phi, args.lambda_floor)
     lmin = lambda_min(model.spectrum, phi)
     naive = -model.spectrum.r_min * (1.0 - math.sqrt(phi)) ** 2
     columns = [
@@ -169,24 +167,27 @@ def _cmd_optimize(model: ShiftModel, args) -> _Table:
 def _cmd_conditions(model: ShiftModel, args) -> _Table:
     phi = args.phi
     grid = MuGrid(points=args.grid_points)
+    pred = predict_sign(model, phi, grid)
+    # the report that decided the sign is printed, not computed again
+    decided = {pred.report.condition_id: pred.report} if pred.report else {}
     # the checks that start at the ridgeless level have no start on the edge
     level_checks = not _ridgeless_on_edge(model.spectrum, phi)
     rows: list[tuple] = []
 
-    def add(report) -> None:
+    def add(condition_id: str, check, *check_args) -> None:
+        report = decided.get(condition_id) or check(*check_args)
         rows.append(("condition", report.condition_id, str(report.holds),
                      report.worst_margin, report.grid))
 
     if level_checks and phi > 1.0 and not model.is_isotropic_signal:
-        add(check_in_dist_alignment(model, phi, grid))
+        add("in-dist-alignment", check_in_dist_alignment, model, phi, grid)
     if level_checks and model.spectrum.is_identity and phi > 1.0:
-        add(check_cov_shift_overparam(model, phi))
+        add("cov-shift-overparam", check_cov_shift_overparam, model, phi)
     if not model.is_isotropic_signal and model.has_regression_shift:
-        add(check_reg_shift_alignment(model, grid))
+        add("reg-shift-alignment", check_reg_shift_alignment, model, grid)
     if level_checks:
-        add(check_reg_shift_general_balance(model, phi, grid))
-    add(check_strict_alignment_implication(model))
-    pred = predict_sign(model, phi, grid)
+        add("reg-shift-general-balance", check_reg_shift_general_balance, model, phi, grid)
+    add("strict-alignment-implication", check_strict_alignment_implication, model)
     rows.append(("sign-prediction", pred.predicted_sign, pred.regime, math.nan,
                  pred.applied_rule))
     return {"phi": phi}, ["record", "id", "value", "worst_margin", "detail"], rows
@@ -211,8 +212,7 @@ def _cmd_simulate(model: ShiftModel, args) -> _Table:
         ensemble = EnsembleConfig(psi=args.psi, n_subsamples=args.subsamples)
     config = SimConfig(
         p=model.p, phi=args.phi, reps=args.reps, seed=args.seed,
-        ensemble=ensemble, include_plain=not args.ensemble_only,
-        threads=args.threads, keep_replicates=args.dump_replicates is not None,
+        ensemble=ensemble, include_plain=not args.ensemble_only, threads=args.threads,
     )
     result = mc_experiment(model, config, [float(l) for l in lams])
     if args.dump_replicates:

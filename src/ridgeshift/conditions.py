@@ -216,30 +216,33 @@ def check_strict_alignment_implication(model: ShiftModel) -> ConditionReport:
     return _report("strict-alignment-implication", margin, "single point")
 
 
+def _verdict(regime: Regime, rule: str, report: ConditionReport, holds: bool) -> SignPrediction:
+    """``negative`` under ``rule`` when ``holds``, else ``inconclusive``
+    under ``<rule>-failed``; either way carrying the deciding ``report``."""
+    if holds:
+        return SignPrediction(regime, "negative", rule, report)
+    return SignPrediction(regime, "inconclusive", f"{rule}-failed", report)
+
+
 def predict_sign(model: ShiftModel, phi: float, grid: MuGrid | None = None) -> SignPrediction:
     """Route a model through the sufficient sign tests; inconclusive whenever
-    no test's hypotheses are verified. A test that starts at the ridgeless
-    level is skipped where that level is on the branch edge (phi within
-    rounding of 1), as at phi = 1 itself."""
+    no test's hypotheses are verified. A route runs only the checks it reads
+    and carries the deciding one as ``report``. A test that starts at the
+    ridgeless level is skipped where that level is on the branch edge (phi
+    within rounding of 1), as at phi = 1 itself."""
     regime: Regime = "underparameterized" if phi < 1.0 else "overparameterized"
     cov = model.has_covariate_shift
     reg = model.has_regression_shift
 
     if model.is_isotropic_signal and not reg:
-        return SignPrediction(
-            regime=regime,
-            predicted_sign="nonnegative",
-            applied_rule="isotropic-signal-closed-form",
-        )
+        return SignPrediction(regime, "nonnegative", "isotropic-signal-closed-form")
 
     if not cov and not reg:
         if phi < 1.0:
             return SignPrediction(regime, "nonnegative", "no-shift-underparameterized")
         if phi > 1.0 and not _ridgeless_on_edge(model.spectrum, phi):
             report = check_in_dist_alignment(model, phi, grid)
-            if report.holds:
-                return SignPrediction(regime, "negative", "no-shift-alignment", report)
-            return SignPrediction(regime, "inconclusive", "no-shift-alignment-failed", report)
+            return _verdict(regime, "no-shift-alignment", report, report.holds)
         return SignPrediction(regime, "inconclusive", "boundary-aspect-ratio")
 
     if cov and not reg:
@@ -252,29 +255,18 @@ def predict_sign(model: ShiftModel, phi: float, grid: MuGrid | None = None) -> S
                 return SignPrediction(regime, "nonnegative", "cov-shift-identity-test-cov")
             if model.spectrum.is_identity and not _ridgeless_on_edge(model.spectrum, phi):
                 report = check_cov_shift_overparam(model, phi)
-                if report.holds:
-                    return SignPrediction(regime, "negative", "cov-shift-alignment", report)
-                return SignPrediction(
-                    regime, "inconclusive", "cov-shift-alignment-failed", report
-                )
+                return _verdict(regime, "cov-shift-alignment", report, report.holds)
         return SignPrediction(regime, "inconclusive", "cov-shift-uncovered")
 
     if reg and not cov:
         if _ridgeless_on_edge(model.spectrum, phi):
             return SignPrediction(regime, "inconclusive", "boundary-aspect-ratio")
-        balance = check_reg_shift_general_balance(model, phi, grid)
         if phi < 1.0:
-            if balance.holds:
-                return SignPrediction(regime, "negative", "reg-shift-balance", balance)
-            return SignPrediction(regime, "inconclusive", "reg-shift-balance-failed", balance)
-        if phi > 1.0:
-            alignment = check_in_dist_alignment(model, phi, grid)
-            shift_align = check_reg_shift_alignment(model, grid)
-            if alignment.holds and shift_align.holds:
-                return SignPrediction(regime, "negative", "reg-shift-joint-alignment", shift_align)
-            return SignPrediction(
-                regime, "inconclusive", "reg-shift-joint-alignment-failed", shift_align
-            )
-        return SignPrediction(regime, "inconclusive", "boundary-aspect-ratio")
+            balance = check_reg_shift_general_balance(model, phi, grid)
+            return _verdict(regime, "reg-shift-balance", balance, balance.holds)
+        alignment = check_in_dist_alignment(model, phi, grid)
+        shift_align = check_reg_shift_alignment(model, grid)
+        return _verdict(regime, "reg-shift-joint-alignment", shift_align,
+                        alignment.holds and shift_align.holds)
 
     return SignPrediction(regime, "inconclusive", "joint-shift-uncovered")

@@ -282,22 +282,10 @@ def risk_mu_derivative(model: ShiftModel, mu: float, phi: float) -> tuple[float,
 
 # -- optimizers ---------------------------------------------------------------
 
-#: scan controls (see SearchOptions)
+#: scan controls (see optimal_lambda); optimal_psi scans GRID_POINTS levels per piece
 GRID_POINTS = 240
 T_MIN = 1e-6
 T_MAX = 1e6
-
-
-@dataclass(frozen=True)
-class SearchOptions:
-    """Controls for the scans. :func:`optimal_lambda` scans GRID_POINTS
-    levels spaced logarithmically in mu - mu_zero(phi) between the levels of
-    the penalties lambda_min + [T_MIN, T_MAX] * (1 + |lambda_min|) (the
-    floor, when given and higher, replaces the lower end);
-    :func:`optimal_psi` scans as many levels per piece of its reachable set.
-    Every local minimum of a scan is refined to the root of dR/dmu."""
-
-    lambda_floor: float | None = None
 
 
 @dataclass(frozen=True)
@@ -350,26 +338,29 @@ def _minima(wt: _Weights, phi: float, mus: np.ndarray, risks: np.ndarray,
 def optimal_lambda(
     model: ShiftModel,
     phi: float,
-    opts: SearchOptions | None = None,
+    lambda_floor: float | None = None,
 ) -> OptimalPoint:
     """Minimize the total risk over penalties above the admissible minimum.
 
-    Scans levels, not penalties (see :class:`SearchOptions`): the penalty is
-    the increasing closed form lam(mu), so only the two ends of the window
-    are solved for. Every local minimum is refined to a root of the analytic
-    dR/dmu; the global best is returned with all refined local minima.
+    Scans levels, not penalties: GRID_POINTS levels spaced logarithmically
+    in mu - mu_zero(phi) between the levels of the penalties
+    lambda_min + [T_MIN, T_MAX] * (1 + |lambda_min|), where
+    ``lambda_floor``, when given and higher, replaces the lower end. The
+    penalty is the increasing closed form lam(mu), so only the two ends of
+    the window are solved for. Every local minimum is refined to a root of
+    the analytic dR/dmu; the global best is returned with all refined local
+    minima.
     """
-    opts = opts or SearchOptions()
     sp = model.spectrum
     lmin = lambda_min(sp, phi)
     scale = 1.0 + abs(lmin)
     t_lo = T_MIN * scale
     t_hi = T_MAX * scale
     floor_active = False
-    if opts.lambda_floor is not None:
-        if math.isnan(opts.lambda_floor):
+    if lambda_floor is not None:
+        if math.isnan(lambda_floor):
             raise InvalidParameterError("lambda_floor is NaN")
-        t_floor = opts.lambda_floor - lmin
+        t_floor = lambda_floor - lmin
         if t_floor > t_hi:
             raise InvalidParameterError("lambda_floor above the search window")
         if t_floor > t_lo:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .fixed_point import lambda_min
 from .model import ShiftModel
-from .risk import ensemble_risk, risk_decomposition
+from .risk import ensemble_risk
 
 #: ratio of extreme retained design eigenvalues beyond which a fit is flagged
 ILL_CONDITION_RATIO = 1e12
@@ -59,13 +59,14 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Plain cells at aspect ``phi``, ensemble cells at ``ensemble.psi``, or both."""
+
     p: int
     phi: float
     reps: int
     seed: int
     ensemble: EnsembleConfig | None = None
     include_plain: bool = True  # False: ensemble cells only (deep-negative penalties)
-    keep_replicates: bool = False
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -250,8 +251,10 @@ def mc_experiment(
     Plain cells must respect the finite-sample guard
     lam >= lambda_min(phi) + EDGE_GUARD * |lambda_min(phi)| (smallest design
     eigenvalues fluctuate around the asymptotic edge); ensemble penalties
-    failing their own guard at psi are skipped. Within one aspect-ratio
-    group all penalties share each replicate's dataset and subsamples.
+    failing their own guard at psi are skipped. Plain ridge is the
+    one-sample group at psi = phi. Within one group all penalties share
+    each replicate's dataset and subsamples, and every cell that did not
+    fail keeps its replicate risks.
     """
     lambda_grid = [float(l) for l in lambda_grid]
     if not lambda_grid:
@@ -262,8 +265,8 @@ def mc_experiment(
     n = config.n
     ens = config.ensemble
 
-    # data-sharing groups (psi, penalties); psi None is plain ridge at aspect phi
-    groups: list[tuple[float | None, list[float]]] = []
+    # data-sharing groups (psi, k, subsamples, penalties)
+    groups: list[tuple[float, int, int, list[float]]] = []
     if config.include_plain:
         bound = _admissible_bound(model, phi)
         offenders = [l for l in lambda_grid if l < bound - 1e-12]
@@ -271,7 +274,7 @@ def mc_experiment(
             raise InvalidParameterError(
                 f"penalties {offenders} below the finite-sample bound {bound:.6g}"
             )
-        groups.append((None, lambda_grid))
+        groups.append((phi, n, 1, lambda_grid))
     elif ens is None:
         raise InvalidParameterError("include_plain=False needs ensemble cells")
     if ens is not None:
@@ -281,14 +284,11 @@ def mc_experiment(
         gbound = _admissible_bound(model, psi)
         admissible = [l for l in lambda_grid if l >= gbound - 1e-12]
         if admissible:
-            groups.append((psi, admissible))
+            groups.append((psi, round(model.p / psi), ens.n_subsamples, admissible))
 
     # the equivalents come first, so that a numeric failure surfaces before any fit
-    theory = [
-        [risk_decomposition(model, lam, phi).total if psi is None
-         else ensemble_risk(model, lam, phi, psi).total for lam in lams]
-        for psi, lams in groups
-    ]
+    theory = [[ensemble_risk(model, lam, phi, psi).total for lam in lams]
+              for psi, _, _, lams in groups]
 
     def run_replicate(gidx: int, rep: int) -> list[float] | None:
         """Risks of the group's penalties on one dataset; None when a fit
@@ -301,13 +301,12 @@ def mc_experiment(
             beta = model.beta
         x, y = generate_data(model, n, rng=rng, beta=beta)
         beta0 = beta if model.is_isotropic_signal else model.beta0
-        psi, lams = groups[gidx]
-        k = n if psi is None else round(model.p / psi)
+        _, k, subsamples, lams = groups[gidx]
         if k == n:
             # plain ridge, or an ensemble whose every subsample is the full sample
             subsets = [slice(None)]
         else:
-            subsets = [rng.choice(n, size=k, replace=False) for _ in range(ens.n_subsamples)]
+            subsets = [rng.choice(n, size=k, replace=False) for _ in range(subsamples)]
         fits = np.zeros((len(lams), model.p))
         try:
             for sub in subsets:
@@ -327,12 +326,11 @@ def mc_experiment(
         results = [run_replicate(*task) for task in tasks]
 
     out_cells: list[CellResult] = []
-    for gidx, ((psi, lams), ths) in enumerate(zip(groups, theory)):
+    for gidx, ((psi, k, subsamples, lams), ths) in enumerate(zip(groups, theory)):
         reps = results[gidx * config.reps:(gidx + 1) * config.reps]
         failed = any(r is None for r in reps)
         for j, (lam, th) in enumerate(zip(lams, ths)):
             mean = se = rel = math.nan
-            kept = None
             if not failed:
                 risks = np.array([r[j] for r in reps])
                 mean = float(np.mean(risks))
@@ -340,16 +338,12 @@ def mc_experiment(
                 if config.reps > 1:
                     se = float(np.std(risks, ddof=1) / math.sqrt(config.reps))
                 rel = abs(mean - th) / th if th > 0.0 else math.nan
-                if config.keep_replicates:
-                    kept = tuple(risks)
             out_cells.append(
                 CellResult(
-                    lam=lam, phi=phi, psi=phi if psi is None else psi, n=n,
-                    k=n if psi is None else round(model.p / psi),
-                    n_subsamples=1 if psi is None else ens.n_subsamples,
+                    lam=lam, phi=phi, psi=psi, n=n, k=k, n_subsamples=subsamples,
                     reps=config.reps, empirical_mean=mean, empirical_se=se,
                     theory_total=th, rel_error=rel, failed=failed,
-                    replicate_risks=kept,
+                    replicate_risks=None if failed else tuple(risks),
                 )
             )
     return SimResult(cells=tuple(out_cells), seed=config.seed)

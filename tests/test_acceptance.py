@@ -19,7 +19,6 @@ import pytest
 from conftest import random_psd, random_spectrum
 from ridgeshift import (
     EnsembleConfig,
-    SearchOptions,
     SimConfig,
     Spectrum,
     build_ar1,
@@ -238,7 +237,7 @@ def test_criterion_6_ensemble_equivalences():
     m = make_model(Spectrum.identity(p), beta=beta, sigma2=0.5)
     with _timer() as t:
         for phi in (0.3, 0.5, 0.8):
-            best_lam = optimal_lambda(m, phi, SearchOptions(lambda_floor=0.0)).risk_star
+            best_lam = optimal_lambda(m, phi, lambda_floor=0.0).risk_star
             _, best_psi = optimal_psi(m, 0.0, phi)
             assert abs(best_lam - best_psi) <= 1e-6, (phi, best_lam, best_psi)
         for phi in (1.5, 2.0, 4.0):

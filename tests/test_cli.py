@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +190,25 @@ class TestOptimize:
         text = out.read_text()
         assert "joint-optimum" in text
 
+    def test_second_local_minimum_row(self, tmp_path):
+        # two eigenvalue clusters give two interior minima
+        cfg = {
+            "p": 20,
+            "spectrum": {"kind": "explicit", "values": [0.002] * 17 + [6.0] * 3},
+            "signal": {"kind": "explicit", "values": [1.0] * 17 + [0.2] * 3},
+            "sigma2": 0.01,
+        }
+        path = tmp_path / "clusters.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run_to_file(tmp_path, ["optimize", "--config", str(path), "--phi", "4"])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["optimum", "local-min"]
+        assert float(rows[0][1]) == pytest.approx(0.2031, abs=5e-5)
+        assert float(rows[1][1]) == pytest.approx(0.002722, abs=5e-7)
+        assert float(rows[1][4]) == pytest.approx(0.02228024092218008, rel=1e-12)
+        assert rows[1][5] == ""
+
 
 class TestConditions:
     def test_rows_present(self, tmp_path, banded_config):
@@ -212,6 +232,33 @@ class TestConditions:
         assert [row[1] for row in rows[:-1]] == [
             "reg-shift-alignment", "strict-alignment-implication"]
         assert rows[-1][1] == "inconclusive" and rows[-1][4] == "boundary-aspect-ratio"
+
+    def test_deciding_check_runs_once(self, monkeypatch, capsys, banded_config):
+        # the router's report is printed for its row, not computed again
+        from ridgeshift import cli, conditions
+
+        calls = []
+        check = conditions.check_in_dist_alignment
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(conditions, "check_in_dist_alignment", counted)
+        monkeypatch.setattr(cli, "check_in_dist_alignment", counted)
+        assert main(["conditions", "--config", banded_config, "--phi", "2",
+                     "--grid-points", "50"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(calls) == 1
+        assert rows[0][1] == "in-dist-alignment"
+        assert rows[-1][4].startswith("no-shift-alignment")
+
+    def test_readme_transcript_at_unit_aspect(self, capsys, reg_shift_config):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        prompt = "$ ridgeshift conditions --config reg.json --phi 1\n"
+        transcript = readme.split(prompt, 1)[1].split("```", 1)[0]
+        assert main(["conditions", "--config", reg_shift_config, "--phi", "1"]) == 0
+        assert capsys.readouterr().out == transcript
 
 
 class TestPath:
@@ -241,6 +288,20 @@ class TestSimulate:
         assert text1.splitlines()[0] == (
             "lambda,phi,psi,empirical_mean,empirical_se,theory_total,rel_error"
         )
+
+    def test_ensemble_rows_and_replicate_dump(self, tmp_path, iso_config):
+        dump = tmp_path / "reps.csv"
+        code, out = run_to_file(tmp_path, [
+            "simulate", "--config", iso_config, "--phi", "2", "--grid", "0.2:1:2",
+            "--reps", "2", "--seed", "3", "--psi", "4", "--subsamples", "3",
+            "--dump-replicates", str(dump),
+        ])
+        assert code == 0
+        psis = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+        assert psis == [2.0, 2.0, 4.0, 4.0]
+        lines = dump.read_text().splitlines()
+        assert lines[0] == "cell_id,lambda,phi,psi,rep,risk"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "0", "1", "1", "2", "2", "3", "3"]
 
 
 class TestSweep:

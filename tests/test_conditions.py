@@ -1,5 +1,7 @@
 """Alignment checks and the sign router."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,23 @@ class TestPredictSign:
         assert pred.predicted_sign == "negative"
         assert pred.applied_rule == "reg-shift-balance"
 
+    @pytest.mark.parametrize("phi, sign, rule", [
+        (3.0, "negative", "reg-shift-joint-alignment"),
+        (2.0, "inconclusive", "reg-shift-joint-alignment-failed"),
+    ])
+    def test_regression_shift_overparameterized_route(self, monkeypatch, phi, sign, rule):
+        # only the underparameterized route reads the derivative balance
+        def balance(*args, **kwargs):
+            raise AssertionError("derivative balance run above phi = 1")
+
+        monkeypatch.setattr(conditions, "check_reg_shift_general_balance", balance)
+        m = extreme_pair_model(p=48, sigma2=0.01, beta0_factor=2.0)
+        pred = predict_sign(m, phi)
+        assert (pred.predicted_sign, pred.applied_rule) == (sign, rule)
+        assert pred.report.condition_id == "reg-shift-alignment"
+        if sign == "negative":
+            assert optimal_lambda(m, phi).lambda_star == pytest.approx(-0.322, abs=5e-4)
+
     @pytest.mark.parametrize("phi", [1.0 - 2**-52, 1.0, 1.0 + 2**-52])
     @pytest.mark.parametrize("beta0_factor", [2.0, None], ids=["regression", "none"])
     def test_ridgeless_level_on_the_edge_is_a_boundary(self, phi, beta0_factor):
@@ -277,6 +296,19 @@ class TestPredictSign:
         m = make_model(sp, beta=beta, beta0=1.5 * beta,
                        sigma0=random_psd(rng, 10), sigma2=0.2)
         assert predict_sign(m, 0.5).predicted_sign == "inconclusive"
+
+
+class TestReadmeLibraryExample:
+    def test_negative_interior_optimum_certified(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        code = readme.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1]
+        printed = []
+        exec(code.split("```", 1)[0], {"print": printed.append})
+        lmin, point, pred, parts = printed
+        assert lmin < point.lambda_star < 0.0
+        assert point.boundary_flag == "interior"
+        assert pred.predicted_sign == "negative"
+        assert parts.total == pytest.approx(parts.bias + parts.variance + parts.shift + parts.kappa2)
 
 
 class TestOptimizerConsistency:

@@ -513,6 +513,31 @@ class TestBuildModel:
         with pytest.raises(InvalidParameterError, match="spectrum file"):
             build_model(cfg)
 
+    @pytest.mark.parametrize("spectrum", [
+        {"kind": "identity"}, {"kind": "explicit", "values": [0.5, 1.0, 2.0, 3.0, 4.0]}])
+    def test_ar1_test_covariance_in_the_standard_basis(self, spectrum):
+        cfg = {
+            "p": 5,
+            "spectrum": spectrum,
+            "signal": {"kind": "explicit", "values": [1.0, 0.0, 0.0, 0.0, 0.0]},
+            "shift": {"kind": "covariate", "sigma0": {"kind": "ar1", "rho": -0.4}},
+        }
+        idx = np.arange(5)
+        expected = (-0.4) ** np.abs(idx[:, None] - idx[None, :])
+        np.testing.assert_array_equal(build_model(cfg).sigma0_matrix, expected)
+
+    def test_diagonal_test_covariance_from_values(self):
+        cfg = {
+            "p": 3,
+            "spectrum": {"kind": "identity"},
+            "signal": {"kind": "explicit", "values": [1.0, 0.0, 0.0]},
+            "shift": {"kind": "covariate", "sigma0": {"kind": "diagonal",
+                                                      "values": [0.5, 1.0, 2.0]}},
+        }
+        m = build_model(cfg)
+        np.testing.assert_array_equal(m.sigma0_diag, [0.5, 1.0, 2.0])
+        assert m.sigma0_dense is None and m.has_covariate_shift
+
 
 class TestReadmeConfigFormat:
     """The README's "CLI" section documents the config format; it must

@@ -11,7 +11,6 @@ from ridgeshift import (
     BelowMinimumPenaltyError,
     InvalidParameterError,
     PSI_INFINITE,
-    SearchOptions,
     Spectrum,
     build_ar1,
     ensemble_risk,
@@ -241,7 +240,7 @@ class TestOptimalLambda:
     def test_floor_constrained_search(self):
         m = make_model(Spectrum.identity(6), beta=unit_signal(6), sigma2=0.5)
         free = optimal_lambda(m, 0.5)
-        floored = optimal_lambda(m, 0.5, SearchOptions(lambda_floor=2.0))
+        floored = optimal_lambda(m, 0.5, lambda_floor=2.0)
         assert floored.lambda_star >= 2.0 - 1e-12
         assert floored.risk_star >= free.risk_star - 1e-12
         assert floored.boundary_flag == "at-floor"
@@ -249,13 +248,20 @@ class TestOptimalLambda:
     def test_nan_floor_is_invalid(self):
         m = make_model(Spectrum.identity(24), alpha2=1.0, sigma2=0.5)
         with pytest.raises(InvalidParameterError, match="lambda_floor"):
-            optimal_lambda(m, 2.0, SearchOptions(lambda_floor=math.nan))
+            optimal_lambda(m, 2.0, lambda_floor=math.nan)
 
     def test_degenerate_flat_risk(self):
         m = make_model(Spectrum.identity(5), beta=np.zeros(5), sigma2=0.0, sigma0_sq=0.3)
         point = optimal_lambda(m, 2.0)
         assert point.boundary_flag == "degenerate"
         assert point.risk_star == pytest.approx(0.3, abs=1e-12)
+
+    @pytest.mark.parametrize("phi", [0.5, 2.0])
+    def test_zero_signal_optimum_is_the_null_risk_at_infinity(self, phi):
+        m = make_model(Spectrum.identity(6), beta=np.zeros(6), sigma2=1.0, sigma0_sq=0.2)
+        point = optimal_lambda(m, phi)
+        assert point.boundary_flag == "at-infinity-null"
+        assert point.risk_star == pytest.approx(0.2, abs=1e-8)
 
     def test_isotropic_arg_min_to_round_off(self):
         # the refinement is a root of the analytic dR/dmu, so the arg-min is
@@ -297,7 +303,7 @@ class TestOptimalPsi:
     def test_underparameterized_identity_equivalence(self):
         m = make_model(Spectrum.identity(6), beta=unit_signal(6), sigma2=0.5)
         phi = 0.5
-        best_lam = optimal_lambda(m, phi, SearchOptions(lambda_floor=0.0))
+        best_lam = optimal_lambda(m, phi, lambda_floor=0.0)
         psi_star, best_psi_risk = optimal_psi(m, 0.0, phi)
         assert best_psi_risk == pytest.approx(best_lam.risk_star, abs=1e-6)
         assert psi_star > 1.0
@@ -320,7 +326,7 @@ class TestOptimalPsi:
         m = make_model(sp, beta=beta, sigma0=build_ar1(24, 0.5)[0].eigenvalues, sigma2=0.01)
         for phi in (0.2, 0.3, 0.5):
             psi_star, risk_star = optimal_psi(m, 0.0, phi)
-            best_lam = optimal_lambda(m, phi, SearchOptions(lambda_floor=0.0)).risk_star
+            best_lam = optimal_lambda(m, phi, lambda_floor=0.0).risk_star
             assert risk_star == pytest.approx(best_lam, rel=1e-9)
             assert 1.0 < psi_star < 1.02
             assert ensemble_risk(m, 0.0, phi, psi_star).total == pytest.approx(risk_star, rel=1e-12)
@@ -360,6 +366,11 @@ class TestOptimalPsi:
         assert risk_star <= dense_min * (1.0 + 1e-12)
         assert risk_star == pytest.approx(dense_min, rel=1e-9)
         assert ensemble_risk(m, lam, phi, psi_star).total == pytest.approx(risk_star, rel=1e-12)
+
+    def test_optimum_at_the_data_aspect_is_reported_exactly(self):
+        # the best level is the one solved at psi = phi itself
+        m = make_model(Spectrum.identity(6), beta=unit_signal(6), sigma2=0.01)
+        assert optimal_psi(m, 2.0, 0.5) == (0.5, 0.5155955339420407)
 
     def test_pure_variance_prefers_infinite_subsampling(self):
         # without signal the zero fit is optimal, reached only at psi = inf

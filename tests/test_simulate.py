@@ -324,7 +324,7 @@ class TestMcExperiment:
 
     def test_replicate_dump(self, tmp_path):
         m = self._model(30)
-        cfg = SimConfig(p=30, phi=1.5, reps=3, seed=2, keep_replicates=True)
+        cfg = SimConfig(p=30, phi=1.5, reps=3, seed=2)
         result = mc_experiment(m, cfg, [0.1])
         out = tmp_path / "reps.csv"
         result.dump_replicates_csv(out)
