@@ -43,7 +43,6 @@ from .risk import (
 )
 from .conditions import (
     ConditionReport,
-    MuGrid,
     SignPrediction,
     check_cov_shift_overparam,
     check_in_dist_alignment,
@@ -100,7 +99,6 @@ __all__ = [
     "optimal_psi",
     "isotropic_optimal_risk",
     # conditions
-    "MuGrid",
     "ConditionReport",
     "SignPrediction",
     "check_in_dist_alignment",

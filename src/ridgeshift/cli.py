@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .conditions import (
-    MuGrid,
+    LEVEL_POINTS,
     _ridgeless_on_edge,
     check_cov_shift_overparam,
     check_in_dist_alignment,
@@ -165,9 +165,8 @@ def _cmd_optimize(model: ShiftModel, args) -> _Table:
 
 
 def _cmd_conditions(model: ShiftModel, args) -> _Table:
-    phi = args.phi
-    grid = MuGrid(points=args.grid_points)
-    pred = predict_sign(model, phi, grid)
+    phi, points = args.phi, args.grid_points
+    pred = predict_sign(model, phi, points)
     # the report that decided the sign is printed, not computed again
     decided = {pred.report.condition_id: pred.report} if pred.report else {}
     # the checks that start at the ridgeless level have no start on the edge
@@ -180,13 +179,13 @@ def _cmd_conditions(model: ShiftModel, args) -> _Table:
                      report.worst_margin, report.grid))
 
     if level_checks and phi > 1.0 and not model.is_isotropic_signal:
-        add("in-dist-alignment", check_in_dist_alignment, model, phi, grid)
+        add("in-dist-alignment", check_in_dist_alignment, model, phi, points)
     if level_checks and model.spectrum.is_identity and phi > 1.0:
         add("cov-shift-overparam", check_cov_shift_overparam, model, phi)
     if not model.is_isotropic_signal and model.has_regression_shift:
-        add("reg-shift-alignment", check_reg_shift_alignment, model, grid)
+        add("reg-shift-alignment", check_reg_shift_alignment, model, points)
     if level_checks:
-        add("reg-shift-general-balance", check_reg_shift_general_balance, model, phi, grid)
+        add("reg-shift-general-balance", check_reg_shift_general_balance, model, phi, points)
     add("strict-alignment-implication", check_strict_alignment_implication, model)
     rows.append(("sign-prediction", pred.predicted_sign, pred.regime, math.nan,
                  pred.applied_rule))
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conditions", help="alignment checks and sign prediction")
     common(p)
     p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--grid-points", type=int, default=400)
+    p.add_argument("--grid-points", type=int, default=LEVEL_POINTS)
     p.set_defaults(func=_cmd_conditions)
 
     p = sub.add_parser("path", help="penalty/subsample equivalence contour")

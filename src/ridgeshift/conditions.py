@@ -31,7 +31,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import BelowMinimumPenaltyError, BranchViolationError, InvalidParameterError
-from .fixed_point import solve_mu
+from .fixed_point import _check_phi, solve_mu
 from .model import ShiftModel, Spectrum
 from .risk import _blocks, _kernel, _weights
 
@@ -55,24 +55,25 @@ CAP_FACTOR = 1e4
 FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class MuGrid:
-    """Log-spaced evaluation grid for the 'for all levels' quantifiers."""
+#: levels in every grid of the 'for all levels' quantifiers
+LEVEL_POINTS = 400
 
-    points: int = 400
 
-    def __post_init__(self) -> None:
-        if self.points < 1:
-            raise InvalidParameterError(f"level grid needs at least 1 point, got {self.points}")
+def _check_points(points: int) -> None:
+    if points < 1:
+        raise InvalidParameterError(f"level grid needs at least 1 point, got {points}")
 
-    def values(self, start: float, r_max: float) -> np.ndarray:
-        lo = max(start, FLOOR)
-        hi = CAP_FACTOR * r_max
-        if hi <= lo:
-            raise InvalidParameterError("empty level grid")
-        grid = np.geomspace(lo, hi, self.points)
-        grid[0] = lo
-        return grid
+
+def _levels(start: float, r_max: float, points: int) -> np.ndarray:
+    """``points`` log-spaced levels from max(start, FLOOR) to CAP_FACTOR * r_max."""
+    _check_points(points)
+    lo = max(start, FLOOR)
+    hi = CAP_FACTOR * r_max
+    if hi <= lo:
+        raise InvalidParameterError("empty level grid")
+    grid = np.geomspace(lo, hi, points)
+    grid[0] = lo
+    return grid
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def _report(condition_id: ConditionId, margins: np.ndarray, grid_desc: str) -> C
 
 
 def check_in_dist_alignment(
-    model: ShiftModel, phi: float, grid: MuGrid | None = None
+    model: ShiftModel, phi: float, points: int = LEVEL_POINTS
 ) -> ConditionReport:
     """Signal/spectrum alignment ratio test for the no-shift overparameterized
     regime: at every level mu above the ridgeless level,
@@ -125,10 +126,9 @@ def check_in_dist_alignment(
     Holding for all levels forces the optimal penalty below zero."""
     if phi <= 1.0:
         raise InvalidParameterError("wrong regime: requires phi > 1")
-    grid = grid or MuGrid()
     sp = model.spectrum
     mu_start = solve_mu(sp, 0.0, phi).mu
-    mus = grid.values(mu_start, sp.r_max)
+    mus = _levels(mu_start, sp.r_max, points)
     bl = _blocks(_weights(model), mus)
     s2n = model.sigma2
     b2, b3 = mus**2 * bl.b2, mus**3 * bl.b3
@@ -162,13 +162,12 @@ def check_cov_shift_overparam(model: ShiftModel, phi: float) -> ConditionReport:
     return _report("cov-shift-overparam", margin, f"single point at mu={mu0:.6g}")
 
 
-def check_reg_shift_alignment(model: ShiftModel, grid: MuGrid | None = None) -> ConditionReport:
+def check_reg_shift_alignment(model: ShiftModel, points: int = LEVEL_POINTS) -> ConditionReport:
     """Regression-shift alignment: b' S^2 (S+mu I)^-2 (b0 - b) > 0 for every
     level mu >= 0; the grid's levels are checked after mu = 0 itself."""
     if model.is_isotropic_signal or not model.has_regression_shift:
         raise InvalidParameterError("degenerate shift: beta0 equals beta")
-    grid = grid or MuGrid()
-    mus = np.concatenate([[0.0], grid.values(0.0, model.spectrum.r_max)])
+    mus = np.concatenate([[0.0], _levels(0.0, model.spectrum.r_max, points)])
     margins = _blocks(_weights(model), mus).a2
     return _report(
         "reg-shift-alignment", margins, f"mu in [0, {mus[-1]:.6g}], {mus.size} points"
@@ -176,16 +175,15 @@ def check_reg_shift_alignment(model: ShiftModel, grid: MuGrid | None = None) -> 
 
 
 def check_reg_shift_general_balance(
-    model: ShiftModel, phi: float, grid: MuGrid | None = None
+    model: ShiftModel, phi: float, points: int = LEVEL_POINTS
 ) -> ConditionReport:
     """Shift/variance derivative balance: d(shift)/dmu + d(variance)/dmu > 0
     at every level at or above the ridgeless one. Valid at any noise level;
     implies the optimal penalty is negative once the bias is minimized at
     zero penalty (always true underparameterized)."""
-    grid = grid or MuGrid()
     sp = model.spectrum
     mu_start = solve_mu(sp, 0.0, phi).mu
-    mus = grid.values(mu_start, sp.r_max)
+    mus = _levels(mu_start, sp.r_max, points)
     if mu_start <= FLOOR:
         mus = np.concatenate([[mu_start], mus])
     parts = _kernel(_weights(model), mus, phi)
@@ -224,12 +222,15 @@ def _verdict(regime: Regime, rule: str, report: ConditionReport, holds: bool) ->
     return SignPrediction(regime, "inconclusive", f"{rule}-failed", report)
 
 
-def predict_sign(model: ShiftModel, phi: float, grid: MuGrid | None = None) -> SignPrediction:
+def predict_sign(model: ShiftModel, phi: float, points: int = LEVEL_POINTS) -> SignPrediction:
     """Route a model through the sufficient sign tests; inconclusive whenever
     no test's hypotheses are verified. A route runs only the checks it reads
     and carries the deciding one as ``report``. A test that starts at the
     ridgeless level is skipped where that level is on the branch edge (phi
-    within rounding of 1), as at phi = 1 itself."""
+    within rounding of 1), as at phi = 1 itself. ``points`` and ``phi`` are
+    checked whether or not the route builds a level grid."""
+    _check_points(points)
+    _check_phi(phi)
     regime: Regime = "underparameterized" if phi < 1.0 else "overparameterized"
     cov = model.has_covariate_shift
     reg = model.has_regression_shift
@@ -241,7 +242,7 @@ def predict_sign(model: ShiftModel, phi: float, grid: MuGrid | None = None) -> S
         if phi < 1.0:
             return SignPrediction(regime, "nonnegative", "no-shift-underparameterized")
         if phi > 1.0 and not _ridgeless_on_edge(model.spectrum, phi):
-            report = check_in_dist_alignment(model, phi, grid)
+            report = check_in_dist_alignment(model, phi, points)
             return _verdict(regime, "no-shift-alignment", report, report.holds)
         return SignPrediction(regime, "inconclusive", "boundary-aspect-ratio")
 
@@ -262,10 +263,10 @@ def predict_sign(model: ShiftModel, phi: float, grid: MuGrid | None = None) -> S
         if _ridgeless_on_edge(model.spectrum, phi):
             return SignPrediction(regime, "inconclusive", "boundary-aspect-ratio")
         if phi < 1.0:
-            balance = check_reg_shift_general_balance(model, phi, grid)
+            balance = check_reg_shift_general_balance(model, phi, points)
             return _verdict(regime, "reg-shift-balance", balance, balance.holds)
-        alignment = check_in_dist_alignment(model, phi, grid)
-        shift_align = check_reg_shift_alignment(model, grid)
+        alignment = check_in_dist_alignment(model, phi, points)
+        shift_align = check_reg_shift_alignment(model, points)
         return _verdict(regime, "reg-shift-joint-alignment", shift_align,
                         alignment.holds and shift_align.holds)
 

@@ -242,9 +242,8 @@ class ShiftModel:
 
     The test covariance ``sigma0_matrix`` is given dense, or as the vector
     of its diagonal when it is diagonal in this basis. A diagonal one is
-    stored as ``sigma0_diag`` alone (``sigma0_dense`` is None), and reading
-    ``sigma0_matrix`` builds the dense matrix afresh; functionals use
-    :meth:`sigma0_product` instead. ``_memo`` keeps values derived once per
+    stored as ``sigma0_diag`` alone (``sigma0_dense`` is None); functionals
+    use :meth:`sigma0_product`. ``_memo`` keeps values derived once per
     model (the risk kernel's weights); it lives and dies with the model.
     """
 
@@ -382,20 +381,6 @@ class ShiftModel:
         return bias + shift + self.kappa2
 
 
-def _sigma0_matrix(self: ShiftModel) -> np.ndarray:
-    """The dense test covariance in the train eigenbasis (read-only)."""
-    if self.sigma0_dense is not None:
-        return self.sigma0_dense
-    dense = np.diag(self.sigma0_diag)
-    dense.setflags(write=False)
-    return dense
-
-
-# ``sigma0_matrix`` is an init-only argument of the dataclass; reading it
-# back goes through this property
-ShiftModel.sigma0_matrix = property(_sigma0_matrix)
-
-
 def make_model(
     spectrum: Spectrum,
     *,
@@ -473,6 +458,8 @@ def _vector(name: str, p: int, values=None, path=None) -> np.ndarray:
             vals = np.loadtxt(path, dtype=float, ndmin=1)
         except (TypeError, ValueError) as exc:
             raise InvalidParameterError(f"{name} file {path!r}: {exc}") from None
+        if vals.ndim != 1:
+            raise InvalidParameterError(f"{name} file {path!r} must hold one value per line")
     else:
         raise InvalidParameterError(f"{name} needs 'values' or 'path'")
     if vals.size != p:
@@ -505,10 +492,12 @@ def build_model(doc: dict) -> ShiftModel:
     A test covariance given in the standard basis (kind ``ar1``) is rotated
     into the train eigenbasis as ``W' S0 W``; for an ``ar1`` train
     covariance W and the rotation come from the closed form, and W is formed
-    only when a standard-basis vector needs rotating. A signal specified as an
-    eigenvector combination of the *test* covariance (``basis: sigma0``)
-    requires an isotropic train covariance; the working basis is then the
-    test eigenbasis. Every malformed document raises InvalidParameterError.
+    only when a standard-basis vector needs rotating; for an ``explicit`` or
+    ``file`` spectrum W is the permutation that sorts the listed eigenvalues,
+    so standard-basis vectors and S0 follow the listed order. A signal
+    specified as an eigenvector combination of the *test* covariance
+    (``basis: sigma0``) requires an isotropic train covariance; the working
+    basis is then the test eigenbasis. Every malformed document raises InvalidParameterError.
     """
     doc = _section("model config", doc)
     p = doc.get("p")  # a JSON number with an integral value, like an eigenvector index
@@ -541,7 +530,12 @@ def build_model(doc: dict) -> ShiftModel:
     if basis not in ("sigma", "sigma0"):
         raise InvalidParameterError(f"signal basis must be 'sigma' or 'sigma0', got {basis!r}")
     ar1: _AR1Eigensystem | None = None
+    order = np.arange(p)  # standard-basis index of each ascending eigenvalue
     alpha2 = None
+
+    def rotate(vals: np.ndarray) -> np.ndarray:
+        """A standard-basis vector in the train eigenbasis."""
+        return vals[order] if ar1 is None else ar1.eigenvectors.T @ vals
 
     if basis == "sigma0":
         # Work in the test covariance eigenbasis; valid only when the train
@@ -567,10 +561,13 @@ def build_model(doc: dict) -> ShiftModel:
         elif spectrum_kind == "ar1":
             ar1 = _AR1Eigensystem(p, _number(spec, "spectrum", "rho"))
             spectrum = Spectrum(ar1.eigenvalues)
-        elif spectrum_kind == "explicit":
-            spectrum = Spectrum.from_values(_vector("spectrum", p, values=spec.get("values")))
         else:
-            spectrum = Spectrum.from_values(_vector("spectrum", p, path=spec.get("path")))
+            if spectrum_kind == "explicit":
+                listed = _vector("spectrum", p, values=spec.get("values"))
+            else:
+                listed = _vector("spectrum", p, path=spec.get("path"))
+            order = np.argsort(listed, kind="stable")
+            spectrum = Spectrum(listed[order])
 
         if signal_kind == "isotropic":
             beta = None
@@ -578,9 +575,8 @@ def build_model(doc: dict) -> ShiftModel:
         elif signal_kind == "eigvec-combination":
             beta = _combination_vector(p, signal)
         else:
-            vals = _vector("signal", p, signal.get("values"), signal.get("path"))
             # explicit signals are given in the standard basis
-            beta = vals if ar1 is None else ar1.eigenvectors.T @ vals
+            beta = rotate(_vector("signal", p, signal.get("values"), signal.get("path")))
 
         if covariate_shift:
             s0kind = _kind(s0spec, "sigma0", ("identity", "ar1", "diagonal"), "identity")
@@ -589,8 +585,7 @@ def build_model(doc: dict) -> ShiftModel:
             elif s0kind == "ar1" and ar1 is not None:
                 sigma0 = ar1.rotated_ar1(rho0)
             elif s0kind == "ar1":
-                idx = np.arange(p)
-                sigma0 = rho0 ** np.abs(idx[:, None] - idx[None, :])
+                sigma0 = rho0 ** np.abs(order[:, None] - order[None, :])
             else:
                 # diagonal entries are interpreted in the train eigenbasis
                 sigma0 = _vector("sigma0", p, s0spec.get("values"), s0spec.get("path"))
@@ -604,8 +599,7 @@ def build_model(doc: dict) -> ShiftModel:
         if _kind(b0spec, "beta0", ("scale", "explicit"), "scale") == "scale":
             beta0 = _number(b0spec, "beta0", "factor") * beta
         else:
-            vals = _vector("beta0", p, b0spec.get("values"), b0spec.get("path"))
-            beta0 = vals if ar1 is None else ar1.eigenvectors.T @ vals
+            beta0 = rotate(_vector("beta0", p, b0spec.get("values"), b0spec.get("path")))
 
     return ShiftModel(
         spectrum=spectrum,

@@ -67,8 +67,11 @@ class RiskDecomposition:
 
 # -- the kernel ----------------------------------------------------------------
 
-#: Levels per block of the kernel; bounds its (block, 7, p) temporaries.
+#: Levels per block of the kernel: at most _BLOCK, and at large p only as
+#: many as fit in _BLOCK_CELLS (level, coordinate) cells, one at least.
+#: This bounds its (block, 7, p) temporaries.
 _BLOCK = 32
+_BLOCK_CELLS = 2**18
 
 
 class _Weights(NamedTuple):
@@ -143,13 +146,14 @@ class _Blocks(NamedTuple):
 
 def _blocks(wt: _Weights, mus) -> _Blocks:
     """Every functional of :class:`_Blocks` at finite levels above -r_min,
-    evaluated _BLOCK levels at a time."""
+    evaluated a block of levels at a time."""
     mus = np.asarray(mus, dtype=float)
     out = np.empty((len(_Blocks._fields) - 1, mus.size))
-    for lo in range(0, mus.size, _BLOCK):
-        inv = 1.0 / (wt.r + mus[lo:lo + _BLOCK, None])
+    block = max(1, min(_BLOCK, _BLOCK_CELLS // wt.r.size))
+    for lo in range(0, mus.size, block):
+        inv = 1.0 / (wt.r + mus[lo:lo + block, None])
         inv2 = inv * inv
-        o = out[:, lo:lo + _BLOCK]
+        o = out[:, lo:lo + block]
         # numpy's pairwise sums along p: BLAS dot products, which accumulate
         # in order, leave the traces several ulps off at p in the thousands
         o[0:2] = (inv[:, None, :] * wt.w1).sum(axis=2).T

@@ -16,7 +16,6 @@ sweep eigendecomposes the design once and reuses that for every penalty.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,8 +38,6 @@ EDGE_GUARD = 0.05
 #: longest penalty grid fitted by one direct solve per penalty; on one BLAS
 #: thread a shared eigendecomposition wins from 8-11 penalties (n = 300-800)
 DIRECT_SOLVES_MAX = 7
-
-MAX_THREADS_ENV = "RIDGESHIFT_MAX_THREADS"
 
 
 class NearSingularRidgeWarning(RuntimeWarning):
@@ -317,10 +314,8 @@ def mc_experiment(
         return [empirical_risk(bh, model, beta0=beta0) for bh in fits]
 
     tasks = [(g, rep) for g in range(len(groups)) for rep in range(config.reps)]
-    max_threads = int(os.environ.get(MAX_THREADS_ENV, "0")) or None
-    threads = config.threads if max_threads is None else min(config.threads, max_threads)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if config.threads > 1:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
             results = list(pool.map(lambda task: run_replicate(*task), tasks))
     else:
         results = [run_replicate(*task) for task in tasks]

@@ -404,9 +404,11 @@ class TestErrors:
         assert err.startswith("error: invalid configuration: bad grid spec")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("points", ["0", "-1"])
-    def test_grid_points_below_one_is_invalid_configuration(self, capsys, iso_config, points):
-        code = main(["conditions", "--config", iso_config, "--phi", "2",
+    # at phi = 1 no check builds a level grid
+    @pytest.mark.parametrize("points, phi", [("0", "2"), ("-1", "2"), ("0", "1"), ("-1", "1")],
+                             ids=["0", "-1", "0-at-unit-phi", "-1-at-unit-phi"])
+    def test_grid_points_below_one_is_invalid_configuration(self, capsys, iso_config, points, phi):
+        code = main(["conditions", "--config", iso_config, "--phi", phi,
                      "--grid-points", points])
         assert code == 1
         err = capsys.readouterr().err

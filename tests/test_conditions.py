@@ -8,7 +8,6 @@ import pytest
 from conftest import random_psd, random_spectrum
 from ridgeshift import (
     InvalidParameterError,
-    MuGrid,
     Spectrum,
     build_ar1,
     check_cov_shift_overparam,
@@ -33,13 +32,15 @@ def extreme_pair_model(p=100, rho=0.5, sigma2=0.0, beta0_factor=None):
 
 
 class TestMuGrid:
+    """The log grid of levels that the checks scan (``conditions._levels``)."""
+
     @pytest.mark.parametrize("points", [0, -1])
     def test_fewer_than_one_point_rejected(self, points):
         with pytest.raises(InvalidParameterError, match="at least 1 point"):
-            MuGrid(points=points)
+            conditions._levels(0.5, 2.0, points)
 
     def test_one_point_is_the_start(self):
-        assert MuGrid(points=1).values(0.5, 2.0).tolist() == [0.5]
+        assert conditions._levels(0.5, 2.0, 1).tolist() == [0.5]
 
 
 class TestInDistAlignment:
@@ -89,7 +90,8 @@ class TestNoiselessLogDerivativeForm:
         for m in models:
             ratio = check_in_dist_alignment(m, phi)
             sp = m.spectrum
-            mus = MuGrid().values(solve_mu(sp, 0.0, phi).mu, sp.r_max)
+            mus = conditions._levels(solve_mu(sp, 0.0, phi).mu, sp.r_max,
+                                     conditions.LEVEL_POINTS)
             h = 1e-6 * (1.0 + mus)
 
             def log_signal(x):
@@ -162,7 +164,7 @@ class TestRegShiftAlignment:
         monkeypatch.setattr(conditions, "FLOOR", 1.0)
         sp = Spectrum.from_values([0.01, 100.0])
         m = make_model(sp, beta=np.array([1.0, 1.0]), beta0=np.array([0.0, 1.5]))
-        report = check_reg_shift_alignment(m, MuGrid(points=5))
+        report = check_reg_shift_alignment(m, 5)
         assert not report.holds
         assert report.worst_margin == pytest.approx(-0.5, rel=1e-12)
         assert report.grid.startswith("mu in [0, ") and report.grid.endswith(", 6 points")
@@ -296,6 +298,35 @@ class TestPredictSign:
         m = make_model(sp, beta=beta, beta0=1.5 * beta,
                        sigma0=random_psd(rng, 10), sigma2=0.2)
         assert predict_sign(m, 0.5).predicted_sign == "inconclusive"
+
+    @staticmethod
+    def _route_models():
+        """One model per route: no shift, covariate shift, isotropic
+        signal, regression shift."""
+        p = 20
+        s0sp, _ = build_ar1(p, 0.5)
+        beta = np.zeros(p)
+        beta[0] = beta[-1] = 0.5
+        return [
+            extreme_pair_model(p=p, sigma2=0.01),
+            make_model(Spectrum.identity(p), beta=beta, sigma0=s0sp.eigenvalues, sigma2=0.01),
+            make_model(Spectrum.identity(p), alpha2=1.0, sigma2=0.5),
+            extreme_pair_model(p=p, sigma2=0.01, beta0_factor=2.0),
+        ]
+
+    @pytest.mark.parametrize("phi", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_invalid_aspect_ratio_raises(self, phi):
+        for m in self._route_models():
+            with pytest.raises(InvalidParameterError, match="aspect ratio"):
+                predict_sign(m, phi)
+
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_fewer_than_one_point_rejected_on_every_route(self, points):
+        # also where the route builds no level grid (isotropic signal, phi < 1)
+        for m in self._route_models():
+            for phi in (0.5, 2.0):
+                with pytest.raises(InvalidParameterError, match="at least 1 point"):
+                    predict_sign(m, phi, points)
 
 
 class TestReadmeLibraryExample:

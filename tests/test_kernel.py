@@ -8,6 +8,8 @@ isotropic signals; levels range from just above the branch edge to far
 above it, more of them than one block of the kernel holds.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +125,35 @@ class TestKernelProperties:
         for mu in mus[:: max(1, mus.size // 8)]:
             tv = tilde_v(model, float(mu), phi)
             assert tv * model.sigma2 == risk_at_mu(model, float(mu), phi).variance
+
+
+class TestLargeDimension:
+    P = 100_000
+
+    @pytest.fixture(scope="class")
+    def weights_and_levels(self):
+        rng = np.random.default_rng(4)
+        p = self.P
+        beta = rng.standard_normal(p) / np.sqrt(p)
+        model = make_model(Spectrum.from_values(rng.uniform(0.5, 2.0, p)), beta=beta,
+                           beta0=1.5 * beta, sigma0=rng.uniform(0.5, 2.0, p), sigma2=0.3)
+        return risk._weights(model), np.geomspace(1e-3, 1e3, 64)
+
+    def test_blocks_bound_the_temporaries(self, weights_and_levels):
+        wt, mus = weights_and_levels
+        tracemalloc.start()
+        try:
+            risk._blocks(wt, mus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+    def test_rows_match_one_level_calls(self, weights_and_levels):
+        wt, mus = weights_and_levels
+        rows = np.array(risk._blocks(wt, mus))
+        for i, mu in enumerate(mus):
+            np.testing.assert_array_equal(rows[:, i], np.array(risk._blocks(wt, [mu]))[:, 0])
 
 
 class TestClosedFormMaps:

@@ -19,12 +19,18 @@ from ridgeshift import (
     build_model,
     lambda_min,
     make_model,
+    risk_decomposition,
 )
 from ridgeshift.model import _KEYS
 from ridgeshift.risk import _blocks, _weights
 
 EPS = np.finfo(float).eps
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def dense_sigma0(m):
+    """The test covariance of ``m`` as a dense matrix in the train eigenbasis."""
+    return np.diag(m.sigma0_diag) if m.sigma0_dense is None else m.sigma0_dense
 
 
 def dense_ar1(p, rho):
@@ -113,7 +119,7 @@ class TestAR1Eigensystem:
         dense = w.T @ dense_ar1(p, rho0) @ w
         scale = np.max(np.abs(dense))
         tol = 8 * EPS * (p + 1.0 / (1.0 - abs(rho0))) * scale
-        np.testing.assert_allclose(build_model(cfg).sigma0_matrix, dense, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(dense_sigma0(build_model(cfg)), dense, rtol=0.0, atol=tol)
 
     @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
     def test_eigenvalues_against_40_digit_reference(self, rho):
@@ -203,8 +209,7 @@ class TestDiagonalTestCovariance:
         for s0 in (None, [1.0, 2.0, 3.0], np.diag([1.0, 2.0, 3.0])):
             m = make_model(sp, beta=np.ones(3), sigma0=s0)
             assert m.sigma0_dense is None
-            np.testing.assert_array_equal(m.sigma0_matrix, np.diag(m.sigma0_diag))
-            assert not m.sigma0_matrix.flags.writeable
+            np.testing.assert_array_equal(dense_sigma0(m), np.diag(m.sigma0_diag))
         dense = make_model(sp, beta=np.ones(3), sigma0=np.full((3, 3), 0.5) + np.eye(3))
         assert dense.sigma0_dense is not None
 
@@ -214,11 +219,11 @@ class TestDiagonalTestCovariance:
         beta = rng.standard_normal(9)
         m = make_model(sp, beta=beta, beta0=2.0 * beta, sigma0=rng.uniform(0.5, 2.0, 9))
         x = rng.standard_normal(9)
-        np.testing.assert_array_equal(m.sigma0_product(x), x @ m.sigma0_matrix)
-        assert m.null_risk() == float(m.beta0 @ m.sigma0_matrix @ m.beta0)
+        np.testing.assert_array_equal(m.sigma0_product(x), x @ dense_sigma0(m))
+        assert m.null_risk() == float(m.beta0 @ dense_sigma0(m) @ m.beta0)
         wb = beta / (sp.eigenvalues + 0.3)
         assert _blocks(_weights(m), [0.3]).q2[0] == pytest.approx(
-            float(wb @ m.sigma0_matrix @ wb), rel=1e-15)
+            float(wb @ dense_sigma0(m) @ wb), rel=1e-15)
         assert m.has_covariate_shift
 
     def test_negative_diagonal_rejected(self):
@@ -266,7 +271,7 @@ class TestShiftModelValidation:
         s0 = rng.standard_normal((6, 6))
         s0 = s0 @ s0.T / 6 + 0.2 * np.eye(6)
         m = make_model(Spectrum.identity(6), beta=np.ones(6), sigma0=s0, sigma2=0.0)
-        np.testing.assert_array_equal(m.sigma0_diag, np.diag(m.sigma0_matrix))
+        np.testing.assert_array_equal(m.sigma0_diag, np.diag(dense_sigma0(m)))
 
     def test_isotropic_excludes_explicit_beta(self):
         with pytest.raises(InvalidParameterError):
@@ -283,7 +288,7 @@ class TestBuildModel:
             "sigma2": 0.5,
         }
         m = build_model(cfg)
-        np.testing.assert_array_equal(m.sigma0_matrix, np.eye(4))
+        np.testing.assert_array_equal(dense_sigma0(m), np.eye(4))
         np.testing.assert_array_equal(m.beta0, m.beta)
         assert not m.has_covariate_shift and not m.has_regression_shift
 
@@ -308,7 +313,7 @@ class TestBuildModel:
             "sigma2": 0.0,
         }
         m = build_model(cfg)
-        np.testing.assert_allclose(m.sigma0_matrix, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(dense_sigma0(m), np.eye(2), atol=1e-12)
 
     def test_eigvec_combination_in_eigenbasis(self):
         cfg = {
@@ -341,7 +346,7 @@ class TestBuildModel:
         m = build_model(cfg)
         assert m.spectrum.is_identity
         ref, _ = build_ar1(8, 0.5)
-        np.testing.assert_allclose(np.diag(m.sigma0_matrix), ref.eigenvalues, atol=1e-12)
+        np.testing.assert_allclose(np.diag(dense_sigma0(m)), ref.eigenvalues, atol=1e-12)
         assert m.beta[0] == 0.5 and m.beta[-1] == 0.5
 
     def test_dimension_mismatch_is_invalid_config(self):
@@ -524,7 +529,7 @@ class TestBuildModel:
         }
         idx = np.arange(5)
         expected = (-0.4) ** np.abs(idx[:, None] - idx[None, :])
-        np.testing.assert_array_equal(build_model(cfg).sigma0_matrix, expected)
+        np.testing.assert_array_equal(dense_sigma0(build_model(cfg)), expected)
 
     def test_diagonal_test_covariance_from_values(self):
         cfg = {
@@ -537,6 +542,65 @@ class TestBuildModel:
         m = build_model(cfg)
         np.testing.assert_array_equal(m.sigma0_diag, [0.5, 1.0, 2.0])
         assert m.sigma0_dense is None and m.has_covariate_shift
+
+
+class TestListedSpectrumOrder:
+    """An ``explicit`` or ``file`` spectrum may be listed in any order: the
+    standard-basis inputs (explicit signal and beta0, an ``ar1`` sigma0)
+    follow the listing, and the model holds them in the ascending
+    eigenbasis."""
+
+    def test_signal_follows_the_listed_eigenvalues(self):
+        listed = {"p": 2, "spectrum": {"kind": "explicit", "values": [2, 1]},
+                  "signal": {"kind": "explicit", "values": [1, 0]}, "sigma2": 0.1}
+        ascending = {"p": 2, "spectrum": {"kind": "explicit", "values": [1, 2]},
+                     "signal": {"kind": "explicit", "values": [0, 1]}, "sigma2": 0.1}
+        totals = [risk_decomposition(build_model(doc), 0.1, 0.5).total
+                  for doc in (listed, ascending)]
+        assert totals[0] == totals[1] == pytest.approx(0.08620514693416809, rel=1e-14)
+
+    def test_file_spectrum_and_vectors(self, tmp_path):
+        files = {"spectrum": "3\n0.5\n1\n", "signal": "1\n0.2\n-0.5\n", "beta0": "0\n1\n2\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        m = build_model({
+            "p": 3, "spectrum": {"kind": "file", "path": str(tmp_path / "spectrum")},
+            "signal": {"kind": "explicit", "path": str(tmp_path / "signal")},
+            "shift": {"kind": "regression",
+                      "beta0": {"kind": "explicit", "path": str(tmp_path / "beta0")}},
+            "sigma2": 0.2,
+        })
+        np.testing.assert_array_equal(m.spectrum.eigenvalues, [0.5, 1.0, 3.0])
+        np.testing.assert_array_equal(m.beta, [0.2, -0.5, 1.0])
+        np.testing.assert_array_equal(m.beta0, [1.0, 2.0, 0.0])
+
+    def test_ar1_test_covariance_follows_the_listing(self):
+        values, signal, beta0 = [2.0, 0.5, 4.0, 1.0], [1.0, 0.3, -0.2, 0.5], [0.0, 1.0, 0.5, 2.0]
+        m = build_model({
+            "p": 4, "spectrum": {"kind": "explicit", "values": values},
+            "signal": {"kind": "explicit", "values": signal},
+            "shift": {"kind": "joint", "sigma0": {"kind": "ar1", "rho": 0.6},
+                      "beta0": {"kind": "explicit", "values": beta0}},
+            "sigma2": 0.1,
+        })
+        order = np.argsort(values)
+        ref = make_model(Spectrum.from_values(values), beta=np.array(signal)[order],
+                         beta0=np.array(beta0)[order],
+                         sigma0=dense_ar1(4, 0.6)[np.ix_(order, order)], sigma2=0.1)
+        np.testing.assert_array_equal(dense_sigma0(m), dense_sigma0(ref))
+        for lam, phi in ((0.1, 0.5), (0.3, 2.0)):
+            assert (risk_decomposition(m, lam, phi).total
+                    == risk_decomposition(ref, lam, phi).total)
+
+    @pytest.mark.parametrize("spectrum", ["identity", "ar1", "explicit"])
+    def test_multi_column_file_is_invalid_config(self, tmp_path, spectrum):
+        # p values in two columns are not a vector, whatever basis they rotate into
+        path = tmp_path / "signal"
+        path.write_text("1 0\n0 0\n")
+        cfg = {"p": 4, "spectrum": {"kind": spectrum, "rho": 0.5, "values": [4, 3, 2, 1]},
+               "signal": {"kind": "explicit", "path": str(path)}}
+        with pytest.raises(InvalidParameterError, match="one value per line"):
+            build_model(cfg)
 
 
 class TestReadmeConfigFormat:

@@ -237,6 +237,18 @@ class TestOptimalLambda:
         point = optimal_lambda(m, 10.0)
         assert point.lambda_star > 0.0
 
+    @pytest.mark.parametrize("phi", [0.5, 2.0])
+    def test_optimum_at_the_minimum_penalty(self, phi):
+        # noiseless, a tiny signal and a unit target: the shift cross term
+        # grows with the level and dominates the bias, so the risk falls all
+        # the way to the branch edge and the optimum sits on lambda_min
+        beta, beta0 = 1e-4 * unit_signal(6), unit_signal(6)
+        m = make_model(Spectrum.identity(6), beta=beta, beta0=beta0, sigma2=0.0)
+        point = optimal_lambda(m, phi)
+        lmin = lambda_min(m.spectrum, phi)
+        assert point.boundary_flag == "at-lambda-min"
+        assert 0.0 < point.lambda_star - lmin <= 1e-5 * (1.0 + abs(lmin))
+
     def test_floor_constrained_search(self):
         m = make_model(Spectrum.identity(6), beta=unit_signal(6), sigma2=0.5)
         free = optimal_lambda(m, 0.5)

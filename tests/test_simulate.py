@@ -285,14 +285,6 @@ class TestMcExperiment:
             assert a.empirical_mean == b.empirical_mean
             assert a.empirical_se == b.empirical_se
 
-    def test_thread_cap_env_var(self, monkeypatch):
-        monkeypatch.setenv("RIDGESHIFT_MAX_THREADS", "1")
-        m = self._model(30)
-        capped = mc_experiment(m, SimConfig(p=30, phi=1.5, reps=4, seed=3, threads=8), [0.2])
-        monkeypatch.delenv("RIDGESHIFT_MAX_THREADS")
-        free = mc_experiment(m, SimConfig(p=30, phi=1.5, reps=4, seed=3, threads=8), [0.2])
-        assert capped.cells[0].empirical_mean == free.cells[0].empirical_mean
-
     def test_theory_agreement_at_moderate_scale(self):
         m = self._model(150)
         result = mc_experiment(m, SimConfig(p=150, phi=2.0, reps=8, seed=3), [0.0, 0.3])
@@ -384,6 +376,42 @@ class TestMcExperiment:
             assert cell.lam < 0.0
             assert math.isfinite(cell.empirical_mean)
             assert cell.rel_error <= 0.10, (cell.lam, cell.rel_error)
+
+
+class TestFiniteSampleOracles:
+    """Exact finite-n risks of the unpenalized fits under Gaussian designs
+    (Hastie, Montanari, Rosset & Tibshirani, Ann. Statist. 2022). The
+    deterministic equivalents carry an O(1/n) bias at these sizes; the
+    exact values do not, so the replicate mean must sit within four
+    standard errors of them."""
+
+    REPS = 4000
+
+    def test_least_squares(self):
+        # n > p + 1: E[(X'X)^-1] = S^-1 / (n - p - 1)
+        p, n = 30, 60
+        rng = np.random.default_rng(12)
+        sp = Spectrum.from_values(np.geomspace(0.5, 2.0, p))
+        s0 = np.linspace(0.5, 1.5, p)
+        beta = rng.standard_normal(p) / math.sqrt(p)
+        beta0 = beta + 0.3 * rng.standard_normal(p) / math.sqrt(p)
+        m = make_model(sp, beta=beta, beta0=beta0, sigma0=s0, sigma2=0.4, sigma0_sq=0.1)
+        cell = mc_experiment(m, SimConfig(p=p, phi=p / n, reps=self.REPS, seed=1), [0.0]).cells[0]
+        exact = m.kappa2 + m.sigma2 * float(np.sum(s0 / sp.eigenvalues)) / (n - p - 1)
+        assert abs(cell.empirical_mean - exact) <= 4.0 * cell.empirical_se
+
+    def test_minimum_norm_interpolator(self):
+        # S = S0 = I, p > n + 1: E[P_X] = (n/p) I and E tr[(XX')^-1] = n / (p - n - 1)
+        p, n = 60, 30
+        rng = np.random.default_rng(13)
+        beta = rng.standard_normal(p) / math.sqrt(p)
+        beta0 = 0.5 * beta + 0.3 * rng.standard_normal(p) / math.sqrt(p)
+        m = make_model(Spectrum.identity(p), beta=beta, beta0=beta0, sigma2=0.4, sigma0_sq=0.1)
+        cell = mc_experiment(m, SimConfig(p=p, phi=p / n, reps=self.REPS, seed=1), [0.0]).cells[0]
+        g = n / p
+        exact = (g * float(beta @ beta) - 2.0 * g * float(beta @ beta0) + float(beta0 @ beta0)
+                 + m.sigma2 * n / (p - n - 1) + m.sigma0_sq)
+        assert abs(cell.empirical_mean - exact) <= 4.0 * cell.empirical_se
 
 
 class TestNearSingularWarning:
