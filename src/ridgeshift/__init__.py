@@ -33,12 +33,10 @@ from .risk import (
     OptimalPoint,
     RiskDecomposition,
     ensemble_risk,
-    isotropic_optimal_risk,
     optimal_lambda,
     optimal_psi,
     risk_at_mu,
     risk_decomposition,
-    risk_mu_derivative,
     tilde_v,
 )
 from .conditions import (
@@ -48,7 +46,6 @@ from .conditions import (
     check_in_dist_alignment,
     check_reg_shift_alignment,
     check_reg_shift_general_balance,
-    check_strict_alignment_implication,
     predict_sign,
 )
 from .simulate import (
@@ -93,11 +90,9 @@ __all__ = [
     "risk_at_mu",
     "risk_decomposition",
     "ensemble_risk",
-    "risk_mu_derivative",
     "tilde_v",
     "optimal_lambda",
     "optimal_psi",
-    "isotropic_optimal_risk",
     # conditions
     "ConditionReport",
     "SignPrediction",
@@ -105,7 +100,6 @@ __all__ = [
     "check_cov_shift_overparam",
     "check_reg_shift_alignment",
     "check_reg_shift_general_balance",
-    "check_strict_alignment_implication",
     "predict_sign",
     # simulate
     "SimConfig",

@@ -28,7 +28,6 @@ from .conditions import (
     check_in_dist_alignment,
     check_reg_shift_alignment,
     check_reg_shift_general_balance,
-    check_strict_alignment_implication,
     predict_sign,
 )
 from .errors import InvalidParameterError, RidgeShiftError
@@ -186,7 +185,6 @@ def _cmd_conditions(model: ShiftModel, args) -> _Table:
         add("reg-shift-alignment", check_reg_shift_alignment, model, points)
     if level_checks:
         add("reg-shift-general-balance", check_reg_shift_general_balance, model, phi, points)
-    add("strict-alignment-implication", check_strict_alignment_implication, model)
     rows.append(("sign-prediction", pred.predicted_sign, pred.regime, math.nan,
                  pred.applied_rule))
     return {"phi": phi}, ["record", "id", "value", "worst_margin", "detail"], rows
@@ -219,7 +217,8 @@ def _cmd_simulate(model: ShiftModel, args) -> _Table:
     return (
         {"phi": args.phi, "seed": args.seed, "reps": args.reps},
         ["lambda", "phi", "psi", "empirical_mean", "empirical_se", "theory_total", "rel_error"],
-        result.to_rows(),
+        [(c.lam, c.phi, c.psi, c.empirical_mean, c.empirical_se, c.theory_total, c.rel_error)
+         for c in result.cells],
     )
 
 

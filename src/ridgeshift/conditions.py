@@ -40,7 +40,6 @@ ConditionId = Literal[
     "cov-shift-overparam",
     "reg-shift-alignment",
     "reg-shift-general-balance",
-    "strict-alignment-implication",
 ]
 
 Sign = Literal["nonnegative", "negative", "inconclusive"]
@@ -195,23 +194,6 @@ def check_reg_shift_general_balance(
         margins,
         f"mu in [{mus[0]:.6g}, {mus[-1]:.6g}], {mus.size} points",
     )
-
-
-def check_strict_alignment_implication(model: ShiftModel) -> ConditionReport:
-    """Correlation diagnostic implied by monotone (strict) alignment of the
-    signal with the spectrum: tr[S B]/p - tr[S]/p * tr[B]/p, with the signal
-    matrix trace-normalized like a covariance. Reports the raw margin; the
-    caller interprets (a monotone-aligned signal makes it nonnegative)."""
-    sp = model.spectrum
-    p = sp.p
-    if model.is_isotropic_signal:
-        quad = model.alpha2 * float(np.mean(sp.eigenvalues))
-        energy = model.alpha2
-    else:
-        quad = float(np.sum(model.beta**2 * sp.eigenvalues))
-        energy = float(model.beta @ model.beta)
-    margin = np.array([(quad - float(np.mean(sp.eigenvalues)) * energy) / p])
-    return _report("strict-alignment-implication", margin, "single point")
 
 
 def _verdict(regime: Regime, rule: str, report: ConditionReport, holds: bool) -> SignPrediction:

@@ -332,8 +332,8 @@ def equivalence_path(
     follows from matching mu between the two parameterizations.
     """
     _check_phi(phi)
-    if samples < 2:
-        raise InvalidParameterError("samples must be >= 2")
+    if not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise InvalidParameterError(f"samples must be an integer >= 2, got {samples!r}")
     if (lambda_bar is None) == (psi_bar is None):
         raise InvalidParameterError("give exactly one anchor: lambda_bar or psi_bar")
 

@@ -261,6 +261,8 @@ class ShiftModel:
     def __post_init__(self, sigma0_matrix) -> None:
         p = self.spectrum.p
         s0 = np.asarray(sigma0_matrix, dtype=float)
+        if not np.all(np.isfinite(s0)):
+            raise InvalidParameterError("sigma0_matrix contains non-finite entries")
         if s0.ndim == 2 and s0.shape == (p, p) and (
             np.count_nonzero(s0) == np.count_nonzero(np.diagonal(s0))
         ):
@@ -289,16 +291,16 @@ class ShiftModel:
         object.__setattr__(self, "sigma0_dense", dense)
         object.__setattr__(self, "sigma0_diag", diag)
 
-        if self.sigma2 < 0.0 or self.sigma0_sq < 0.0:
-            raise InvalidParameterError("noise levels must be nonnegative")
+        if not (0.0 <= self.sigma2 < math.inf and 0.0 <= self.sigma0_sq < math.inf):
+            raise InvalidParameterError("noise levels must be finite and nonnegative")
 
         if self.signal_alpha2 is not None:
             if self.beta is not None or self.beta0 is not None:
                 raise InvalidParameterError(
                     "isotropic-random signal excludes explicit beta/beta0"
                 )
-            if self.signal_alpha2 < 0.0:
-                raise InvalidParameterError("signal_alpha2 must be nonnegative")
+            if not (0.0 <= self.signal_alpha2 < math.inf):
+                raise InvalidParameterError("signal_alpha2 must be finite and nonnegative")
         else:
             if self.beta is None:
                 raise InvalidParameterError("explicit signal requires beta")

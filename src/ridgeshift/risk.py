@@ -214,11 +214,11 @@ def _kernel(wt: _Weights, mus, phi: float, slopes: bool = True) -> _Parts:
         )
 
 
-def _at_mu(model: ShiftModel, mu: float, phi: float, slopes: bool) -> _Parts:
-    """The kernel at one finite level on the branch."""
+def _at_mu(model: ShiftModel, mu: float, phi: float) -> _Parts:
+    """The kernel's parts at one finite level on the branch."""
     _check_phi(phi)
     model.spectrum._check_shift(mu)
-    parts = _kernel(_weights(model), [mu], phi, slopes)
+    parts = _kernel(_weights(model), [mu], phi, slopes=False)
     if parts.denom[0] <= 0.0:
         raise BranchViolationError(
             f"nonpositive denominator {parts.denom[0]:.3e}: mu={mu} is below the branch "
@@ -239,19 +239,19 @@ def tilde_v(model: ShiftModel, mu: float, phi: float, psi: float | None = None) 
     _check_phi(phi)
     if psi is not None and psi != PSI_INFINITE and psi < phi - 1e-12:
         raise InvalidParameterError(f"subsample aspect {psi} must be >= data aspect {phi}")
-    if math.isinf(mu):
+    if mu == math.inf:
         return 0.0
-    return float(_at_mu(model, mu, phi, slopes=False).tv[0])
+    return float(_at_mu(model, mu, phi).tv[0])
 
 
 def risk_at_mu(model: ShiftModel, mu: float, phi: float) -> RiskDecomposition:
     """Risk equivalents parameterized directly by the level mu (admissible for
     some aspect >= phi): one point of the vectorized kernel. At mu = inf, a
     penalty (or subsampling) strong enough to kill the fit, the null risk."""
-    if math.isinf(mu):
+    if mu == math.inf:
         bias, shift = model.null_parts()
         return RiskDecomposition.from_parts(bias, 0.0, shift, model.kappa2)
-    parts = _at_mu(model, mu, phi, slopes=False)
+    parts = _at_mu(model, mu, phi)
     return RiskDecomposition.from_parts(
         float(parts.bias[0]), float(parts.variance[0]), float(parts.shift[0]), parts.kappa2
     )
@@ -274,14 +274,6 @@ def ensemble_risk(model: ShiftModel, lam: float, phi: float, psi: float) -> Risk
         raise InvalidParameterError(f"invalid subsample ratio: psi={psi} below phi={phi}")
     sol = solve_mu(model.spectrum, lam, psi, boundary_ok=psi > phi)
     return risk_at_mu(model, sol.mu, phi)
-
-
-def risk_mu_derivative(model: ShiftModel, mu: float, phi: float) -> tuple[float, float, float]:
-    """Analytic derivatives (d bias/d mu, d variance/d mu, d shift/d mu) at
-    one level: one point of the vectorized kernel. The variance derivative
-    is strictly negative on the whole admissible branch."""
-    parts = _at_mu(model, mu, phi, slopes=True)
-    return float(parts.d_bias[0]), float(parts.d_variance[0]), float(parts.d_shift[0])
 
 
 # -- optimizers ---------------------------------------------------------------
@@ -353,7 +345,9 @@ def optimal_lambda(
     penalty is the increasing closed form lam(mu), so only the two ends of
     the window are solved for. Every local minimum is refined to a root of
     the analytic dR/dmu; the global best is returned with all refined local
-    minima.
+    minima. The null risk of lam = inf competes too: when it is lower, the
+    optimum is lam = mu = inf, flagged ``at-infinity-null`` and listed first
+    among the local minima.
     """
     sp = model.spectrum
     lmin = lambda_min(sp, phi)
@@ -398,23 +392,29 @@ def optimal_lambda(
         if all(abs(math.log(t) - math.log(other[0])) > 1e-6 for other in kept):
             kept.append((t, float(lams[k]), float(found_risk[k]), float(found_mu[k])))
 
+    minima = tuple((lam, f, mu) for _, lam, f, mu in kept)
     t_star, lam_star, risk_star, mu_star = kept[0]
+    null = model.null_risk()
+    if null < risk_star:
+        # the penalty lam = inf beyond the window, where the fit is zero
+        return OptimalPoint(
+            lambda_star=math.inf, risk_star=null, mu_star=math.inf,
+            boundary_flag="at-infinity-null", local_minima=((math.inf, null, math.inf),) + minima,
+        )
     flag: BoundaryFlag = "interior"
     if floor_active and t_star <= t_lo * (1.0 + 1e-9):
         flag = "at-floor"
     elif t_star <= 10.0 * T_MIN * scale:
         flag = "at-lambda-min"
-    elif t_star >= 0.1 * t_hi:
-        null = model.null_risk()
-        if abs(risk_star - null) <= 1e-8 * (1.0 + abs(null)):
-            flag = "at-infinity-null"
+    elif t_star >= 0.1 * t_hi and abs(risk_star - null) <= 1e-8 * (1.0 + abs(null)):
+        flag = "at-infinity-null"
 
     return OptimalPoint(
         lambda_star=lam_star,
         risk_star=risk_star,
         mu_star=mu_star,
         boundary_flag=flag,
-        local_minima=tuple((lam, f, mu) for _, lam, f, mu in kept),
+        local_minima=minima,
     )
 
 
@@ -477,20 +477,3 @@ def optimal_psi(model: ShiftModel, lam: float, phi: float) -> tuple[float, float
         return float(phi), best_risk
     psi = (1.0 - lam / best_mu) / sp.resolvent_trace(best_mu, power=1, sigma_power=1)
     return max(float(psi), float(phi)), best_risk
-
-
-def isotropic_optimal_risk(model: ShiftModel, phi: float) -> float:
-    """Closed-form optimal risk for isotropic-random signals:
-
-        alpha2 * mu* * tr[S0 (S + mu* I)^-1] / p + sigma0_sq
-
-    evaluated at the level induced by the closed-form optimal penalty
-    phi / snr. Matches the scanned optimum for these signals."""
-    if not model.is_isotropic_signal:
-        raise InvalidParameterError("invalid model: signal is not isotropic-random")
-    if not (0.0 < model.snr < math.inf):
-        raise InvalidParameterError("snr must be finite and positive")
-    lam_star = phi / model.snr
-    mu_star = solve_mu(model.spectrum, lam_star, phi).mu
-    r = model.spectrum.eigenvalues
-    return model.alpha2 * mu_star * float(np.mean(model.sigma0_diag / (r + mu_star))) + model.sigma0_sq

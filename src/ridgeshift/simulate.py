@@ -50,6 +50,8 @@ class EnsembleConfig:
     n_subsamples: int = 100
 
     def __post_init__(self) -> None:
+        if not self.psi > 0.0:
+            raise InvalidParameterError(f"psi must be positive, got {self.psi}")
         if self.n_subsamples < 1:
             raise InvalidParameterError("n_subsamples must be >= 1")
 
@@ -67,10 +69,12 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.p < 1 or self.reps < 1:
-            raise InvalidParameterError("p and reps must be positive")
-        if self.phi <= 0.0:
-            raise InvalidParameterError("phi must be positive")
+        if self.p < 1 or self.reps < 1 or self.threads < 1:
+            raise InvalidParameterError("p, reps and threads must be positive")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be nonnegative, got {self.seed}")
+        if not 0.0 < self.phi < math.inf:
+            raise InvalidParameterError(f"phi must be positive and finite, got {self.phi}")
         if self.n < 1:
             raise InvalidParameterError("n = round(p/phi) must be >= 1")
         if self.ensemble is not None:
@@ -104,12 +108,6 @@ class CellResult:
 class SimResult:
     cells: tuple[CellResult, ...]
     seed: int
-
-    def to_rows(self) -> list[tuple[float, ...]]:
-        return [
-            (c.lam, c.phi, c.psi, c.empirical_mean, c.empirical_se, c.theory_total, c.rel_error)
-            for c in self.cells
-        ]
 
     def dump_replicates_csv(self, path) -> None:
         """Raw replicate risks, one row per (cell, replicate)."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ridgeshift import Spectrum, build_ar1, make_model
+from ridgeshift import Spectrum, build_ar1, make_model, risk
 
 
 @pytest.fixture
@@ -32,3 +32,10 @@ def random_psd(rng: np.random.Generator, p: int, ridge: float = 0.05) -> np.ndar
 def random_spectrum(rng: np.random.Generator, p: int, lo: float = 0.3, hi: float = 4.0) -> Spectrum:
     vals = np.exp(rng.uniform(np.log(lo), np.log(hi), size=p))
     return Spectrum.from_values(vals)
+
+
+def level_slopes(model, mu: float, phi: float) -> tuple[float, float, float]:
+    """(d bias/d mu, d variance/d mu, d shift/d mu) at one level, read from
+    the risk kernel."""
+    parts = risk._kernel(risk._weights(model), [mu], phi)
+    return float(parts.d_bias[0]), float(parts.d_variance[0]), float(parts.d_shift[0])

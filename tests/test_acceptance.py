@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_psd, random_spectrum
+from conftest import level_slopes, random_psd, random_spectrum
 from ridgeshift import (
     EnsembleConfig,
     SimConfig,
@@ -32,7 +32,6 @@ from ridgeshift import (
     predict_sign,
     risk_at_mu,
     risk_decomposition,
-    risk_mu_derivative,
     solve_mu,
 )
 
@@ -278,7 +277,7 @@ def test_criterion_7_derivative_oracle():
                 h = 1e-5 * (1.0 + mu)
                 up = risk_at_mu(m, mu + h, phi)
                 dn = risk_at_mu(m, mu - h, phi)
-                db, dv, ds = risk_mu_derivative(m, mu, phi)
+                db, dv, ds = level_slopes(m, mu, phi)
                 for got, hi, lo in (
                     (db, up.bias, dn.bias),
                     (dv, up.variance, dn.variance),

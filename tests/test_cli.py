@@ -219,7 +219,6 @@ class TestConditions:
         text = out.read_text()
         assert text.splitlines()[0] == "record,id,value,worst_margin,detail"
         assert "sign-prediction" in text
-        assert "strict-alignment-implication" in text
 
     @pytest.mark.parametrize("phi", ["0.9999999999999998", "1", "1.0000000000000002"])
     def test_ridgeless_level_on_the_edge(self, capsys, reg_shift_config, phi):
@@ -229,8 +228,7 @@ class TestConditions:
                      "--grid-points", "50"])
         assert code == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-        assert [row[1] for row in rows[:-1]] == [
-            "reg-shift-alignment", "strict-alignment-implication"]
+        assert [row[1] for row in rows[:-1]] == ["reg-shift-alignment"]
         assert rows[-1][1] == "inconclusive" and rows[-1][4] == "boundary-aspect-ratio"
 
     def test_deciding_check_runs_once(self, monkeypatch, capsys, banded_config):
@@ -463,6 +461,25 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid configuration") and key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["risk", "--phi", "2", "--grid", "0:1:2"],
+                                      ["optimize", "--phi", "2"]], ids=["risk", "optimize"])
+    @pytest.mark.parametrize("source", ["sigma0-file", "sigma2"])
+    def test_non_finite_model_inputs_are_invalid(self, tmp_path, capsys, argv, source):
+        doc = {"p": 2, "spectrum": {"kind": "identity"},
+               "signal": {"kind": "explicit", "values": [1.0, 0.5]}, "sigma2": 0.1}
+        if source == "sigma0-file":
+            (tmp_path / "s0.txt").write_text("nan\n1\n")
+            doc["shift"] = {"kind": "covariate",
+                            "sigma0": {"kind": "diagonal", "path": str(tmp_path / "s0.txt")}}
+        else:
+            doc["sigma2"] = math.nan
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # NaN is written as the bare literal
+        code = main([argv[0], "--config", str(bad), *argv[1:]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration") and "Traceback" not in err
 
     def test_nan_lambda_floor_is_invalid(self, capsys, iso_config):
         code = main(["optimize", "--config", iso_config, "--phi", "2", "--lambda-floor", "nan"])

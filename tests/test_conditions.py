@@ -14,7 +14,6 @@ from ridgeshift import (
     check_in_dist_alignment,
     check_reg_shift_alignment,
     check_reg_shift_general_balance,
-    check_strict_alignment_implication,
     make_model,
     optimal_lambda,
     predict_sign,
@@ -184,31 +183,6 @@ class TestRegShiftGeneralBalance:
     def test_noisy_doubled_target_holds(self):
         m = extreme_pair_model(sigma2=0.01, beta0_factor=2.0)
         assert check_reg_shift_general_balance(m, 0.5).holds
-
-
-class TestStrictAlignmentImplication:
-    def test_isotropic_spectrum_margin_zero(self):
-        m = make_model(Spectrum.identity(8), beta=np.ones(8), sigma2=0.0)
-        assert check_strict_alignment_implication(m).worst_margin == pytest.approx(0.0, abs=1e-15)
-
-    def test_top_eigenvector_margin(self):
-        rng = np.random.default_rng(4)
-        sp = random_spectrum(rng, 12)
-        beta = np.zeros(12)
-        beta[-1] = 1.0
-        m = make_model(sp, beta=beta, sigma2=0.0)
-        expected = (sp.r_max - float(np.mean(sp.eigenvalues))) / 12
-        assert check_strict_alignment_implication(m).worst_margin == pytest.approx(expected, rel=1e-12)
-
-    def test_extreme_pair_margin_positive(self):
-        # (r_min + r_max)/4 exceeds mean(r)/2 for the banded spectrum, even
-        # though the split signal is not monotone-aligned
-        m = extreme_pair_model(p=500)
-        report = check_strict_alignment_implication(m)
-        sp = m.spectrum
-        expected = ((sp.r_min + sp.r_max) / 4 - float(np.mean(sp.eigenvalues)) * 0.5) / 500
-        assert report.worst_margin == pytest.approx(expected, rel=1e-10)
-        assert report.worst_margin > 0
 
 
 class TestPredictSign:

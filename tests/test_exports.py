@@ -1,6 +1,8 @@
 """The package's public surface: every name listed in ``__all__`` resolves,
-and no module reads the environment (every setting is an argument)."""
+no module reads the environment (every setting is an argument), and every
+module uses what it imports."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -24,3 +26,24 @@ def test_no_module_reads_the_environment():
     readers = [path.name for path in sorted(package.rglob("*.py"))
                if re.search(r"\b(environ|getenv)\b", path.read_text())]
     assert readers == []
+
+
+def test_every_module_uses_its_imports():
+    package = Path(ridgeshift.__file__).parent
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -473,6 +473,14 @@ class TestTildeV:
         m = make_model(Spectrum.identity(4), beta=np.ones(4), sigma2=0.0)
         assert tilde_v(m, mu=math.inf, phi=2.0, psi=PSI_INFINITE) == 0.0
 
+    def test_negative_infinite_mu_is_a_singular_resolvent(self):
+        # only mu = +inf is the killed fit; -inf lies below every pole
+        m = make_model(Spectrum.identity(4), beta=np.ones(4), sigma2=0.1)
+        with pytest.raises(SingularResolventError):
+            tilde_v(m, mu=-math.inf, phi=2.0)
+        with pytest.raises(SingularResolventError):
+            risk_at_mu(m, -math.inf, 2.0)
+
 
 class TestEquivalencePath:
     def test_identity_forward_anchor(self):
@@ -514,3 +522,8 @@ class TestEquivalencePath:
             equivalence_path(sp, phi=2.0)  # no anchor
         with pytest.raises(InvalidParameterError):
             equivalence_path(sp, phi=2.0, lambda_bar=0.1, psi_bar=3.0)  # both
+
+    @pytest.mark.parametrize("samples", [1, 2.5, 2.0, "3"])
+    def test_samples_must_be_an_integer_of_at_least_two(self, samples):
+        with pytest.raises(InvalidParameterError, match="samples"):
+            equivalence_path(Spectrum.identity(4), phi=0.5, psi_bar=4.0, samples=samples)

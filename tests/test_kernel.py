@@ -1,11 +1,12 @@
 """Properties of the vectorized risk kernel over its whole domain.
 
 The kernel evaluates the four risk parts and their mu-derivatives at an
-array of levels; ``risk_at_mu`` and ``risk_mu_derivative`` are its one-point
-views. Models are drawn with p from 1 to 200, train spectra with condition
-numbers up to 1e12, aspect ratios from 1e-3 to 1e3, every shift kind and
-isotropic signals; levels range from just above the branch edge to far
-above it, more of them than one block of the kernel holds.
+array of levels; ``risk_at_mu`` is its one-point view of the parts, and
+one-level slopes are read from a one-level kernel call. Models are drawn
+with p from 1 to 200, train spectra with condition numbers up to 1e12,
+aspect ratios from 1e-3 to 1e3, every shift kind and isotropic signals;
+levels range from just above the branch edge to far above it, more of
+them than one block of the kernel holds.
 """
 
 import tracemalloc
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import level_slopes
 from ridgeshift import (
     Spectrum,
     lambda_min,
@@ -21,7 +23,6 @@ from ridgeshift import (
     make_model,
     mu_zero,
     risk_at_mu,
-    risk_mu_derivative,
     solve_mu,
     tilde_v,
 )
@@ -75,7 +76,7 @@ class TestKernelProperties:
         parts = risk._kernel(risk._weights(model), mus, phi)
         for i, mu in enumerate(mus):
             one = risk_at_mu(model, float(mu), phi)
-            d_one = risk_mu_derivative(model, float(mu), phi)
+            d_one = level_slopes(model, float(mu), phi)
             # Round-off is measured against the absolute sum of the parts
             # (slopes: of the parts over the distance to the branch edge, the
             # scale on which they vary), since a part may cancel to nearly
@@ -111,7 +112,7 @@ class TestKernelProperties:
             h = 1e-5 * gap
             up = risk_at_mu(model, mu + h, phi)
             dn = risk_at_mu(model, mu - h, phi)
-            slopes = risk_mu_derivative(model, mu, phi)
+            slopes = level_slopes(model, mu, phi)
             scale = (abs(up.bias) + abs(up.variance) + abs(up.shift)) / gap + sum(map(abs, slopes))
             for got, hi, lo in zip(slopes, (up.bias, up.variance, up.shift),
                                    (dn.bias, dn.variance, dn.shift)):

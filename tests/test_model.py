@@ -277,6 +277,31 @@ class TestShiftModelValidation:
         with pytest.raises(InvalidParameterError):
             make_model(Spectrum.identity(3), beta=np.ones(3), alpha2=1.0, sigma2=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_diagonal_sigma0_rejected(self, bad):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            make_model(Spectrum.identity(4), beta=np.ones(4), sigma0=[bad, 1.0, 1.0, 1.0])
+
+    # a full matrix would reach eigvalsh; a diagonal one is stored as its diagonal
+    @pytest.mark.parametrize("base, at", [(np.eye(4) + 0.1, (0, 1)), (np.eye(4), (0, 0))],
+                             ids=["full", "identity"])
+    def test_dense_sigma0_holding_nan_rejected(self, base, at):
+        s0 = base.copy()
+        s0[at] = s0[at[::-1]] = math.nan
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            make_model(Spectrum.identity(4), beta=np.ones(4), sigma0=s0)
+
+    @pytest.mark.parametrize("key", ["sigma2", "sigma0_sq"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_noise_levels_must_be_finite_and_nonnegative(self, key, bad):
+        with pytest.raises(InvalidParameterError, match="noise levels"):
+            make_model(Spectrum.identity(4), beta=np.ones(4), **{key: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_signal_energy_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(InvalidParameterError, match="signal_alpha2"):
+            make_model(Spectrum.identity(4), alpha2=bad, sigma2=0.5)
+
 
 class TestBuildModel:
     def test_no_shift_identity(self):

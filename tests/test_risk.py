@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_psd, random_spectrum
+from conftest import level_slopes, random_psd, random_spectrum
 from ridgeshift import (
     BelowMinimumPenaltyError,
     InvalidParameterError,
@@ -15,16 +15,27 @@ from ridgeshift import (
     build_ar1,
     ensemble_risk,
     equivalence_path,
-    isotropic_optimal_risk,
     lambda_min,
     make_model,
     optimal_lambda,
     optimal_psi,
     risk_at_mu,
     risk_decomposition,
-    risk_mu_derivative,
     solve_mu,
 )
+
+
+def isotropic_optimal_risk(model, phi: float) -> float:
+    """Closed-form optimal risk of an isotropic-random signal,
+    alpha2 * mu* * tr[S0 (S + mu* I)^-1] / p + sigma0_sq, at the level of
+    the optimal penalty phi / snr."""
+    if not model.is_isotropic_signal:
+        raise InvalidParameterError("invalid model: signal is not isotropic-random")
+    if not (0.0 < model.snr < math.inf):
+        raise InvalidParameterError("snr must be finite and positive")
+    mu_star = solve_mu(model.spectrum, phi / model.snr, phi).mu
+    r = model.spectrum.eigenvalues
+    return model.alpha2 * mu_star * float(np.mean(model.sigma0_diag / (r + mu_star))) + model.sigma0_sq
 
 
 def unit_signal(p: int) -> np.ndarray:
@@ -165,7 +176,7 @@ class TestRiskMuDerivative:
         h = 1e-5 * (1.0 + mu)
         up = risk_at_mu(m, mu + h, phi)
         dn = risk_at_mu(m, mu - h, phi)
-        db, dv, ds = risk_mu_derivative(m, mu, phi)
+        db, dv, ds = level_slopes(m, mu, phi)
         assert db == pytest.approx((up.bias - dn.bias) / (2 * h), rel=1e-6)
         assert dv == pytest.approx((up.variance - dn.variance) / (2 * h), rel=1e-6)
         total_fd = (up.total - dn.total) / (2 * h)
@@ -181,11 +192,11 @@ class TestRiskMuDerivative:
         h = 1e-5 * (1.0 + mu)
         up = risk_at_mu(m, mu + h, phi)
         dn = risk_at_mu(m, mu - h, phi)
-        _, _, ds = risk_mu_derivative(m, mu, phi)
+        _, _, ds = level_slopes(m, mu, phi)
         assert ds == pytest.approx((up.shift - dn.shift) / (2 * h), rel=1e-6)
 
     def test_no_shift_means_zero_cross_derivative(self, identity_model):
-        _, _, ds = risk_mu_derivative(identity_model, 0.8, 2.0)
+        _, _, ds = level_slopes(identity_model, 0.8, 2.0)
         assert ds == 0.0
 
     def test_variance_derivative_always_negative(self):
@@ -195,7 +206,7 @@ class TestRiskMuDerivative:
         for phi in (0.5, 1.5, 3.0):
             start = solve_mu(sp, lambda_min(sp, phi) + 1e-3, phi).mu
             for mu in np.geomspace(max(start, 1e-4), 100.0, 20):
-                _, dv, _ = risk_mu_derivative(m, float(mu), phi)
+                _, dv, _ = level_slopes(m, float(mu), phi)
                 assert dv < 0.0
 
     def test_isotropic_stationarity_at_closed_form_optimum(self):
@@ -204,7 +215,7 @@ class TestRiskMuDerivative:
         m = make_model(sp, alpha2=1.5, sigma0=random_psd(rng, 20), sigma2=0.4)
         phi = 1.3
         mu_star = solve_mu(sp, phi / m.snr, phi).mu
-        db, dv, ds = risk_mu_derivative(m, mu_star, phi)
+        db, dv, ds = level_slopes(m, mu_star, phi)
         assert ds == 0.0
         assert db + dv == pytest.approx(0.0, abs=1e-8)
 
@@ -274,6 +285,17 @@ class TestOptimalLambda:
         point = optimal_lambda(m, phi)
         assert point.boundary_flag == "at-infinity-null"
         assert point.risk_star == pytest.approx(0.2, abs=1e-8)
+
+    @pytest.mark.parametrize("phi", [0.5, 2.0])
+    def test_null_risk_below_the_window_is_the_optimum(self, phi):
+        # the best scanned risk, at the top of the window, is above the
+        # null risk 100 of lam = inf
+        m = make_model(Spectrum(np.array([1.0, 100.0])), beta=[0.0, 1.0], beta0=[0.0, -1.0])
+        point = optimal_lambda(m, phi)
+        assert point.boundary_flag == "at-infinity-null"
+        assert (point.lambda_star, point.risk_star, point.mu_star) == (math.inf, 100.0, math.inf)
+        assert point.local_minima[0] == (math.inf, 100.0, math.inf)
+        assert all(risk > 100.0 for _, risk, _ in point.local_minima[1:])
 
     def test_isotropic_arg_min_to_round_off(self):
         # the refinement is a root of the analytic dR/dmu, so the arg-min is
@@ -431,7 +453,39 @@ class TestIsotropicOptimalRisk:
             isotropic_optimal_risk(m, 1.0)
 
 
+MONOTONE_PHIS = np.geomspace(0.05, 20.0, 25)
+
+
+@st.composite
+def monotone_models(draw):
+    """Models with p from 1 to 48, train condition numbers up to 1e6 and
+    every shift kind, isotropic signals included."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    p = draw(st.integers(1, 48))
+    log_cond = draw(st.floats(0.0, 6.0))
+    kind = draw(st.sampled_from(("none", "covariate", "regression", "joint", "isotropic")))
+    sigma2 = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+    rng = np.random.default_rng(seed)
+    sp = Spectrum.from_values(10.0 ** (log_cond * rng.uniform(0.0, 1.0, p) - 0.5 * log_cond))
+    sigma0 = random_psd(rng, p) if kind in ("covariate", "joint", "isotropic") else None
+    if kind == "isotropic":
+        return make_model(sp, alpha2=float(rng.uniform(0.2, 3.0)), sigma0=sigma0,
+                          sigma2=sigma2, sigma0_sq=0.1)
+    beta = rng.standard_normal(p)
+    beta0 = beta + 0.5 * rng.standard_normal(p) if kind in ("regression", "joint") else None
+    return make_model(sp, beta=beta, beta0=beta0, sigma0=sigma0, sigma2=sigma2, sigma0_sq=0.1)
+
+
 class TestOptimalRiskMonotonicity:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(monotone_models())
+    def test_optimal_risk_never_falls_as_phi_grows(self, m):
+        # the paper's monotonicity: the optimally tuned risk, negative
+        # penalties allowed, does not decrease in the aspect ratio
+        risks = np.array([optimal_lambda(m, float(phi)).risk_star for phi in MONOTONE_PHIS])
+        steps = np.diff(risks)
+        assert np.all(steps >= -1e-9 * (1.0 + np.abs(risks[1:]))), (risks, steps)
+
     def test_in_aspect_ratio_under_shift(self):
         rng = np.random.default_rng(14)
         p = 20

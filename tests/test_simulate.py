@@ -250,6 +250,11 @@ class TestEnsembleFit:
         with pytest.raises(InvalidParameterError):
             SimConfig(p=40, phi=2.0, reps=1, seed=0, ensemble=EnsembleConfig(psi=1.0))
 
+    @pytest.mark.parametrize("psi", [math.nan, 0.0, -2.0])
+    def test_invalid_subsample_aspect(self, psi):
+        with pytest.raises(InvalidParameterError, match="psi"):
+            EnsembleConfig(psi=psi)
+
 
 class TestEmpiricalRisk:
     def test_perfect_fit(self):
@@ -297,6 +302,17 @@ class TestMcExperiment:
         m = self._model(40)
         with pytest.raises(InvalidParameterError, match=r"p=20.*p=40"):
             mc_experiment(m, SimConfig(p=20, phi=2.0, reps=1, seed=0), [0.5])
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("phi", math.nan, "phi"), ("phi", math.inf, "phi"), ("phi", 0.0, "phi"),
+        ("seed", -1, "seed"), ("threads", 0, "threads"),
+    ])
+    def test_invalid_config_rejected_at_construction(self, field, value, match):
+        # checked before any replicate runs, not at the first random stream
+        kwargs = dict(p=40, phi=2.0, reps=1, seed=0, threads=1)
+        kwargs[field] = value
+        with pytest.raises(InvalidParameterError, match=match):
+            SimConfig(**kwargs)
 
     def test_guard_rejects_penalties_near_edge(self):
         m = self._model(40)
