@@ -32,7 +32,6 @@ from .conditions import (
 )
 from .errors import InvalidParameterError, RidgeShiftError
 from .fixed_point import (
-    PSI_INFINITE,
     equivalence_path,
     lambda_min,
     mu_zero,
@@ -157,9 +156,7 @@ def _cmd_optimize(model: ShiftModel, args) -> _Table:
         # underparameterized, the minimum penalty otherwise
         anchor = 0.0 if phi < 1.0 else lmin
         psi_star, risk_star = optimal_psi(model, anchor, phi)
-        rows.append(("joint-optimum", anchor,
-                     math.inf if psi_star == PSI_INFINITE else psi_star,
-                     risk_star, math.nan, "", lmin, naive))
+        rows.append(("joint-optimum", anchor, psi_star, risk_star, math.nan, "", lmin, naive))
     return {"phi": phi}, columns, rows
 
 

@@ -10,10 +10,11 @@ edge equation ``1 = phi * tr[S^2 (S + mu I)^-2] / p``. The edge value also
 yields the minimum admissible (possibly negative) ridge penalty
 ``lambda_min(phi)``. On the admissible branch the map ``mu -> lam`` is a
 strictly increasing bijection, so every root here is found by a safeguarded
-Newton iteration inside a guaranteed bracket (bisection fallback). Each
+Newton iteration (bisection fallback) inside a bracket written down in
+closed form from the extreme eigenvalues, with no bracket search. Each
 Newton step is one pass over the spectrum that yields the residual and its
-slope together. The edge is solved once per (spectrum, aspect) and memoized
-on the spectrum.
+slope together. The edge and its penalty, (mu_zero, lambda_min), are solved
+once per (spectrum, aspect) and memoized on the spectrum.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ PSI_INFINITE = math.inf
 RESIDUAL_TOL = 1e-12
 MAX_BISECT = 200
 MAX_NEWTON = 50
-_EDGE_EPS = 1e-10
 _EPS = float(np.finfo(float).eps)
 #: A Newton step within the bracket of at most this fraction of |x| (a few
 #: ulps) ends the iteration: quadratic convergence leaves the next step at
@@ -109,6 +109,24 @@ def _solve_monotone(f, lo: float, hi: float, flo: float, fhi: float, increasing:
     return x
 
 
+def _edge(spectrum: Spectrum, phi: float) -> tuple[float, float]:
+    """The memoized edge record (mu_zero, lambda_min) of ``phi``."""
+    _check_phi(phi)
+    edges = spectrum._edges
+    edge = edges.get(phi)
+    if edge is None:
+        # concurrent callers may both solve a missing edge; they store the
+        # same record, so the memo needs no lock
+        mu0 = _solve_edge(spectrum, phi)
+        # the penalty is -mu0^2 s2 / t2 <= 0; within an ulp or two of aspect 1
+        # the rounding of mu0 (1 - phi t1) can leave it ~1e-32 above zero
+        edge = (mu0, min(lambda_of_mu(spectrum, mu0, phi), 0.0))
+        if len(edges) >= _EDGE_MEMO_SIZE:
+            edges.clear()
+        edges[phi] = edge
+    return edge
+
+
 def mu_zero(spectrum: Spectrum, phi: float) -> float:
     """Edge of the admissible branch: the unique mu0 > -r_min with
     phi * tr[S^2 (S + mu0 I)^-2] / p = 1.
@@ -116,17 +134,7 @@ def mu_zero(spectrum: Spectrum, phi: float) -> float:
     Negative for phi < 1, zero at phi = 1, positive for phi > 1. Solved once
     per (spectrum, phi): later calls return the memoized edge.
     """
-    _check_phi(phi)
-    edges = spectrum._edges
-    mu0 = edges.get(phi)
-    if mu0 is None:
-        # concurrent callers may both solve a missing edge; they store the
-        # same value, so the memo needs no lock
-        mu0 = _solve_edge(spectrum, phi)
-        if len(edges) >= _EDGE_MEMO_SIZE:
-            edges.clear()
-        edges[phi] = mu0
-    return mu0
+    return _edge(spectrum, phi)[0]
 
 
 def _solve_edge(spectrum: Spectrum, phi: float) -> float:
@@ -143,25 +151,14 @@ def _solve_edge(spectrum: Spectrum, phi: float) -> float:
 
     # g decreases from +inf (mu -> -r_min) to -1 (mu -> inf).
     r_min = spectrum.r_min
-    delta = 0.5 * r_min
-    lo = -r_min + delta
-    glo = g(lo)[0]
-    while glo <= 0.0:
-        delta *= 0.5
-        lo = -r_min + delta
-        if delta < 1e-300:
-            raise SolverFailureError("could not bracket the spectrum edge equation")
-        glo = g(lo)[0]
-    hi = max(1.0, spectrum.r_max)
-    ghi = g(hi)[0]
-    while ghi >= 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise SolverFailureError("edge equation bracket expansion diverged")
-        ghi = g(hi)[0]
+    # at lo, r_min / (r_min + lo) = 2 sqrt(p / phi): that term alone gives g >= 3
+    lo = r_min * (0.5 * math.sqrt(phi / p) - 1.0)
+    # r / (r + mu) is largest at r_max for mu >= 0 and at r_min for mu < 0;
+    # at hi that term is 1 / (2 sqrt(phi)), so g(hi) <= 1/4 - 1
+    hi = (spectrum.r_max if phi >= 0.25 else r_min) * (2.0 * math.sqrt(phi) - 1.0)
     # g sums terms near 1 and subtracts 1: its noise is a few eps, which
     # bounds the accuracy of roots near zero (phi near 1) in absolute terms
-    mu0 = _solve_monotone(g, lo, hi, glo, ghi, increasing=False, f_noise=4.0 * _EPS)
+    mu0 = _solve_monotone(g, lo, hi, g(lo)[0], g(hi)[0], increasing=False, f_noise=4.0 * _EPS)
     # a machine-accurate root still carries residual ~ ulp(mu0) * |g'| when
     # the edge is steep (tiny phi), so the check is conditioning-aware
     g0, dg0 = g(mu0)
@@ -185,17 +182,10 @@ def lambda_of_mu(spectrum: Spectrum, mu, aspect: float):
     return lam if mus.ndim else float(lam) + 0.0
 
 
-def _edge_penalty(spectrum: Spectrum, mu0: float, aspect: float) -> float:
-    """The penalty at the branch edge ``mu0 = mu_zero(aspect)``."""
-    # it is -mu0^2 s2 / t2 <= 0; within an ulp or two of aspect 1 the
-    # rounding of mu0 (1 - aspect t1) can leave it ~1e-32 above zero
-    return min(lambda_of_mu(spectrum, mu0, aspect), 0.0)
-
-
 def lambda_min(spectrum: Spectrum, phi: float) -> float:
     """Minimum admissible ridge penalty: the value of the penalty equation at
     the branch edge. Nonpositive everywhere, zero exactly at phi = 1."""
-    return _edge_penalty(spectrum, mu_zero(spectrum, phi), phi)
+    return _edge(spectrum, phi)[1]
 
 
 def solve_mu(
@@ -220,7 +210,7 @@ def solve_mu(
     _check_phi(aspect)
 
     mu0 = mu_zero(spectrum, aspect)
-    lmin = _edge_penalty(spectrum, mu0, aspect)
+    lmin = lambda_min(spectrum, aspect)
     # lmin is the product mu0 * (1 - aspect t1): it is known to a few eps of
     # |lmin| + |mu0|, and a penalty above that is solved, however close
     if lam <= lmin + 4.0 * _EPS * (abs(lmin) + abs(mu0)):
@@ -240,7 +230,8 @@ def solve_mu(
             return (mu * (1.0 - aspect * (float(q.sum()) / p)) - lam,
                     1.0 - aspect * (float((q * q).sum()) / p))
 
-        lo = mu0 + _EDGE_EPS * (1.0 + abs(mu0))
+        # f(hi) >= hi - lam - aspect r_max > 0 in exact arithmetic, but
+        # rounding can flip its sign for penalties near 1e8 r_max
         hi = max(1.0, lam + aspect * spectrum.r_max)
         fhi = f(hi)[0]
         while fhi < 0.0:
@@ -248,12 +239,8 @@ def solve_mu(
             if hi > 1e300:
                 raise SolverFailureError("penalty equation bracket expansion diverged")
             fhi = f(hi)[0]
-        flo = f(lo)[0]
-        if flo >= 0.0:
-            # the root lies between the edge and the guard; f(mu0) = lmin - lam
-            # is negative and the slope vanishes at mu0, so bisection leads
-            hi, fhi, lo, flo = lo, flo, mu0, lmin - lam
-        mu = _solve_monotone(f, lo, hi, flo, fhi, increasing=True)
+        # f(mu0) = lmin - lam < 0 is known, and the slope vanishes there
+        mu = _solve_monotone(f, mu0, hi, lmin - lam, fhi, increasing=True)
 
     residual = abs(mu - lam - aspect * (float((mu * r / (r + mu)).sum()) / p))
     # written so that a NaN residual fails too
@@ -271,31 +258,25 @@ def _edge_level(spectrum: Spectrum, lam: float, lo: float, hi: float | None = No
     On the edge the aspect is 1 / t2 and the penalty -mu^2 s2 / t2, with
     s2 = tr[S (S+mu I)^-2] / p and t2 = tr[S^2 (S+mu I)^-2] / p; it increases
     in mu below zero and decreases above, so a bracket [lo, hi] on one side
-    of zero holds at most one such level. ``hi=None`` searches above
-    ``lo >= 0``.
+    of zero holds at most one such level. ``hi=None`` takes the level above
+    ``lo >= 0`` up to 2 sqrt(r_max |lam|).
     """
     r = spectrum.eigenvalues
-    r2 = r * r
     p = r.size
 
     def g(mu: float) -> tuple[float, float]:
-        # 1 / s**2 and (1 / s)**2 differ in the last bit; the value uses the
-        # first and the slope the second, and swapping either moves results
         s = r + mu
-        inv2 = 1.0 / s**2
-        inv = 1.0 / s
-        inv3 = inv**3
-        s2, s3 = float((r * inv**2).sum()) / p, float((r * inv3).sum()) / p
-        t2, t3 = float(((r * inv) ** 2).sum()) / p, float((r2 * inv3).sum()) / p
-        return (mu * mu * (float((r * inv2).sum()) / p) / (float((r2 * inv2).sum()) / p) + lam,
-                2.0 * mu * ((s2 - mu * s3) * t2 + mu * s2 * t3) / (t2 * t2))
+        q = r / s
+        qq = q * q
+        t1, t2 = float(q.sum()) / p, float(qq.sum()) / p
+        s2, t3 = float((q / s).sum()) / p, float((qq / s).sum()) / p
+        # the penalty equation is stationary in mu on the edge, so the slope
+        # is the aspect's: mu t1 times d(1 / t2) / dmu = 2 t3 / t2^2
+        return mu * mu * s2 / t2 + lam, 2.0 * mu * t1 * t3 / (t2 * t2)
 
     if hi is None:
-        hi = max(1.0, spectrum.r_max, 2.0 * lo)
-        while g(hi)[0] < 0.0:
-            hi *= 2.0
-            if hi > 1e300:
-                raise SolverFailureError("edge level bracket expansion diverged")
+        # t2 <= r_max s2, so g >= mu^2 / r_max + lam = 3 |lam| there
+        hi = 2.0 * math.sqrt(spectrum.r_max * -lam)
     return _solve_monotone(g, lo, hi, g(lo)[0], g(hi)[0], increasing=lo >= 0.0,
                            f_noise=4.0 * _EPS * abs(lam))
 

@@ -38,13 +38,13 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 class Spectrum:
     """Eigenvalues of the train covariance, ascending and strictly positive.
 
-    ``_edges`` memoizes the branch edge ``mu_zero`` per aspect ratio; it is
-    filled by :func:`ridgeshift.fixed_point.mu_zero` and lives and dies with
-    the spectrum.
+    ``_edges`` memoizes the branch edge record ``(mu_zero, lambda_min)`` per
+    aspect ratio; it is filled by :mod:`ridgeshift.fixed_point` and lives and
+    dies with the spectrum.
     """
 
     eigenvalues: np.ndarray
-    _edges: dict[float, float] = field(default_factory=dict, init=False, repr=False)
+    _edges: dict[float, tuple[float, float]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         vals = _as_float_vector(self.eigenvalues, "eigenvalues")

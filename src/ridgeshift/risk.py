@@ -33,7 +33,12 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .errors import BelowMinimumPenaltyError, BranchViolationError, InvalidParameterError
+from .errors import (
+    BelowMinimumPenaltyError,
+    BranchViolationError,
+    InvalidParameterError,
+    SolverFailureError,
+)
 from .fixed_point import (
     PSI_INFINITE,
     _check_phi,
@@ -76,8 +81,8 @@ _BLOCK_CELLS = 2**18
 
 class _Weights(NamedTuple):
     """Per-model inputs of the kernel. Each diagonal resolvent functional
-    sum_i w_i / (r_i + mu)^k is one row of ``w1`` (k = 1) or ``w2`` (k = 2;
-    its first five rows also at k = 3); ``beta`` and
+    sum_i w_i / (r_i + mu)^k has the weights ``w1`` (k = 1) or one row of
+    ``w2`` (k = 2; its first five rows also at k = 3); ``beta`` and
     ``sigma0`` are set only when the S0 sandwich needs the dense test
     covariance."""
 
@@ -118,9 +123,8 @@ def _make_weights(model: ShiftModel) -> _Weights:
         else:
             sand, beta, sigma0 = zero, b, model.sigma0_dense
         sig, c1, c2, align = b * b * r, b * dvec, b * r * dvec, b * r * r * d
-    w1 = np.stack([r / p, c1])
     w2 = np.stack([r * r / p, r / p, s0d * r / p, sig, sand, c2, align])
-    return _Weights(r, w1, w2, beta, sigma0, model.sigma2, model.kappa2)
+    return _Weights(r, c1, w2, beta, sigma0, model.sigma2, model.kappa2)
 
 
 class _Blocks(NamedTuple):
@@ -128,7 +132,6 @@ class _Blocks(NamedTuple):
     Traces are averaged over p; signal forms are plain quadratic forms."""
 
     mu: np.ndarray
-    t1: np.ndarray  # tr[S R] / p
     c1: np.ndarray  # b' R S0 (b0 - b)
     t2: np.ndarray  # tr[S^2 R^2] / p
     s2: np.ndarray  # tr[S R^2] / p
@@ -156,16 +159,16 @@ def _blocks(wt: _Weights, mus) -> _Blocks:
         o = out[:, lo:lo + block]
         # numpy's pairwise sums along p: BLAS dot products, which accumulate
         # in order, leave the traces several ulps off at p in the thousands
-        o[0:2] = (inv[:, None, :] * wt.w1).sum(axis=2).T
-        o[2:9] = (inv2[:, None, :] * wt.w2).sum(axis=2).T
-        o[9:14] = ((inv2 * inv)[:, None, :] * wt.w2[:5]).sum(axis=2).T
+        o[0] = (inv * wt.w1).sum(axis=1)
+        o[1:8] = (inv2[:, None, :] * wt.w2).sum(axis=2).T
+        o[8:13] = ((inv2 * inv)[:, None, :] * wt.w2[:5]).sum(axis=2).T
         if wt.sigma0 is not None:
             # the S0 sandwich through one BLAS product per block
             wb = wt.beta * inv
             m = wb @ wt.sigma0
             mwb = m * wb
-            o[6] = mwb.sum(axis=1)
-            o[13] = (mwb * inv).sum(axis=1)
+            o[5] = mwb.sum(axis=1)
+            o[12] = (mwb * inv).sum(axis=1)
     return _Blocks(mus, *out)
 
 
@@ -373,6 +376,8 @@ def optimal_lambda(
     mus[0], mus[-1] = mu_lo, mu_hi
     wt = _weights(model)
     risks, slopes = _scan(wt, mus, phi)
+    if not np.isfinite(risks).any():
+        raise SolverFailureError(f"no scanned level has a finite risk at phi={phi}")
 
     if float(np.nanmax(risks) - np.nanmin(risks)) <= 1e-14 * (1.0 + abs(float(np.nanmin(risks)))):
         return OptimalPoint(
@@ -470,6 +475,8 @@ def optimal_psi(model: ShiftModel, lam: float, phi: float) -> tuple[float, float
             k = int(np.argmin(found_risk))
             best_mu, best_risk = float(found_mu[k]), float(found_risk[k])
 
+    if math.isinf(best_risk):
+        raise SolverFailureError(f"no scanned level has a finite risk at lam={lam}, phi={phi}")
     null = model.null_risk()
     if null < best_risk:
         return PSI_INFINITE, float(null)

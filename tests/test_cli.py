@@ -385,21 +385,28 @@ class TestErrors:
         assert err.startswith("error: invalid configuration") and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["risk", "--phi", "2", "--grid", "a:1:3"],
-            ["risk", "--phi", "2", "--grid", "0:1:2.5"],
-            ["risk", "--phi", "2", "--grid", "0:1"],
-            ["lambdamin", "--grid", "0.5:x:3:log"],
-            ["sweep", "--grid", "0:1:2", "--phi-grid", "0.5:2:b"],
+            (["risk", "--phi", "2", "--grid", "a:1:3"], "bad grid spec"),
+            (["risk", "--phi", "2", "--grid", "0:1:2.5"], "bad grid spec"),
+            (["risk", "--phi", "2", "--grid", "0:1"], "bad grid spec"),
+            (["lambdamin", "--grid", "0.5:x:3:log"], "bad grid spec"),
+            (["sweep", "--grid", "0:1:2", "--phi-grid", "0.5:2:b"], "bad grid spec"),
+            (["risk", "--phi", "2", "--grid", "0:1:0"], "grid count must be >= 1"),
+            (["risk", "--phi", "2", "--grid", "0:1:3:lin"], "bad grid suffix 'lin'"),
+            (["lambdamin", "--grid=-1:1:3:log"], "log grid needs positive endpoints"),
+            (["sweep", "--grid", "0:1:2", "--psi-grid", "1:2:2"], "--psi-grid mode needs --phi"),
+            (["sweep", "--grid", "0:1:2"], "sweep needs --psi-grid or --phi-grid"),
         ],
-        ids=["bad-start", "fractional-count", "no-count", "bad-stop", "bad-sweep-count"],
+        ids=["bad-start", "fractional-count", "no-count", "bad-stop", "bad-sweep-count",
+             "zero-count", "bad-suffix", "nonpositive-log-start", "psi-grid-without-phi",
+             "sweep-without-grid"],
     )
-    def test_malformed_grid_is_invalid_configuration(self, capsys, iso_config, argv):
+    def test_malformed_grid_is_invalid_configuration(self, capsys, iso_config, argv, message):
         code = main([argv[0], "--config", iso_config, *argv[1:]])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid configuration: bad grid spec")
+        assert err.startswith(f"error: invalid configuration: {message}")
         assert "Traceback" not in err
 
     # at phi = 1 no check builds a level grid
@@ -480,6 +487,18 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid configuration") and "Traceback" not in err
+
+    def test_no_finite_scanned_level_is_a_numeric_failure(self, tmp_path, capsys):
+        doc = {"p": 4, "spectrum": {"kind": "identity"},
+               "signal": {"kind": "explicit", "values": [1e200, 1e200, 0.0, 0.0]}}
+        bad = tmp_path / "overflow.json"
+        bad.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["optimize", "--config", str(bad), "--phi", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric failure in optimize: no scanned level")
+        assert "Traceback" not in err
 
     def test_nan_lambda_floor_is_invalid(self, capsys, iso_config):
         code = main(["optimize", "--config", iso_config, "--phi", "2", "--lambda-floor", "nan"])

@@ -41,6 +41,13 @@ class TestMuGrid:
     def test_one_point_is_the_start(self):
         assert conditions._levels(0.5, 2.0, 1).tolist() == [0.5]
 
+    def test_start_above_the_cap_is_an_empty_grid(self):
+        # at phi = 2e4 the ridgeless level of an identity spectrum, phi - 1,
+        # lies above CAP_FACTOR * r_max
+        m = make_model(Spectrum.identity(8), beta=np.linspace(1.0, 0.2, 8), sigma2=0.1)
+        with pytest.raises(InvalidParameterError, match="empty level grid"):
+            predict_sign(m, 2e4)
+
 
 class TestInDistAlignment:
     def test_isotropic_spectrum_never_holds(self):
@@ -135,6 +142,10 @@ class TestCovShiftOverparam:
         m = extreme_pair_model()
         with pytest.raises(InvalidParameterError):
             check_cov_shift_overparam(m, 2.0)
+        # and the overparameterized regime
+        m = make_model(Spectrum.identity(10), beta=np.ones(10), sigma2=0.1)
+        with pytest.raises(InvalidParameterError, match="wrong regime"):
+            check_cov_shift_overparam(m, 1.0)
 
 
 class TestRegShiftAlignment:

@@ -1,12 +1,14 @@
 """The package's public surface: every name listed in ``__all__`` resolves,
-no module reads the environment (every setting is an argument), and every
-module uses what it imports."""
+no module reads the environment (every setting is an argument), every
+module uses what it imports, and the package reads every functional the risk
+kernel computes."""
 
 import ast
 import re
 from pathlib import Path
 
 import ridgeshift
+from ridgeshift import risk
 
 
 def test_every_exported_name_resolves():
@@ -47,3 +49,13 @@ def test_every_module_uses_its_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_kernel_functional_is_read():
+    # _blocks evaluates every field at every level of every kernel call, so
+    # a field that nothing reads is work thrown away
+    package = Path(ridgeshift.__file__).parent
+    read = {node.attr for path in sorted(package.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert [name for name in risk._Blocks._fields if name != "mu" and name not in read] == []

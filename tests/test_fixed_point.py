@@ -223,7 +223,7 @@ class TestSolveMu:
         # edge sqrt(psi) - 1, and lambda_min = -(sqrt(psi) - 1)^2 is far
         # smaller than 1e-11: the penalty is above the minimum and must be
         # solved, not snapped to the edge. At psi = 1 + 3e-11 the root also
-        # lies below the solver's lower guard mu0 + 1e-10 (1 + |mu0|).
+        # lies within 1e-10 of the edge.
         sp = Spectrum.identity(4)
         model = make_model(sp, beta=np.ones(4) / 2.0, sigma2=0.3)
         root = psi - 1.0
@@ -352,6 +352,23 @@ class TestSolverWork:
         assert solved[-1] == (sp, 2.5)
         assert edge == solve_edge(sp, 2.5) != mu_zero(sp, 2.0)
 
+    def test_memo_hit_solves_read_the_edge_record(self, monkeypatch):
+        # the record holds lambda_min beside mu_zero: a solve on a memoized
+        # edge recomputes no edge penalty
+        calls = []
+        of_mu = fixed_point.lambda_of_mu
+
+        def counting(*args):
+            calls.append(args)
+            return of_mu(*args)
+
+        sp = Spectrum.from_values([0.5, 1.0, 3.0])
+        mu_zero(sp, 2.0)
+        monkeypatch.setattr(fixed_point, "lambda_of_mu", counting)
+        for lam in np.linspace(0.1, 5.0, 50):
+            solve_mu(sp, float(lam), 2.0)
+        assert calls == []
+
     def test_edge_memo_is_bounded_and_dies_with_the_spectrum(self):
         sp = Spectrum.identity(3)
         for phi in np.linspace(0.5, 5.0, fixed_point._EDGE_MEMO_SIZE + 10):
@@ -435,12 +452,11 @@ class TestFusedEvaluation:
         fixed_point._edge_level(sp, lam, 0.0)
         assert evaluations
         for mu, (value, slope) in evaluations:
-            inv2 = 1.0 / (r + mu) ** 2
-            assert value == mu * mu * float(np.mean(r * inv2)) / float(np.mean(r * r * inv2)) + lam
-            inv = 1.0 / (r + mu)
-            s2, s3 = float(np.mean(r * inv**2)), float(np.mean(r * inv**3))
-            t2, t3 = float(np.mean((r * inv) ** 2)), float(np.mean(r * r * inv**3))
-            assert slope == 2.0 * mu * ((s2 - mu * s3) * t2 + mu * s2 * t3) / (t2 * t2)
+            q = r / (r + mu)
+            t1, t2 = float(np.mean(q)), float(np.mean(q * q))
+            s2, t3 = float(np.mean(q / (r + mu))), float(np.mean(q * q / (r + mu)))
+            assert value == mu * mu * s2 / t2 + lam
+            assert slope == 2.0 * mu * t1 * t3 / (t2 * t2)
 
     def test_resolvent_trace(self):
         sp, r = self.SPECTRUM, self.SPECTRUM.eigenvalues

@@ -11,6 +11,7 @@ from ridgeshift import (
     BelowMinimumPenaltyError,
     InvalidParameterError,
     PSI_INFINITE,
+    SolverFailureError,
     Spectrum,
     build_ar1,
     ensemble_risk,
@@ -22,6 +23,7 @@ from ridgeshift import (
     risk_at_mu,
     risk_decomposition,
     solve_mu,
+    tilde_v,
 )
 
 
@@ -160,6 +162,8 @@ class TestEnsembleRisk:
         m = make_model(Spectrum.identity(4), beta=unit_signal(4), sigma2=0.1)
         with pytest.raises(InvalidParameterError):
             ensemble_risk(m, 0.1, 2.0, 1.0)
+        with pytest.raises(InvalidParameterError, match="must be >= data aspect"):
+            tilde_v(m, 1.0, 2.0, psi=1.0)
 
     def test_boundary_penalty_finite_when_psi_above_phi(self):
         sp = Spectrum.identity(5)
@@ -297,6 +301,22 @@ class TestOptimalLambda:
         assert point.local_minima[0] == (math.inf, 100.0, math.inf)
         assert all(risk > 100.0 for _, risk, _ in point.local_minima[1:])
 
+    def test_finite_optimum_tied_with_the_null_risk_is_flagged(self):
+        # the best scanned level lies within a decade of the window top and
+        # its risk ties the null risk to 1e-8, though it is finite and below it
+        m = make_model(Spectrum.identity(2), beta=[1.0, 0.0], beta0=[1e-5, 1.0])
+        point = optimal_lambda(m, 0.5)
+        assert point.boundary_flag == "at-infinity-null"
+        assert point.lambda_star == pytest.approx(149997.6530, rel=1e-9)
+        assert m.null_risk() - point.risk_star == pytest.approx(6.667e-11, rel=1e-3)
+
+    def test_no_finite_scanned_level_is_a_solver_failure(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = make_model(Spectrum.identity(4), beta=[1e200, 1e200, 0.0, 0.0])
+            with pytest.raises(SolverFailureError,
+                               match="no scanned level has a finite risk at phi=2.0"):
+                optimal_lambda(m, 2.0)
+
     def test_isotropic_arg_min_to_round_off(self):
         # the refinement is a root of the analytic dR/dmu, so the arg-min is
         # resolved to round-off, not to the square root of it
@@ -405,6 +425,32 @@ class TestOptimalPsi:
         # the best level is the one solved at psi = phi itself
         m = make_model(Spectrum.identity(6), beta=unit_signal(6), sigma2=0.01)
         assert optimal_psi(m, 2.0, 0.5) == (0.5, 0.5155955339420407)
+
+    def test_penalty_below_the_data_minimum_starts_on_an_edge(self):
+        # lam < lambda_min(phi) = -0.0858: no psi below (1 + sqrt(0.2))^2,
+        # where lambda_min(psi) = lam, is reachable, and the risk is least there
+        sp = Spectrum.identity(8)
+        m = make_model(sp, beta=np.linspace(1.0, 0.2, 8), sigma2=0.1)
+        phi, lam = 0.5, -0.2
+        assert lam < lambda_min(sp, phi)
+        psi_star, risk_star = optimal_psi(m, lam, phi)
+        assert psi_star == pytest.approx((1.0 + math.sqrt(0.2)) ** 2, rel=1e-12)
+        assert risk_star == pytest.approx(0.4614286, rel=1e-6)
+        assert ensemble_risk(m, lam, phi, psi_star).total == pytest.approx(risk_star, rel=1e-12)
+        probe = []
+        for psi in np.geomspace(phi, 1e6, 1000):
+            try:
+                probe.append(ensemble_risk(m, lam, phi, float(psi)).total)
+            except BelowMinimumPenaltyError:
+                pass  # lam < lambda_min(psi)
+        assert risk_star < min(probe)
+
+    def test_no_finite_scanned_level_is_a_solver_failure(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = make_model(Spectrum.identity(4), beta=[1e200, 1e200, 0.0, 0.0])
+            with pytest.raises(SolverFailureError,
+                               match="no scanned level has a finite risk at lam=0.0, phi=2.0"):
+                optimal_psi(m, 0.0, 2.0)
 
     def test_pure_variance_prefers_infinite_subsampling(self):
         # without signal the zero fit is optimal, reached only at psi = inf
