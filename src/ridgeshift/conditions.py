@@ -232,9 +232,7 @@ def predict_sign(model: ShiftModel, phi: float, points: int = LEVEL_POINTS) -> S
         if phi < 1.0:
             return SignPrediction(regime, "nonnegative", "cov-shift-underparameterized")
         if phi > 1.0:
-            s0 = model.sigma0_dense
-            off = model.sigma0_diag - 1.0 if s0 is None else s0 - np.eye(model.p)
-            if np.max(np.abs(off)) <= 1e-12:
+            if model._sigma0_offset(1.0) <= 1e-12:
                 return SignPrediction(regime, "nonnegative", "cov-shift-identity-test-cov")
             if model.spectrum.is_identity and not _ridgeless_on_edge(model.spectrum, phi):
                 report = check_cov_shift_overparam(model, phi)

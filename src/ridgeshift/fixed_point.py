@@ -153,6 +153,12 @@ def _solve_edge(spectrum: Spectrum, phi: float) -> float:
     r_min = spectrum.r_min
     # at lo, r_min / (r_min + lo) = 2 sqrt(p / phi): that term alone gives g >= 3
     lo = r_min * (0.5 * math.sqrt(phi / p) - 1.0)
+    if lo <= -r_min:
+        # below an aspect of about p eps^2 / 4 the edge is within rounding of the pole
+        raise InvalidParameterError(
+            f"aspect ratio {phi} is too small: the branch edge lies within rounding "
+            f"of -r_min={-r_min}"
+        )
     # r / (r + mu) is largest at r_max for mu >= 0 and at r_min for mu < 0;
     # at hi that term is 1 / (2 sqrt(phi)), so g(hi) <= 1/4 - 1
     hi = (spectrum.r_max if phi >= 0.25 else r_min) * (2.0 * math.sqrt(phi) - 1.0)

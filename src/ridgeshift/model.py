@@ -1,12 +1,14 @@
 """Train/test distribution pairs expressed in the eigenbasis of the train covariance.
 
 Everything downstream works in the basis where the train covariance is
-diagonal. The test covariance is kept dense in that basis, or as its
-diagonal alone when it is diagonal there, and signal vectors are stored as
-projection coefficients in the same basis. The trace and quadratic-form
-functionals of a model are evaluated by the risk kernel
-(:mod:`ridgeshift.risk`). :func:`build_model` builds a model from a parsed
-JSON config, whose format the README's "CLI" section documents.
+diagonal. The test covariance is kept dense in that basis, as its diagonal
+alone when it is diagonal there, or, for an AR(1) test covariance in an
+AR(1) train eigenbasis, as a diagonal plus one rank-one term per parity
+class; signal vectors are stored as projection coefficients in the same
+basis. The trace and quadratic-form functionals of a model are evaluated by
+the risk kernel (:mod:`ridgeshift.risk`). :func:`build_model` builds a model
+from a parsed JSON config, whose format the README's "CLI" section
+documents.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,6 +96,41 @@ class Spectrum:
         self._check_shift(mu)
         r = self.eigenvalues
         return float((r**sigma_power / (r + mu) ** power).sum()) / r.size
+
+
+class _ParityRankOne(NamedTuple):
+    """The symmetric p x p matrix diag(diag) + sum_c coef[c] v_c v_c', c = 0, 1,
+    where v_c is ``vec`` on the parity class c (the indices c, c + 2, ...)
+    and zero elsewhere: a diagonal plus one rank-one term per class. Entries
+    between the two classes are zero, so every functional below is O(p)."""
+
+    diag: np.ndarray
+    vec: np.ndarray
+    coef: tuple[float, float]
+
+    def diagonal(self) -> np.ndarray:
+        out = self.diag.copy()
+        for c, k in enumerate(self.coef):
+            out[c::2] += k * self.vec[c::2] ** 2
+        return out
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """The vector x' M."""
+        out = x * self.diag
+        for c, k in enumerate(self.coef):
+            v = self.vec[c::2]
+            out[c::2] += (k * float(x[c::2] @ v)) * v
+        return out
+
+    def off_diagonal_max(self) -> float:
+        """The largest |entry| off the diagonal."""
+        out = 0.0
+        for c, k in enumerate(self.coef):
+            v = np.abs(self.vec[c::2])
+            if v.size > 1:  # the two largest |v| of the class give its largest entry
+                top = np.partition(v, v.size - 2)[-2:]
+                out = max(out, abs(k) * float(top[0] * top[1]))
+        return out
 
 
 # pi = _PI_HI + _PI_LO with 25 significant bits in _PI_HI, so k * _PI_HI is
@@ -195,29 +233,29 @@ class _AR1Eigensystem:
         w[half:] = top[: p - half][::-1] * self.parity
         return w
 
-    def rotated_ar1(self, rho0: float) -> np.ndarray:
-        """W' S0 W for the test covariance S0 = rho0**|i-j|, -1 < rho0 < 1.
+    def rotated_ar1(self, rho0: float) -> _ParityRankOne:
+        """W' S0 W for the test covariance S0 = rho0**|i-j|, -1 < rho0 < 1, in
+        O(p): a diagonal plus one rank-one term per parity class.
 
         From the tridiagonal inverses, W' S0^-1 W = (diag(d) + g (u u' + v v'))
         / (1 - rho0^2) with d_k = (1 - rho0)^2 + 4 rho0 sin^2(theta_k / 2),
         g = rho0 (rho - rho0) and v = parity * u. Eigenvectors of opposite
         parity do not couple, and within one parity class the rank-one term
-        is 2 g u u', so each class block is a Sherman-Morrison inverse.
+        is 2 g u u', so each class block is a Sherman-Morrison inverse:
+        W' S0 W = (1 - rho0^2) (diag(1/d) - kappa_e w_e w_e' - kappa_o w_o w_o')
+        with w = u / d on each class and kappa = 2 g / (1 + 2 g u'w) there.
+        It is positive definite, being a rotation of S0.
         """
         # d = 1 - 2 rho0 cos(theta) + rho0^2, as a sum of nonnegative terms
         half = np.sin(0.5 * self.theta) if rho0 >= 0.0 else np.cos(0.5 * self.theta)
         d = (1.0 - abs(rho0)) ** 2 + 4.0 * abs(rho0) * (half * half)
         g2 = 2.0 * rho0 * (self.rho - rho0)
         w = self.first_row / d
-        out = np.zeros((self.p, self.p))
-        for start in (0, 1):  # parity alternates along the ascending order
-            u, wc, block = self.first_row[start::2], w[start::2], out[start::2, start::2]
-            kappa = g2 / (1.0 + g2 * float(u @ wc))
-            np.multiply.outer(wc, wc, out=block)
-            block *= -kappa
-            block[np.diag_indices(wc.size)] += 1.0 / d[start::2]
-        out *= (1.0 - rho0) * (1.0 + rho0)
-        return out
+        scale = (1.0 - rho0) * (1.0 + rho0)
+        coef = tuple(  # parity alternates along the ascending order
+            -scale * g2 / (1.0 + g2 * float(self.first_row[c::2] @ w[c::2])) for c in (0, 1)
+        )
+        return _ParityRankOne(scale / d, w, coef)
 
 
 def build_ar1(p: int, rho: float) -> tuple[Spectrum, np.ndarray]:
@@ -232,6 +270,39 @@ def build_ar1(p: int, rho: float) -> tuple[Spectrum, np.ndarray]:
     return Spectrum(ar1.eigenvalues), ar1.eigenvectors
 
 
+def _dense_or_diagonal(sigma0_matrix, p: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """The dense matrix (None when diagonal) and the diagonal of a test
+    covariance given as an array, checked to be symmetric and PSD."""
+    s0 = np.asarray(sigma0_matrix, dtype=float)
+    if not np.all(np.isfinite(s0)):
+        raise InvalidParameterError("sigma0_matrix contains non-finite entries")
+    if s0.ndim == 2 and s0.shape == (p, p) and (
+        np.count_nonzero(s0) == np.count_nonzero(np.diagonal(s0))
+    ):
+        s0 = np.diagonal(s0)
+    if s0.shape == (p,):
+        dense = None
+        diag = s0.copy()
+        eigs = np.sort(diag)
+    elif s0.shape == (p, p):
+        scale = float(np.max(np.abs(s0))) or 1.0
+        if np.max(np.abs(s0 - s0.T)) > 1e-8 * scale:
+            raise InvalidParameterError("sigma0_matrix must be symmetric")
+        dense = 0.5 * (s0 + s0.T)
+        dense.setflags(write=False)
+        diag = np.ascontiguousarray(np.diag(dense))
+        eigs = np.linalg.eigvalsh(dense)
+    else:
+        raise InvalidParameterError(
+            f"sigma0_matrix must be {p}x{p} (or its diagonal), got {s0.shape}"
+        )
+    if eigs[0] < -_PSD_RTOL * max(eigs[-1], 1e-300):
+        raise InvalidParameterError(
+            f"sigma0_matrix is not PSD up to round-off (min eig {eigs[0]:.3e})"
+        )
+    return dense, diag
+
+
 @dataclass(frozen=True, eq=False)
 class ShiftModel:
     """Joint train/test specification in the train eigenbasis.
@@ -240,11 +311,17 @@ class ShiftModel:
     in which case ``signal_alpha2`` holds the signal energy and all
     signal-weighted functionals are evaluated in expectation.
 
-    The test covariance ``sigma0_matrix`` is given dense, or as the vector
-    of its diagonal when it is diagonal in this basis. A diagonal one is
-    stored as ``sigma0_diag`` alone (``sigma0_dense`` is None); functionals
-    use :meth:`sigma0_product`. ``_memo`` keeps values derived once per
-    model (the risk kernel's weights); it lives and dies with the model.
+    The test covariance ``sigma0_matrix`` is given dense, as the vector of
+    its diagonal when it is diagonal in this basis, or in the structured
+    form that :meth:`_AR1Eigensystem.rotated_ar1` returns for an AR(1) test
+    covariance (a diagonal plus one rank-one term per parity class). A
+    diagonal one is stored as ``sigma0_diag`` alone, a structured one as
+    ``_sigma0_parity`` with its diagonal in ``sigma0_diag``; ``sigma0_dense``
+    is None for both, and only a dense one is checked for symmetry and
+    positive semidefiniteness (a structured one is positive definite by
+    construction). Functionals use :meth:`sigma0_product`. ``_memo`` keeps
+    values derived once per model (the risk kernel's weights); it lives and
+    dies with the model.
     """
 
     spectrum: Spectrum
@@ -256,37 +333,16 @@ class ShiftModel:
     signal_alpha2: float | None = None
     sigma0_diag: np.ndarray = field(init=False)
     sigma0_dense: np.ndarray | None = field(init=False, repr=False)
+    _sigma0_parity: _ParityRankOne | None = field(default=None, init=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self, sigma0_matrix) -> None:
         p = self.spectrum.p
-        s0 = np.asarray(sigma0_matrix, dtype=float)
-        if not np.all(np.isfinite(s0)):
-            raise InvalidParameterError("sigma0_matrix contains non-finite entries")
-        if s0.ndim == 2 and s0.shape == (p, p) and (
-            np.count_nonzero(s0) == np.count_nonzero(np.diagonal(s0))
-        ):
-            s0 = np.diagonal(s0)
-        if s0.shape == (p,):
-            dense = None
-            diag = s0.copy()
-            eigs = np.sort(diag)
-        elif s0.shape == (p, p):
-            scale = float(np.max(np.abs(s0))) or 1.0
-            if np.max(np.abs(s0 - s0.T)) > 1e-8 * scale:
-                raise InvalidParameterError("sigma0_matrix must be symmetric")
-            dense = 0.5 * (s0 + s0.T)
-            dense.setflags(write=False)
-            diag = np.ascontiguousarray(np.diag(dense))
-            eigs = np.linalg.eigvalsh(dense)
+        if isinstance(sigma0_matrix, _ParityRankOne):
+            object.__setattr__(self, "_sigma0_parity", sigma0_matrix)
+            dense, diag = None, sigma0_matrix.diagonal()
         else:
-            raise InvalidParameterError(
-                f"sigma0_matrix must be {p}x{p} (or its diagonal), got {s0.shape}"
-            )
-        if eigs[0] < -_PSD_RTOL * max(eigs[-1], 1e-300):
-            raise InvalidParameterError(
-                f"sigma0_matrix is not PSD up to round-off (min eig {eigs[0]:.3e})"
-            )
+            dense, diag = _dense_or_diagonal(sigma0_matrix, p)
         diag.setflags(write=False)
         object.__setattr__(self, "sigma0_dense", dense)
         object.__setattr__(self, "sigma0_diag", diag)
@@ -340,12 +396,8 @@ class ShiftModel:
 
     @property
     def has_covariate_shift(self) -> bool:
-        r = self.spectrum.eigenvalues
-        if self.sigma0_dense is None:
-            diff = self.sigma0_diag - r
-        else:
-            diff = self.sigma0_dense - np.diag(r)
-        return bool(np.max(np.abs(diff)) > 1e-12 * max(self.spectrum.r_max, 1.0))
+        offset = self._sigma0_offset(self.spectrum.eigenvalues)
+        return offset > 1e-12 * max(self.spectrum.r_max, 1.0)
 
     @property
     def has_regression_shift(self) -> bool:
@@ -354,8 +406,19 @@ class ShiftModel:
         scale = float(np.max(np.abs(self.beta))) or 1.0
         return bool(np.max(np.abs(self.beta0 - self.beta)) > 1e-12 * scale)
 
+    def _sigma0_offset(self, t) -> float:
+        """max |S0 - diag(t)| over all entries, for a vector or a scalar t."""
+        if self.sigma0_dense is not None:
+            return float(np.max(np.abs(self.sigma0_dense - np.eye(self.p) * t)))
+        offset = float(np.max(np.abs(self.sigma0_diag - t)))
+        if self._sigma0_parity is not None:
+            offset = max(offset, self._sigma0_parity.off_diagonal_max())
+        return offset
+
     def sigma0_product(self, x: np.ndarray) -> np.ndarray:
         """The vector x' S0 (= S0 x, S0 being symmetric)."""
+        if self._sigma0_parity is not None:
+            return self._sigma0_parity.product(x)
         if self.sigma0_dense is None:
             return x * self.sigma0_diag
         return x @ self.sigma0_dense
@@ -492,11 +555,13 @@ def build_model(doc: dict) -> ShiftModel:
     the train eigenbasis.
 
     A test covariance given in the standard basis (kind ``ar1``) is rotated
-    into the train eigenbasis as ``W' S0 W``; for an ``ar1`` train
-    covariance W and the rotation come from the closed form, and W is formed
-    only when a standard-basis vector needs rotating; for an ``explicit`` or
-    ``file`` spectrum W is the permutation that sorts the listed eigenvalues,
-    so standard-basis vectors and S0 follow the listed order. A signal
+    into the train eigenbasis as ``W' S0 W``. For an ``ar1`` train
+    covariance W and the rotation come from the closed form: the rotation is
+    stored in O(p) as a diagonal plus one rank-one term per parity class,
+    with no dense matrix and no eigenvalue check, and W is formed only when
+    a standard-basis vector needs rotating. For an ``explicit`` or ``file``
+    spectrum W is the permutation that sorts the listed eigenvalues, so
+    standard-basis vectors and the dense S0 follow the listed order. A signal
     specified as an eigenvector combination of the *test* covariance
     (``basis: sigma0``) requires an isotropic train covariance; the working
     basis is then the test eigenbasis. Every malformed document raises InvalidParameterError.

@@ -84,13 +84,16 @@ class _Weights(NamedTuple):
     sum_i w_i / (r_i + mu)^k has the weights ``w1`` (k = 1) or one row of
     ``w2`` (k = 2; its first five rows also at k = 3); ``beta`` and
     ``sigma0`` are set only when the S0 sandwich needs the dense test
-    covariance."""
+    covariance, and ``rank1`` only when S0 has one rank-one term per
+    parity class: the p x 2 matrix of b times each class's vector, and the
+    two coefficients."""
 
     r: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
     beta: np.ndarray | None
     sigma0: np.ndarray | None
+    rank1: tuple[np.ndarray, np.ndarray] | None
     sigma2: float
     kappa2: float
 
@@ -109,7 +112,7 @@ def _make_weights(model: ShiftModel) -> _Weights:
     p = r.size
     s0d = model.sigma0_diag
     zero = np.zeros(p)
-    beta = sigma0 = None
+    beta = sigma0 = rank1 = None
     if model.is_isotropic_signal:
         # E[b' A b] = alpha2 tr[A] / p; the cross terms with b0 - b vanish
         a = model.alpha2 / p
@@ -118,13 +121,21 @@ def _make_weights(model: ShiftModel) -> _Weights:
         b = model.beta
         d = model.beta0 - b
         dvec = model.sigma0_product(d)
-        if model.sigma0_dense is None:
+        parity = model._sigma0_parity
+        if parity is not None:
+            # the diagonal part joins the diagonal functionals
+            sand = b * b * parity.diag
+            vb = np.zeros((p, 2))
+            for c in (0, 1):
+                vb[c::2, c] = b[c::2] * parity.vec[c::2]
+            rank1 = vb, np.array(parity.coef)
+        elif model.sigma0_dense is None:
             sand = b * b * s0d  # a diagonal S0 needs no dense sandwich
         else:
             sand, beta, sigma0 = zero, b, model.sigma0_dense
         sig, c1, c2, align = b * b * r, b * dvec, b * r * dvec, b * r * r * d
     w2 = np.stack([r * r / p, r / p, s0d * r / p, sig, sand, c2, align])
-    return _Weights(r, c1, w2, beta, sigma0, model.sigma2, model.kappa2)
+    return _Weights(r, c1, w2, beta, sigma0, rank1, model.sigma2, model.kappa2)
 
 
 class _Blocks(NamedTuple):
@@ -169,6 +180,12 @@ def _blocks(wt: _Weights, mus) -> _Blocks:
             mwb = m * wb
             o[5] = mwb.sum(axis=1)
             o[12] = (mwb * inv).sum(axis=1)
+        elif wt.rank1 is not None:
+            # sum over classes c of coef_c (v_c' R b)(v_c' R^k b), k = 1, 2
+            vb, coef = wt.rank1
+            m = inv @ vb
+            o[5] += (m * m) @ coef
+            o[12] += (m * (inv2 @ vb)) @ coef
     return _Blocks(mus, *out)
 
 

@@ -141,8 +141,8 @@ def generate_data(
         if model.is_isotropic_signal:
             raise InvalidParameterError("isotropic-random model needs an explicit beta draw")
         beta = model.beta
-    z = rng.standard_normal((n, model.p))
-    x = z * np.sqrt(model.spectrum.eigenvalues)[None, :]
+    x = rng.standard_normal((n, model.p))
+    x *= np.sqrt(model.spectrum.eigenvalues)
     y = x @ beta
     if model.sigma2 > 0.0:
         y = y + math.sqrt(model.sigma2) * rng.standard_normal(n)

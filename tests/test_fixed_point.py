@@ -4,6 +4,7 @@ and monotonicity properties, work per root, equivalence contours."""
 import gc
 import math
 import sys
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -261,6 +262,16 @@ class TestSolveMu:
         assert big == pytest.approx(1e6 * np.mean(sp.eigenvalues), rel=1e-4)
         huge_lam = solve_mu(sp, 1e9, 2.0).mu
         assert huge_lam == pytest.approx(1e9, rel=1e-6)
+
+    @pytest.mark.parametrize("phi", [1e-33, 1e-40, 1e-300])
+    def test_edge_within_rounding_of_the_pole_names_the_aspect(self, phi):
+        # below an aspect of about p eps^2 / 4 the lower bracket end rounds
+        # onto -r_min, where the edge equation divides by zero
+        sp = Spectrum.from_values([0.5, 1.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=f"aspect ratio {phi} is too small"):
+                mu_zero(sp, phi)
 
 
 def criterion_1_draws():

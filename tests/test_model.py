@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ridgeshift import (
     InvalidParameterError,
@@ -19,9 +19,11 @@ from ridgeshift import (
     build_model,
     lambda_min,
     make_model,
+    optimal_lambda,
+    predict_sign,
     risk_decomposition,
 )
-from ridgeshift.model import _KEYS
+from ridgeshift.model import _KEYS, _AR1Eigensystem
 from ridgeshift.risk import _blocks, _weights
 
 EPS = np.finfo(float).eps
@@ -30,7 +32,16 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 def dense_sigma0(m):
     """The test covariance of ``m`` as a dense matrix in the train eigenbasis."""
-    return np.diag(m.sigma0_diag) if m.sigma0_dense is None else m.sigma0_dense
+    if m.sigma0_dense is not None:
+        return m.sigma0_dense
+    parity = m._sigma0_parity
+    if parity is None:
+        return np.diag(m.sigma0_diag)
+    dense = np.diag(parity.diag)
+    for c, coef in enumerate(parity.coef):
+        v = parity.vec[c::2]
+        dense[c::2, c::2] += coef * np.multiply.outer(v, v)
+    return dense
 
 
 def dense_ar1(p, rho):
@@ -141,6 +152,113 @@ class TestAR1Eigensystem:
                 exact = (1 - r * r) / (1 - 2 * r * mpmath.cos(t) + r * r)
                 ulps = abs(mpmath.mpf(float(lam)) - exact) / np.spacing(float(exact))
                 assert ulps <= 4.0, (lam, float(exact))
+
+
+def ar1_pair_config(p, rho, rho0, shift="joint", signal=None):
+    """An AR(1) train covariance with an AR(1) test covariance."""
+    return {
+        "p": p,
+        "spectrum": {"kind": "ar1", "rho": rho},
+        "signal": signal or {"kind": "eigvec-combination", "indices": [1, p], "weights": [0.5, 0.5]},
+        "shift": {"kind": shift, "sigma0": {"kind": "ar1", "rho": rho0},
+                  "beta0": {"kind": "scale", "factor": 2.0}},
+        "sigma2": 0.01,
+    }
+
+
+class TestStructuredTestCovariance:
+    """An AR(1) test covariance in an AR(1) train eigenbasis is stored as a
+    diagonal plus one rank-one term per parity class; every functional that
+    reads it must agree with a dense model built from W' K W."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @example(2000, 0.5, -0.3, "joint", 2.0)
+    @example(2000, 0.9, "rho", "covariate", 2.0)
+    @given(
+        # log-uniform, so that few of the dense references cost O(p^3) at p near 2000
+        st.floats(math.log(2.0), math.log(2000.0)).map(lambda e: round(math.exp(e))),
+        st.floats(1e-12, 0.99),
+        st.one_of(st.sampled_from(["zero", "rho"]), st.floats(-0.99, 0.99)),
+        st.sampled_from(["covariate", "joint"]),
+        st.sampled_from([0.5, 2.0]),
+    )
+    def test_functionals_match_the_dense_model(self, p, rho, rho0, shift, phi):
+        rho0 = {"zero": 0.0, "rho": rho}.get(rho0, rho0)
+        rng = np.random.default_rng(p)
+        values = rng.standard_normal(p)
+        cfg = ar1_pair_config(p, rho, rho0, shift, {"kind": "explicit", "values": list(values)})
+        m = build_model(cfg)
+        assert m.sigma0_dense is None and m._sigma0_parity is not None
+        spectrum, w = build_ar1(p, rho)
+        s0 = w.T @ dense_ar1(p, rho0) @ w
+        ref = make_model(spectrum, beta=m.beta, beta0=m.beta0, sigma0=s0, sigma2=m.sigma2)
+        assert ref.sigma0_dense is not None
+        # the entrywise tolerance of test_rotated_test_covariance_matches_dense;
+        # a bilinear form x' S0 y moves by at most that times |x|_1 |y|_1
+        tol = 8 * EPS * (p + 1.0 / (1.0 - abs(rho0))) * np.max(np.abs(s0))
+
+        def close(got, want, scale):
+            err = np.abs(np.subtract(got, want))
+            assert np.all(err <= tol * np.asarray(scale)), (got, want)
+
+        def l1(x):
+            return float(np.abs(x).sum())
+
+        r, b, d = spectrum.eigenvalues, m.beta, m.beta0 - m.beta
+        x = rng.standard_normal(p)
+        close(m.sigma0_product(x), ref.sigma0_product(x), l1(x))
+        close(m.sigma0_diag, ref.sigma0_diag, 1.0)
+        close(m.kappa2, ref.kappa2, l1(d) ** 2)
+        close(m.null_parts(), ref.null_parts(), [l1(b) ** 2, 2.0 * l1(b) * l1(d)])
+        # max |S0 - diag(t)|; at t = diag(S0) only the entries off the diagonal count
+        for t in (r, 1.0, m.sigma0_diag):
+            close(m._sigma0_offset(t), ref._sigma0_offset(t), 1.0)
+        assert m.has_covariate_shift == ref.has_covariate_shift == (rho0 != rho)
+
+        mus = np.array([-0.5 * r[0], 0.0, 0.7, 5.0])
+        got, want = _blocks(_weights(m), mus), _blocks(_weights(ref), mus)
+        inv = 1.0 / (r + mus[:, None])
+        bi, bi2 = np.abs(b) * inv, np.abs(b) * inv**2
+        ad = l1(d)
+        scales = {  # each S0-dependent row: x' S0 y, or a trace against its diagonal
+            "c1": bi.sum(axis=1) * ad,
+            "n2": (r * inv**2).sum(axis=1) / p,
+            "q2": bi.sum(axis=1) ** 2,
+            "c2": (bi2 * r).sum(axis=1) * ad,
+            "n3": (r * inv**3).sum(axis=1) / p,
+            "q3": bi2.sum(axis=1) * bi.sum(axis=1),
+        }
+        for name in got._fields[1:]:
+            if name in scales:
+                close(getattr(got, name), getattr(want, name), scales[name])
+            else:
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        got, want = predict_sign(m, phi), predict_sign(ref, phi)
+        assert (got.predicted_sign, got.applied_rule) == (want.predicted_sign, want.applied_rule)
+
+    def test_ar1_joint_build_needs_no_dense_matrix(self, monkeypatch):
+        # the p = 500 joint-shift config of the benchmark's cli-batch deck
+        def boom(*args, **kwargs):
+            raise AssertionError("dense work in an O(p) build")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+        monkeypatch.setattr(_AR1Eigensystem, "eigenvectors", property(boom))
+        m = build_model(dict(ar1_pair_config(500, 0.5, 0.3), sigma0_sq=0.0))
+        assert m.sigma0_dense is None and m.has_covariate_shift and m.has_regression_shift
+
+    def test_large_pair_builds_and_optimizes_in_linear_memory(self):
+        # a dense 20,000 x 20,000 test covariance alone would take 3.2 GB
+        p = 20_000
+        tracemalloc.start()
+        try:
+            m = build_model(ar1_pair_config(p, 0.5, -0.3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        opt = optimal_lambda(m, 2.0)
+        assert opt.boundary_flag == "interior" and lambda_min(m.spectrum, 2.0) < opt.lambda_star
+        assert math.isfinite(opt.risk_star) and opt.risk_star < m.null_risk()
 
 
 class TestSpectrum:
