@@ -59,6 +59,8 @@ LEVEL_POINTS = 400
 
 
 def _check_points(points: int) -> None:
+    if not isinstance(points, (int, np.integer)):
+        raise InvalidParameterError(f"points must be an integer, got {points!r}")
     if points < 1:
         raise InvalidParameterError(f"level grid needs at least 1 point, got {points}")
 

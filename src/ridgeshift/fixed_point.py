@@ -62,6 +62,13 @@ def _check_phi(phi: float) -> None:
         raise InvalidParameterError(f"aspect ratio must be positive and finite, got {phi}")
 
 
+def _check_count(name: str, value: int, minimum: int) -> None:
+    """Reject a count that is not a Python or numpy integer (a float such as
+    2.0 included) or that lies below ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _solve_monotone(f, lo: float, hi: float, flo: float, fhi: float, increasing: bool,
                     f_noise: float = 0.0, secant: bool = False):
     """Root of a strictly monotone function on a bracket [lo, hi] with
@@ -319,8 +326,7 @@ def equivalence_path(
     follows from matching mu between the two parameterizations.
     """
     _check_phi(phi)
-    if not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise InvalidParameterError(f"samples must be an integer >= 2, got {samples!r}")
+    _check_count("samples", samples, 2)
     if (lambda_bar is None) == (psi_bar is None):
         raise InvalidParameterError("give exactly one anchor: lambda_bar or psi_bar")
 

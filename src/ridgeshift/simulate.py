@@ -8,9 +8,14 @@ form. Replicates derive independent random streams from
 bit-identical regardless of execution order or thread count.
 
 One dataset per (aspect-ratio group, replicate) is shared across the whole
-penalty grid. Each (sub)sample design forms its Gram matrix once; a short
-grid takes one direct solve per penalty, and a dense negative-to-positive
-sweep eigendecomposes the design once and reuses that for every penalty.
+penalty grid. A short grid takes one direct solve per penalty on a Gram
+matrix, and a dense negative-to-positive sweep eigendecomposes the design
+once and reuses that for every penalty. The full sample forms its own Gram
+matrix. M subsamples of k <= p rows on a short grid solve on blocks of one
+dual Gram X X' / k per replicate and map their summed dual coefficients
+back with one product, when that n x n Gram stays within 32 MiB and it and
+the gathered blocks cost no more than the M subsample Grams; other
+subsamples fit their own designs.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .fixed_point import lambda_min
+from .fixed_point import _check_count, lambda_min
 from .model import ShiftModel
 from .risk import ensemble_risk
 
@@ -38,6 +43,11 @@ EDGE_GUARD = 0.05
 #: longest penalty grid fitted by one direct solve per penalty; on one BLAS
 #: thread a shared eigendecomposition wins from 8-11 penalties (n = 300-800)
 DIRECT_SOLVES_MAX = 7
+#: largest n x n dual Gram that the subsample fits of one replicate share
+_DUAL_GRAM_MAX_BYTES = 32 * 2**20
+#: multiply-adds that one entry of a subsample's block costs when gathered
+#: from the shared dual Gram (one BLAS thread, n = 150-2000, p = 100-1000)
+_GATHER_MULADDS = 200
 
 
 class NearSingularRidgeWarning(RuntimeWarning):
@@ -52,8 +62,7 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if not self.psi > 0.0:
             raise InvalidParameterError(f"psi must be positive, got {self.psi}")
-        if self.n_subsamples < 1:
-            raise InvalidParameterError("n_subsamples must be >= 1")
+        _check_count("n_subsamples", self.n_subsamples, 1)
 
 
 @dataclass(frozen=True)
@@ -69,10 +78,8 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.p < 1 or self.reps < 1 or self.threads < 1:
-            raise InvalidParameterError("p, reps and threads must be positive")
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be nonnegative, got {self.seed}")
+        for name, minimum in (("p", 1), ("reps", 1), ("seed", 0), ("threads", 1)):
+            _check_count(name, getattr(self, name), minimum)
         if not 0.0 < self.phi < math.inf:
             raise InvalidParameterError(f"phi must be positive and finite, got {self.phi}")
         if self.n < 1:
@@ -134,8 +141,7 @@ def generate_data(
 
     ``beta`` overrides the model signal (isotropic-random models must pass
     the realized draw here)."""
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
+    _check_count("n", n, 1)
     rng = np.random.default_rng(rng)  # a Generator passes through unaltered
     if beta is None:
         if model.is_isotropic_signal:
@@ -189,6 +195,19 @@ class RidgeFactorization:
         return self.eigvecs @ (inv * coeffs)
 
 
+def _penalty_solves(gram: np.ndarray, rhs: np.ndarray, lams: Sequence[float]):
+    """Solutions of (gram + lam I) a = rhs, one per penalty in turn, None
+    where that matrix is exactly singular. Each penalty goes onto the
+    diagonal of ``gram`` in place, the bits of adding lam * I."""
+    diag = gram.diagonal().copy()
+    for lam in lams:
+        gram.flat[:: len(gram) + 1] = diag + lam
+        try:
+            yield np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            yield None
+
+
 def _fits(x: np.ndarray, y: np.ndarray, lams: Sequence[float]) -> np.ndarray:
     """Pseudoinverse ridge fits of (x, y), one row per penalty. Up to
     DIRECT_SOLVES_MAX penalties take one direct solve each on the Gram
@@ -203,15 +222,54 @@ def _fits(x: np.ndarray, y: np.ndarray, lams: Sequence[float]) -> np.ndarray:
     rhs = y if dual else x.T @ y / n
     fits = np.empty((len(lams), p))
     fact = None  # built at the first exactly singular penalty, then reused
-    for row, lam in zip(fits, lams):
-        shifted = gram.copy()  # lam onto the diagonal in place: the bits of adding lam * I
-        shifted.flat[:: len(gram) + 1] += lam
-        try:
-            sol = np.linalg.solve(shifted, rhs)
-            row[:] = x.T @ sol / n if dual else sol
-        except np.linalg.LinAlgError:
+    for row, lam, sol in zip(fits, lams, _penalty_solves(gram, rhs, lams)):
+        if sol is None:
             fact = fact or RidgeFactorization(x)
             row[:] = fact.solve(y, lam)
+        else:
+            row[:] = x.T @ sol / n if dual else sol
+    return fits
+
+
+def _subsample_fits(
+    x: np.ndarray, y: np.ndarray, subsets: Sequence[np.ndarray], lams: Sequence[float]
+) -> np.ndarray:
+    """Summed pseudoinverse ridge fits of the subsamples (x[I], y[I]) of k
+    rows each, one row per penalty.
+
+    Each dual Gram X_I X_I' / k is the block G[I, I] of G = X X' / k, and
+    sum_I X_I' (G[I, I] + lam I)^-1 y_I / k = X' sum_I scatter(a_I) / k, so
+    the dual coefficients a_I gather at rows I of one (penalties x n) array
+    that maps back with one product; an exactly singular block takes its
+    subsample's pseudoinverse fit, added in p-space. That route needs
+    k <= p, a grid of direct solves and G within _DUAL_GRAM_MAX_BYTES, and
+    it is taken when G and the gathered blocks, n^2 p + M k^2 _GATHER_MULADDS
+    multiply-adds, cost no more than the M subsample Grams, M k^2 p;
+    otherwise every subsample is fitted on its own."""
+    n, p = x.shape
+    k = len(subsets[0])
+    subsample_grams = len(subsets) * k * k
+    shared = (k <= p and len(lams) <= DIRECT_SOLVES_MAX and 8 * n * n <= _DUAL_GRAM_MAX_BYTES
+              and n * n * p + subsample_grams * _GATHER_MULADDS <= subsample_grams * p)
+    if not shared:
+        return sum(_fits(x[sub], y[sub], lams) for sub in subsets)
+    gram = x @ x.T
+    gram /= k  # the bits of x @ x.T / k without a second n x n array
+    coeffs = np.zeros((len(lams), n))
+    pinv_fits = np.zeros((len(lams), p))
+    for sub in subsets:
+        fact = None  # built at the subsample's first exactly singular penalty
+        solves = _penalty_solves(gram[np.ix_(sub, sub)], y[sub], lams)
+        for row, (lam, sol) in enumerate(zip(lams, solves)):
+            if sol is None:
+                fact = fact or RidgeFactorization(x[sub])
+                pinv_fits[row] += fact.solve(y[sub], lam)
+            else:
+                coeffs[row, sub] += sol
+        del solves  # and with it the block, before the next one is gathered
+    fits = coeffs @ x
+    fits /= k
+    fits += pinv_fits
     return fits
 
 
@@ -297,18 +355,16 @@ def mc_experiment(
         x, y = generate_data(model, n, rng=rng, beta=beta)
         beta0 = beta if model.is_isotropic_signal else model.beta0
         _, k, subsamples, lams = groups[gidx]
-        if k == n:
-            # plain ridge, or an ensemble whose every subsample is the full sample
-            subsets = [slice(None)]
-        else:
-            subsets = [rng.choice(n, size=k, replace=False) for _ in range(subsamples)]
-        fits = np.zeros((len(lams), model.p))
         try:
-            for sub in subsets:
-                fits += _fits(x[sub], y[sub], lams)
+            if k == n:
+                # plain ridge, or an ensemble whose every subsample is the full sample
+                fits = _fits(x, y, lams)
+            else:
+                subsets = [rng.choice(n, size=k, replace=False) for _ in range(subsamples)]
+                fits = _subsample_fits(x, y, subsets, lams)
+                fits /= subsamples
         except np.linalg.LinAlgError:
             return None
-        fits /= len(subsets)
         return [empirical_risk(bh, model, beta0=beta0) for bh in fits]
 
     tasks = [(g, rep) for g in range(len(groups)) for rep in range(config.reps)]

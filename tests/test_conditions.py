@@ -313,6 +313,12 @@ class TestPredictSign:
                 with pytest.raises(InvalidParameterError, match="at least 1 point"):
                     predict_sign(m, phi, points)
 
+    def test_non_integral_points_rejected_on_every_route(self):
+        for m in self._route_models():
+            for phi in (0.5, 2.0):
+                with pytest.raises(InvalidParameterError, match="points must be an integer"):
+                    predict_sign(m, phi, 2.5)
+
 
 class TestReadmeLibraryExample:
     def test_negative_interior_optimum_certified(self):

@@ -2,18 +2,23 @@
 risks, and the seeded experiment driver with its subsample averages."""
 
 import math
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ridgeshift import (
     InvalidParameterError,
     SimConfig,
     EnsembleConfig,
     Spectrum,
+    build_ar1,
     empirical_risk,
     generate_data,
+    lambda_min,
     make_model,
     mc_experiment,
 )
@@ -47,6 +52,11 @@ class TestGenerateData:
         x2, y2 = generate_data(m, 20, rng=7)
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(y1, y2)
+
+    def test_non_integral_sample_size_rejected(self):
+        m = make_model(Spectrum.identity(3), beta=unit_signal(3), sigma2=0.5)
+        with pytest.raises(InvalidParameterError, match="n must be an integer"):
+            generate_data(m, 2.5, rng=0)
 
 
 class TestRidgeFit:
@@ -255,6 +265,140 @@ class TestEnsembleFit:
         with pytest.raises(InvalidParameterError, match="psi"):
             EnsembleConfig(psi=psi)
 
+    def test_non_integral_subsample_count_rejected(self):
+        with pytest.raises(InvalidParameterError, match="n_subsamples must be an integer"):
+            EnsembleConfig(psi=4.0, n_subsamples=2.5)
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _ar1_or_identity(p, rho):
+    return Spectrum.identity(p) if rho is None else build_ar1(p, rho)[0]
+
+
+@st.composite
+def subsample_cases(draw):
+    """(k, p, n, M, AR(1) rho or None for the identity, penalties, seed) with
+    k <= p < n <= 3k, M k^2 >= n^2 (the shared dual Gram pays once gathers
+    are free), and 1 to DIRECT_SOLVES_MAX penalties lmin + t (|lmin| + 0.1),
+    lmin = lambda_min(p / k), t in [0.5, 20]: admissible, negative from
+    psi = p / k of about 1.7, and away from the branch edge. At the edge,
+    for example lam = 0 at k = p, the condition number of a fit grows like
+    k^2 and the two routes agree only to that times eps."""
+    k = draw(st.integers(4, 40))
+    p = draw(st.integers(k, 3 * k - 1))
+    n = draw(st.integers(p + 1, 3 * k))
+    least = -(-n * n // (k * k))
+    subsamples = draw(st.integers(least, least + 5))
+    rho = draw(st.one_of(st.none(), st.floats(0.1, 0.8)))
+    lmin = lambda_min(_ar1_or_identity(p, rho), p / k)
+    lams = draw(st.lists(st.floats(0.5, 20.0).map(lambda t: lmin + t * (abs(lmin) + 0.1)),
+                         min_size=1, max_size=simulate.DIRECT_SOLVES_MAX))
+    return k, p, n, subsamples, rho, lams, draw(st.integers(0, 2**31))
+
+
+def _no_per_subsample_fits():
+    return mock.patch.object(simulate, "_fits", side_effect=AssertionError("_fits called"))
+
+
+def _free_gathers():
+    """At p <= _GATHER_MULADDS the shared dual Gram never pays; with free
+    gathers it does once M k^2 >= n^2, so that small designs take it."""
+    return mock.patch.object(simulate, "_GATHER_MULADDS", 0)
+
+
+class TestSubsampleDualGram:
+    """M subsamples of k <= p rows solve on blocks of one dual Gram per
+    replicate when that costs less than their own Grams; each replicate risk
+    matches the average of per-subsample fits on the same data stream."""
+
+    @staticmethod
+    def _reference_risks(model, config, lams, rep):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0, rep)))
+        x, y = generate_data(model, config.n, rng=rng)
+        k = round(model.p / config.ensemble.psi)
+        subsets = [rng.choice(config.n, size=k, replace=False)
+                   for _ in range(config.ensemble.n_subsamples)]
+        fits = sum(_fits(x[sub], y[sub], lams) for sub in subsets) / len(subsets)
+        return [empirical_risk(fit, model) for fit in fits]
+
+    @PROPERTY_SETTINGS
+    @given(subsample_cases())
+    def test_replicate_risks_match_per_subsample_fits(self, case):
+        k, p, n, subsamples, rho, lams, seed = case
+        rng = np.random.default_rng(seed)
+        beta = rng.standard_normal(p) / math.sqrt(p)
+        model = make_model(_ar1_or_identity(p, rho), beta=beta, sigma2=0.25)
+        config = SimConfig(p=p, phi=p / n, reps=int(rng.integers(1, 4)), seed=seed,
+                           include_plain=False,
+                           ensemble=EnsembleConfig(psi=p / k, n_subsamples=subsamples))
+        with _free_gathers(), _no_per_subsample_fits():
+            cells = mc_experiment(model, config, lams).cells
+        assert [c.lam for c in cells] == lams
+        for rep in range(config.reps):
+            want = self._reference_risks(model, config, lams, rep)
+            got = [c.replicate_risks[rep] for c in cells]
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_exactly_singular_block_takes_the_pseudoinverse(self):
+        # two equal design rows in both subsamples make their blocks exactly
+        # singular at lam = 0: that row sums the pseudoinverse bits, the other
+        # penalty takes direct solves
+        rng = np.random.default_rng(21)
+        n, p, k = 7, 8, 5
+        x = rng.standard_normal((n, p))
+        x[3] = x[6]
+        y = rng.standard_normal(n)
+        subsets = [np.array([6, 0, 3, 1, 5]), np.array([2, 3, 4, 6, 0])]
+        assert len(subsets) * k * k >= n * n
+        for sub in subsets:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve((x @ x.T / k)[np.ix_(sub, sub)], y[sub])
+        pinv = [RidgeFactorization(x[sub]).solve(y[sub], 0.0) for sub in subsets]
+        direct = sum(_fits(x[sub], y[sub], [0.5])[0] for sub in subsets)
+        with _free_gathers(), _no_per_subsample_fits():
+            fits = simulate._subsample_fits(x, y, subsets, [0.0, 0.5])
+        assert fits[0].tobytes() == (pinv[0] + pinv[1]).tobytes()
+        np.testing.assert_allclose(fits[1], direct, rtol=1e-12)
+
+    @pytest.mark.parametrize("psi, subsamples, gather, gram_cap, shared", [
+        # p = 40, n = 80, k = 40 / psi
+        (1.0, 4, 0, simulate._DUAL_GRAM_MAX_BYTES, True),   # M k^2 = n^2
+        (1.0, 3, 0, simulate._DUAL_GRAM_MAX_BYTES, False),  # M k^2 < n^2: the subsample Grams cost less
+        (1.0, 4, 0, 8 * 80 * 80 - 1, False),                # the n x n Gram above its cap
+        (1.0, 40, simulate._GATHER_MULADDS, simulate._DUAL_GRAM_MAX_BYTES, False),  # p <= the gather cost
+        (0.8, 40, 0, simulate._DUAL_GRAM_MAX_BYTES, False),  # k = 50 > p
+    ])
+    def test_route_follows_gram_cost_and_size(self, psi, subsamples, gather, gram_cap, shared):
+        m = make_model(Spectrum.identity(40), beta=unit_signal(40), sigma2=0.25)
+        cfg = SimConfig(p=40, phi=0.5, reps=2, seed=7, include_plain=False,
+                        ensemble=EnsembleConfig(psi=psi, n_subsamples=subsamples))
+        with mock.patch.object(simulate, "_GATHER_MULADDS", gather), \
+                mock.patch.object(simulate, "_DUAL_GRAM_MAX_BYTES", gram_cap), \
+                mock.patch.object(simulate, "_fits", wraps=simulate._fits) as per_subsample:
+            cells = mc_experiment(m, cfg, [0.5]).cells
+        assert [c.k for c in cells] == [round(40 / psi)]
+        assert per_subsample.call_count == (0 if shared else 2 * subsamples)
+
+    def test_peak_memory_is_the_design_and_both_grams(self):
+        # one n x n dual Gram per replicate and one k x k block at a time;
+        # eight subsamples are the fewest for which the dual Gram pays
+        p, n, k = 400, 800, 400
+        m = make_model(Spectrum.identity(p), beta=unit_signal(p), sigma2=0.25)
+        cfg = SimConfig(p=p, phi=p / n, reps=1, seed=5, include_plain=False,
+                        ensemble=EnsembleConfig(psi=p / k, n_subsamples=8))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with _no_per_subsample_fits():
+                mc_experiment(m, cfg, [0.5])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.08 * (n * p + n * n + k * k) * 8, peak / ((n * p + n * n + k * k) * 8)
+
 
 class TestEmpiricalRisk:
     def test_perfect_fit(self):
@@ -282,13 +426,20 @@ class TestMcExperiment:
         return make_model(Spectrum.identity(p), beta=unit_signal(p), sigma2=0.25)
 
     def test_seed_determinism_across_threads(self):
+        # plain cells, and subsamples of k = 10 <= p on the shared dual Gram
         m = self._model(40)
         grid = [0.1, 0.5]
-        r1 = mc_experiment(m, SimConfig(p=40, phi=2.0, reps=6, seed=11, threads=1), grid)
-        r2 = mc_experiment(m, SimConfig(p=40, phi=2.0, reps=6, seed=11, threads=3), grid)
-        for a, b in zip(r1.cells, r2.cells):
-            assert a.empirical_mean == b.empirical_mean
-            assert a.empirical_se == b.empirical_se
+        for ensemble in (None, EnsembleConfig(psi=4.0, n_subsamples=6)):
+            with _free_gathers():
+                r1, r2 = (mc_experiment(m, SimConfig(p=40, phi=2.0, reps=6, seed=11,
+                                                     threads=threads, ensemble=ensemble), grid)
+                          for threads in (1, 3))
+            assert len(r1.cells) == (2 if ensemble is None else 4)
+            for a, b in zip(r1.cells, r2.cells):
+                assert a.empirical_mean.hex() == b.empirical_mean.hex()
+                assert a.empirical_se.hex() == b.empirical_se.hex()
+                assert ([r.hex() for r in a.replicate_risks]
+                        == [r.hex() for r in b.replicate_risks])
 
     def test_theory_agreement_at_moderate_scale(self):
         m = self._model(150)
@@ -306,6 +457,8 @@ class TestMcExperiment:
     @pytest.mark.parametrize("field, value, match", [
         ("phi", math.nan, "phi"), ("phi", math.inf, "phi"), ("phi", 0.0, "phi"),
         ("seed", -1, "seed"), ("threads", 0, "threads"),
+        ("p", 4.5, "p must be an integer"), ("reps", 2.5, "reps must be an integer"),
+        ("seed", 1.5, "seed must be an integer"), ("threads", 1.5, "threads must be an integer"),
     ])
     def test_invalid_config_rejected_at_construction(self, field, value, match):
         # checked before any replicate runs, not at the first random stream
