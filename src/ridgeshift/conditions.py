@@ -65,13 +65,17 @@ def _check_points(points: int) -> None:
         raise InvalidParameterError(f"level grid needs at least 1 point, got {points}")
 
 
-def _levels(start: float, r_max: float, points: int) -> np.ndarray:
-    """``points`` log-spaced levels from max(start, FLOOR) to CAP_FACTOR * r_max."""
+def _levels(start: float, r_max: float, points: int, phi: float | None = None) -> np.ndarray:
+    """``points`` log-spaced levels from max(start, FLOOR) to CAP_FACTOR * r_max;
+    ``phi``, when given, is the aspect whose ridgeless level is ``start``."""
     _check_points(points)
     lo = max(start, FLOOR)
     hi = CAP_FACTOR * r_max
     if hi <= lo:
-        raise InvalidParameterError("empty level grid")
+        at = "" if phi is None else f" at aspect ratio {phi}"
+        raise InvalidParameterError(
+            f"empty level grid{at}: its start {lo:.6g} is not below its top {hi:.6g}"
+        )
     grid = np.geomspace(lo, hi, points)
     grid[0] = lo
     return grid
@@ -129,8 +133,8 @@ def check_in_dist_alignment(
         raise InvalidParameterError("wrong regime: requires phi > 1")
     sp = model.spectrum
     mu_start = solve_mu(sp, 0.0, phi).mu
-    mus = _levels(mu_start, sp.r_max, points)
-    bl = _blocks(_weights(model), mus)
+    mus = _levels(mu_start, sp.r_max, points, phi)
+    bl = _blocks(_weights(model), mus, ("b2", "b3", "s2", "s3"))
     s2n = model.sigma2
     b2, b3 = mus**2 * bl.b2, mus**3 * bl.b3
     s2, s3 = mus**2 * bl.s2, mus**3 * bl.s3
@@ -156,9 +160,15 @@ def check_cov_shift_overparam(model: ShiftModel, phi: float) -> ConditionReport:
     mu0 = solve_mu(model.spectrum, 0.0, phi).mu  # = phi - 1 for identity
     lhs = model.null_parts()[0]  # b' S0 b
     alpha2 = model.alpha2
-    rhs = float(np.mean(model.sigma0_diag)) * (
-        alpha2 + (1.0 + mu0) ** 3 / mu0**3 * model.sigma2
-    )
+    try:
+        rhs = float(np.mean(model.sigma0_diag)) * (
+            alpha2 + (1.0 + mu0) ** 3 / mu0**3 * model.sigma2
+        )
+    except OverflowError:
+        raise InvalidParameterError(
+            f"aspect ratio {phi} is too large: the cube of the ridgeless level {mu0:.6g} "
+            "overflows"
+        ) from None
     margin = np.array([lhs - rhs])
     return _report("cov-shift-overparam", margin, f"single point at mu={mu0:.6g}")
 
@@ -169,7 +179,7 @@ def check_reg_shift_alignment(model: ShiftModel, points: int = LEVEL_POINTS) -> 
     if model.is_isotropic_signal or not model.has_regression_shift:
         raise InvalidParameterError("degenerate shift: beta0 equals beta")
     mus = np.concatenate([[0.0], _levels(0.0, model.spectrum.r_max, points)])
-    margins = _blocks(_weights(model), mus).a2
+    margins = _blocks(_weights(model), mus, ("a2",)).a2
     return _report(
         "reg-shift-alignment", margins, f"mu in [0, {mus[-1]:.6g}], {mus.size} points"
     )
@@ -184,7 +194,7 @@ def check_reg_shift_general_balance(
     zero penalty (always true underparameterized)."""
     sp = model.spectrum
     mu_start = solve_mu(sp, 0.0, phi).mu
-    mus = _levels(mu_start, sp.r_max, points)
+    mus = _levels(mu_start, sp.r_max, points, phi)
     if mu_start <= FLOOR:
         mus = np.concatenate([[mu_start], mus])
     parts = _kernel(_weights(model), mus, phi)

@@ -42,6 +42,9 @@ _EPS = float(np.finfo(float).eps)
 #: ulps) ends the iteration: quadratic convergence leaves the next step at
 #: round-off.
 _STEP_TOL = 4.0 * _EPS
+#: Shifted eigenvalues up to this size have a finite cube (the largest is
+#: about 5.6e102).
+_CUBE_MAX = 1e102
 #: Edges memoized per spectrum; the memo is emptied when it reaches this size.
 _EDGE_MEMO_SIZE = 256
 
@@ -169,6 +172,12 @@ def _solve_edge(spectrum: Spectrum, phi: float) -> float:
     # r / (r + mu) is largest at r_max for mu >= 0 and at r_min for mu < 0;
     # at hi that term is 1 / (2 sqrt(phi)), so g(hi) <= 1/4 - 1
     hi = (spectrum.r_max if phi >= 0.25 else r_min) * (2.0 * math.sqrt(phi) - 1.0)
+    if spectrum.r_max + hi > _CUBE_MAX:
+        # the cubes in the slope of g would overflow inside the bracket
+        raise InvalidParameterError(
+            f"aspect ratio {phi} is too large: the branch edge bracket reaches {hi:.3g}, "
+            f"where the edge equation's slope overflows"
+        )
     # g sums terms near 1 and subtracts 1: its noise is a few eps, which
     # bounds the accuracy of roots near zero (phi near 1) in absolute terms
     mu0 = _solve_monotone(g, lo, hi, g(lo)[0], g(hi)[0], increasing=False, f_noise=4.0 * _EPS)

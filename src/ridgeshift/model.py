@@ -408,11 +408,16 @@ class ShiftModel:
 
     def _sigma0_offset(self, t) -> float:
         """max |S0 - diag(t)| over all entries, for a vector or a scalar t."""
-        if self.sigma0_dense is not None:
-            return float(np.max(np.abs(self.sigma0_dense - np.eye(self.p) * t)))
         offset = float(np.max(np.abs(self.sigma0_diag - t)))
         if self._sigma0_parity is not None:
             offset = max(offset, self._sigma0_parity.off_diagonal_max())
+        elif self.sigma0_dense is not None:
+            # a view of the entries off the diagonal (a dense S0 has p >= 2):
+            # in the flattened matrix each diagonal entry is followed by p
+            # entries, the last of them the next diagonal entry
+            p = self.p
+            off = self.sigma0_dense.ravel()[1:].reshape(p - 1, p + 1)[:, :p]
+            offset = max(offset, float(off.max()), -float(off.min()))
         return offset
 
     def sigma0_product(self, x: np.ndarray) -> np.ndarray:

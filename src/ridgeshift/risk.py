@@ -18,11 +18,15 @@ Isotropic-random signals replace the rank-one signal matrix by its
 expectation, energy/p times the identity.
 
 All four terms and their mu-derivatives come from one vectorized kernel
-over an array of levels. The optimizers scan levels rather than penalties
-or subsample ratios: on the admissible branch the penalty is the explicit
-increasing function lam(mu) = mu (1 - phi tr[S (S+mu I)^-1] / p), and at a
-fixed penalty the subsample aspect is psi(mu) = (1 - lam/mu) /
-(tr[S (S+mu I)^-1] / p), so no probe solves for mu.
+over an array of levels. It evaluates only the resolvent functionals that
+its caller reads, each distinct nonzero weight vector once per power of the
+resolvent; weights that are equal across functionals (S0 = S, isotropic
+signals) or all zero (no regression shift) cost nothing extra. The
+optimizers scan levels rather than penalties or subsample ratios: on the
+admissible branch the penalty is the explicit increasing function lam(mu) =
+mu (1 - phi tr[S (S+mu I)^-1] / p), and at a fixed penalty the subsample
+aspect is psi(mu) = (1 - lam/mu) / (tr[S (S+mu I)^-1] / p), so no probe
+solves for mu.
 """
 
 from __future__ import annotations
@@ -74,28 +78,73 @@ class RiskDecomposition:
 
 #: Levels per block of the kernel: at most _BLOCK, and at large p only as
 #: many as fit in _BLOCK_CELLS (level, coordinate) cells, one at least.
-#: This bounds its (block, 7, p) temporaries.
+#: This bounds its (block, p) temporaries.
 _BLOCK = 32
 _BLOCK_CELLS = 2**18
 
 
+class _Blocks(NamedTuple):
+    """Resolvent functionals at an array of levels, R = (S + mu I)^-1.
+    Traces are averaged over p; signal forms are plain quadratic forms."""
+
+    mu: np.ndarray
+    c1: np.ndarray  # b' R S0 (b0 - b)
+    t2: np.ndarray  # tr[S^2 R^2] / p
+    s2: np.ndarray  # tr[S R^2] / p
+    n2: np.ndarray  # tr[S0 S R^2] / p
+    b2: np.ndarray  # b' S R^2 b
+    q2: np.ndarray  # b' R S0 R b
+    c2: np.ndarray  # b' S R^2 S0 (b0 - b)
+    a2: np.ndarray  # b' S^2 R^2 (b0 - b)
+    t3: np.ndarray  # tr[S^2 R^3] / p
+    s3: np.ndarray  # tr[S R^3] / p
+    n3: np.ndarray  # tr[S0 S R^3] / p
+    b3: np.ndarray  # b' S R^3 b
+    q3: np.ndarray  # b' R^2 S0 R b
+
+
+#: Each functional of _Blocks as (k, weights): the diagonal resolvent sum
+#: sum_i w_i / (r_i + mu)^k, to which q2 and q3 add the S0 sandwich when S0
+#: is not diagonal.
+_ROWS = {
+    "c1": (1, "c1"), "t2": (2, "t"), "s2": (2, "s"), "n2": (2, "n"), "b2": (2, "sig"),
+    "q2": (2, "sand"), "c2": (2, "c2"), "a2": (2, "align"), "t3": (3, "t"), "s3": (3, "s"),
+    "n3": (3, "n"), "b3": (3, "sig"), "q3": (3, "sand"),
+}
+_ALL_ROWS = _Blocks._fields[1:]
+
+
+class _Plan(NamedTuple):
+    """How :func:`_blocks` evaluates a tuple of rows: ``terms`` are the
+    distinct (k, weights) pairs with nonzero weights, each evaluated once;
+    ``rows`` names the term of each row read from one, ``zeros`` the
+    signed zero of each row with all-zero weights, and ``sandwich`` the
+    rows of q2 and q3 that need the S0 sandwich."""
+
+    terms: tuple[tuple[int, np.ndarray], ...]
+    rows: tuple[tuple[str, int], ...]
+    zeros: tuple[tuple[str, float], ...]
+    sandwich: tuple[str, ...]
+
+
 class _Weights(NamedTuple):
-    """Per-model inputs of the kernel. Each diagonal resolvent functional
-    sum_i w_i / (r_i + mu)^k has the weights ``w1`` (k = 1) or one row of
-    ``w2`` (k = 2; its first five rows also at k = 3); ``beta`` and
-    ``sigma0`` are set only when the S0 sandwich needs the dense test
-    covariance, and ``rank1`` only when S0 has one rank-one term per
-    parity class: the p x 2 matrix of b times each class's vector, and the
-    two coefficients."""
+    """Per-model inputs of the kernel. ``w`` maps each weight name of
+    ``_ROWS`` to its vector (bitwise-equal vectors to one shared array) or,
+    when every entry is zero, to the signed zero that a sum of its products
+    gives. ``beta`` and ``sigma0`` are set only when the S0 sandwich needs
+    the dense test covariance, and ``rank1`` only when S0 has one rank-one
+    term per parity class: the p x 2 matrix of b times each class's vector,
+    and the two coefficients. ``plans`` keeps the plan of each tuple of
+    rows asked for."""
 
     r: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
+    w: dict[str, np.ndarray | float]
     beta: np.ndarray | None
     sigma0: np.ndarray | None
     rank1: tuple[np.ndarray, np.ndarray] | None
     sigma2: float
     kappa2: float
+    plans: dict[tuple[str, ...], _Plan]
 
 
 def _weights(model: ShiftModel) -> _Weights:
@@ -134,59 +183,85 @@ def _make_weights(model: ShiftModel) -> _Weights:
         else:
             sand, beta, sigma0 = zero, b, model.sigma0_dense
         sig, c1, c2, align = b * b * r, b * dvec, b * r * dvec, b * r * r * d
-    w2 = np.stack([r * r / p, r / p, s0d * r / p, sig, sand, c2, align])
-    return _Weights(r, c1, w2, beta, sigma0, rank1, model.sigma2, model.kappa2)
+    named = {"c1": c1, "t": r * r / p, "s": r / p, "n": s0d * r / p, "sig": sig,
+             "sand": sand, "c2": c2, "align": align}
+    shared: dict[bytes, np.ndarray] = {}
+    # the products of all-zero weights are zeros of the weights' signs, as
+    # the resolvent's powers are positive: their sum does not depend on mu
+    w = {name: shared.setdefault(v.tobytes(), v) if v.any() else float(v.sum())
+         for name, v in named.items()}
+    return _Weights(r, w, beta, sigma0, rank1, model.sigma2, model.kappa2, {})
 
 
-class _Blocks(NamedTuple):
-    """Resolvent functionals at an array of levels, R = (S + mu I)^-1.
-    Traces are averaged over p; signal forms are plain quadratic forms."""
+def _plan(wt: _Weights, rows: tuple[str, ...]) -> _Plan:
+    """The plan of ``rows``, built on first use."""
+    plan = wt.plans.get(rows)
+    if plan is None:
+        # concurrent callers may both build it; they store equal plans
+        index: dict[tuple[int, int], int] = {}  # (k, id of the weights) -> term
+        terms, read, zeros = [], [], []
+        for name in rows:
+            k, key = _ROWS[name]
+            w = wt.w[key]
+            if isinstance(w, float):
+                zeros.append((name, w))
+                continue
+            j = index.setdefault((k, id(w)), len(terms))
+            if j == len(terms):
+                terms.append((k, w))
+            read.append((name, j))
+        dense_or_rank1 = wt.sigma0 is not None or wt.rank1 is not None
+        sandwich = tuple(name for name in ("q2", "q3") if dense_or_rank1 and name in rows)
+        plan = wt.plans[rows] = _Plan(tuple(terms), tuple(read), tuple(zeros), sandwich)
+    return plan
 
-    mu: np.ndarray
-    c1: np.ndarray  # b' R S0 (b0 - b)
-    t2: np.ndarray  # tr[S^2 R^2] / p
-    s2: np.ndarray  # tr[S R^2] / p
-    n2: np.ndarray  # tr[S0 S R^2] / p
-    b2: np.ndarray  # b' S R^2 b
-    q2: np.ndarray  # b' R S0 R b
-    c2: np.ndarray  # b' S R^2 S0 (b0 - b)
-    a2: np.ndarray  # b' S^2 R^2 (b0 - b)
-    t3: np.ndarray  # tr[S^2 R^3] / p
-    s3: np.ndarray  # tr[S R^3] / p
-    n3: np.ndarray  # tr[S0 S R^3] / p
-    b3: np.ndarray  # b' S R^3 b
-    q3: np.ndarray  # b' R^2 S0 R b
 
-
-def _blocks(wt: _Weights, mus) -> _Blocks:
-    """Every functional of :class:`_Blocks` at finite levels above -r_min,
-    evaluated a block of levels at a time."""
+def _blocks(wt: _Weights, mus, rows: tuple[str, ...] = _ALL_ROWS) -> _Blocks:
+    """The functionals ``rows`` of :class:`_Blocks` at finite levels above
+    -r_min, evaluated a block of levels at a time; every other field is
+    None. Each distinct nonzero (power, weights) pair is summed once, and a
+    row with all-zero weights is filled with its signed zero."""
+    plan = _plan(wt, rows)
     mus = np.asarray(mus, dtype=float)
-    out = np.empty((len(_Blocks._fields) - 1, mus.size))
+    n = mus.size
+    sums = np.empty((len(plan.terms), n))
+    sandwich = {name: np.empty(n) for name in plan.sandwich}
+    # the highest power of R read; the rank-one sandwich reads R^2
+    top = max([k for k, _ in plan.terms] + [2 if sandwich else 1])
     block = max(1, min(_BLOCK, _BLOCK_CELLS // wt.r.size))
-    for lo in range(0, mus.size, block):
-        inv = 1.0 / (wt.r + mus[lo:lo + block, None])
-        inv2 = inv * inv
-        o = out[:, lo:lo + block]
-        # numpy's pairwise sums along p: BLAS dot products, which accumulate
-        # in order, leave the traces several ulps off at p in the thousands
-        o[0] = (inv * wt.w1).sum(axis=1)
-        o[1:8] = (inv2[:, None, :] * wt.w2).sum(axis=2).T
-        o[8:13] = ((inv2 * inv)[:, None, :] * wt.w2[:5]).sum(axis=2).T
-        if wt.sigma0 is not None:
+    for lo in range(0, n, block):
+        cut = slice(lo, lo + block)
+        inv = 1.0 / (wt.r + mus[cut, None])
+        powers = [inv]
+        while len(powers) < top:
+            powers.append(powers[-1] * inv)
+        for j, (k, w) in enumerate(plan.terms):
+            # numpy's pairwise sums along p: BLAS dot products, which
+            # accumulate in order, leave the traces several ulps off at p in
+            # the thousands
+            sums[j, cut] = (powers[k - 1] * w).sum(axis=1)
+        if wt.sigma0 is not None and sandwich:
             # the S0 sandwich through one BLAS product per block
             wb = wt.beta * inv
-            m = wb @ wt.sigma0
-            mwb = m * wb
-            o[5] = mwb.sum(axis=1)
-            o[12] = (mwb * inv).sum(axis=1)
-        elif wt.rank1 is not None:
+            mwb = (wb @ wt.sigma0) * wb
+            if "q2" in sandwich:
+                sandwich["q2"][cut] = mwb.sum(axis=1)
+            if "q3" in sandwich:
+                sandwich["q3"][cut] = (mwb * inv).sum(axis=1)
+        elif sandwich:
             # sum over classes c of coef_c (v_c' R b)(v_c' R^k b), k = 1, 2
             vb, coef = wt.rank1
             m = inv @ vb
-            o[5] += (m * m) @ coef
-            o[12] += (m * (inv2 @ vb)) @ coef
-    return _Blocks(mus, *out)
+            if "q2" in sandwich:
+                sandwich["q2"][cut] = (m * m) @ coef
+            if "q3" in sandwich:
+                sandwich["q3"][cut] = (m * (powers[1] @ vb)) @ coef
+    out = {name: sums[j] for name, j in plan.rows}
+    out.update((name, np.full(n, zero)) for name, zero in plan.zeros)
+    for name, extra in sandwich.items():
+        # a dense S0 has no diagonal part; a rank-one one adds to its own
+        out[name] = extra if wt.sigma0 is not None else out[name] + extra
+    return _Blocks(mus, *map(out.get, _ALL_ROWS))
 
 
 class _Parts(NamedTuple):
@@ -213,10 +288,16 @@ class _Parts(NamedTuple):
         return self.d_bias + self.d_variance + self.d_shift
 
 
+#: the rows that the kernel reads for its parts, and for their slopes too
+_PART_ROWS = ("c1", "t2", "n2", "b2", "q2")
+_SLOPE_ROWS = _PART_ROWS + ("c2", "t3", "n3", "b3", "q3")
+
+
 def _kernel(wt: _Weights, mus, phi: float, slopes: bool = True) -> _Parts:
     """Risk parts at the levels ``mus``, with their mu-derivatives when
-    ``slopes`` is set."""
-    bl = _blocks(wt, mus)
+    ``slopes`` is set; only the rows of :class:`_Blocks` that these read are
+    evaluated."""
+    bl = _blocks(wt, mus, _SLOPE_ROWS if slopes else _PART_ROWS)
     mu = bl.mu
     mu2 = mu * mu
     denom = 1.0 - phi * bl.t2

@@ -1,5 +1,7 @@
 """Alignment checks and the sign router."""
 
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,22 @@ class TestMuGrid:
         m = make_model(Spectrum.identity(8), beta=np.linspace(1.0, 0.2, 8), sigma2=0.1)
         with pytest.raises(InvalidParameterError, match="empty level grid"):
             predict_sign(m, 2e4)
+
+    @pytest.mark.parametrize("phi", [1e200, 1e250, 1e300])
+    @pytest.mark.parametrize("shift", ["none", "regression", "covariate"])
+    def test_huge_aspect_raises_a_named_error_and_no_warning(self, phi, shift):
+        # the edge solve's slope overflows above aspects of about 1e204, and
+        # the cube of the ridgeless level in the covariate-shift test above 1e102
+        if shift == "regression":
+            m = make_model(Spectrum.from_values([0.5, 1.0, 3.0]), beta=np.ones(3),
+                           beta0=[2.0, 1.0, 0.0], sigma2=0.1)
+        else:
+            sigma0 = [0.5, 1.0, 2.0] if shift == "covariate" else None
+            m = make_model(Spectrum.identity(3), beta=np.ones(3), sigma0=sigma0, sigma2=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=re.escape(f"aspect ratio {phi}")):
+                predict_sign(m, phi)
 
 
 class TestInDistAlignment:

@@ -52,8 +52,8 @@ def test_every_module_uses_its_imports():
 
 
 def test_every_kernel_functional_is_read():
-    # _blocks evaluates every field at every level of every kernel call, so
-    # a field that nothing reads is work thrown away
+    # _blocks evaluates only the fields its caller names, so a field that
+    # nothing reads is kernel code that nothing runs
     package = Path(ridgeshift.__file__).parent
     read = {node.attr for path in sorted(package.rglob("*.py"))
             for node in ast.walk(ast.parse(path.read_text()))

@@ -6,7 +6,9 @@ one-level slopes are read from a one-level kernel call. Models are drawn
 with p from 1 to 200, train spectra with condition numbers up to 1e12,
 aspect ratios from 1e-3 to 1e3, every shift kind and isotropic signals;
 levels range from just above the branch edge to far above it, more of
-them than one block of the kernel holds.
+them than one block of the kernel holds. The kernel evaluates only the
+resolvent functionals its caller reads; each must keep the bits of the
+full evaluation of all of them, kept here as ``full_rows``.
 """
 
 import tracemalloc
@@ -18,6 +20,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import level_slopes
 from ridgeshift import (
     Spectrum,
+    build_ar1,
+    build_model,
+    check_in_dist_alignment,
+    check_reg_shift_alignment,
     lambda_min,
     lambda_of_mu,
     make_model,
@@ -61,6 +67,119 @@ def kernel_cases(draw):
     mu0 = mu_zero(sp, phi)
     gaps = (abs(mu0) + sp.r_min) * 10.0 ** rng.uniform(-4.0, 4.0, n)
     return model, phi, mu0 + gaps
+
+
+def branch_levels(draw, sp, phi):
+    """Levels on the branch at aspect phi, from just above its edge to far
+    above it, more of them than one block of the kernel holds."""
+    n = draw(st.integers(1, 3 * risk._BLOCK))
+    mu0 = mu_zero(sp, phi)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return mu0 + (abs(mu0) + sp.r_min) * 10.0 ** rng.uniform(-4.0, 4.0, n)
+
+
+@st.composite
+def ar1_pair_cases(draw):
+    """(model, phi, levels) for an AR(1) train covariance with an AR(1) test
+    covariance, stored as a diagonal plus one rank-one term per parity class."""
+    p = draw(st.integers(2, 200))
+    rho = draw(st.floats(0.01, 0.95))
+    rho0 = draw(st.floats(-0.95, 0.95))
+    phi = 10.0 ** draw(st.floats(-3.0, 3.0))
+    indices = sorted({1, p, draw(st.integers(1, p))})
+    model = build_model({
+        "p": p,
+        "spectrum": {"kind": "ar1", "rho": rho},
+        "signal": {"kind": "eigvec-combination", "indices": indices,
+                   "weights": [1.0, -0.5, 0.25][: len(indices)]},
+        "shift": {"kind": draw(st.sampled_from(["covariate", "joint"])),
+                  "sigma0": {"kind": "ar1", "rho": rho0},
+                  "beta0": {"kind": "scale", "factor": -1.5}},
+        "sigma2": 0.01,
+    })
+    assert model._sigma0_parity is not None
+    return model, phi, branch_levels(draw, model.spectrum, phi)
+
+
+@st.composite
+def signed_zero_cases(draw):
+    """(model, phi, levels) whose kernel weights hold rows of zeros of
+    either sign: signals with -0.0, 0.0 and negative entries, no regression
+    shift or one on a single coordinate, test covariances with zeros on the
+    diagonal, and isotropic signals of zero energy."""
+    p = draw(st.integers(1, 40))
+    phi = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sp = Spectrum.from_values(np.exp(rng.uniform(-2.0, 2.0, p)))
+    sigma0 = draw(st.sampled_from([None, "zero", "sparse"]))
+    if sigma0 == "zero":
+        sigma0 = np.zeros(p)
+    elif sigma0 == "sparse":
+        sigma0 = np.where(rng.uniform(size=p) < 0.5, 0.0, rng.uniform(0.5, 2.0, p))
+    if draw(st.booleans()):
+        model = make_model(sp, alpha2=draw(st.sampled_from([0.0, 1.0])), sigma0=sigma0,
+                           sigma2=0.1)
+    else:
+        choice = rng.integers(0, 3, p)
+        beta = np.where(choice == 0, -0.0, np.where(choice == 1, 0.0, -rng.uniform(0.5, 2.0, p)))
+        beta0 = None
+        if draw(st.booleans()):
+            beta0 = beta.copy()
+            beta0[rng.integers(0, p)] += 1.0
+        model = make_model(sp, beta=beta, beta0=beta0, sigma0=sigma0, sigma2=0.1)
+    return model, phi, branch_levels(draw, sp, phi)
+
+
+def full_rows(model, mus):
+    """Every functional of ``risk._Blocks`` at ``mus``, as the kernel
+    evaluated them before it read rows on demand: all 13 rows at every
+    level, from one stack of weights, whatever the caller reads."""
+    r = model.spectrum.eigenvalues
+    p = r.size
+    s0d = model.sigma0_diag
+    zero = np.zeros(p)
+    beta = sigma0 = rank1 = None
+    if model.is_isotropic_signal:
+        a = model.alpha2 / p
+        sig, sand, c1, c2, align = a * r, a * s0d, zero, zero, zero
+    else:
+        b = model.beta
+        d = model.beta0 - b
+        dvec = model.sigma0_product(d)
+        parity = model._sigma0_parity
+        if parity is not None:
+            sand = b * b * parity.diag
+            vb = np.zeros((p, 2))
+            for c in (0, 1):
+                vb[c::2, c] = b[c::2] * parity.vec[c::2]
+            rank1 = vb, np.array(parity.coef)
+        elif model.sigma0_dense is None:
+            sand = b * b * s0d
+        else:
+            sand, beta, sigma0 = zero, b, model.sigma0_dense
+        sig, c1, c2, align = b * b * r, b * dvec, b * r * dvec, b * r * r * d
+    w2 = np.stack([r * r / p, r / p, s0d * r / p, sig, sand, c2, align])
+    mus = np.asarray(mus, dtype=float)
+    out = np.empty((13, mus.size))
+    block = max(1, min(risk._BLOCK, risk._BLOCK_CELLS // p))
+    for lo in range(0, mus.size, block):
+        inv = 1.0 / (r + mus[lo:lo + block, None])
+        inv2 = inv * inv
+        o = out[:, lo:lo + block]
+        o[0] = (inv * c1).sum(axis=1)
+        o[1:8] = (inv2[:, None, :] * w2).sum(axis=2).T
+        o[8:13] = ((inv2 * inv)[:, None, :] * w2[:5]).sum(axis=2).T
+        if sigma0 is not None:
+            wb = beta * inv
+            mwb = (wb @ sigma0) * wb
+            o[5] = mwb.sum(axis=1)
+            o[12] = (mwb * inv).sum(axis=1)
+        elif rank1 is not None:
+            vb, coef = rank1
+            m = inv @ vb
+            o[5] += (m * m) @ coef
+            o[12] += (m * (inv2 @ vb)) @ coef
+    return out
 
 
 def _close(got, want, scale, rtol):
@@ -155,6 +274,72 @@ class TestLargeDimension:
         rows = np.array(risk._blocks(wt, mus))
         for i, mu in enumerate(mus):
             np.testing.assert_array_equal(rows[:, i], np.array(risk._blocks(wt, [mu]))[:, 0])
+
+
+#: the rows each caller of the kernel reads, and every row
+CALLER_ROWS = (risk._SLOPE_ROWS, risk._PART_ROWS, ("b2", "b3", "s2", "s3"), ("a2",),
+               risk._ALL_ROWS)
+
+
+class TestRowsOnDemand:
+    @PROPERTY_SETTINGS
+    @given(st.one_of(kernel_cases(), ar1_pair_cases(), signed_zero_cases()))
+    def test_rows_read_keep_the_bits_of_the_full_evaluation(self, case):
+        model, phi, mus = case
+        want = full_rows(model, mus)
+        wt = risk._weights(model)
+        for rows in CALLER_ROWS:
+            got = risk._blocks(wt, mus, rows)
+            for name, row in zip(risk._ALL_ROWS, want):
+                if name in rows:
+                    assert getattr(got, name).tobytes() == row.tobytes(), (rows, name)
+                else:
+                    assert getattr(got, name) is None, (rows, name)
+
+
+class TestKernelWork:
+    """Distinct weight rows each kernel caller evaluates, read off the plans
+    that the weights carry; the kernel used to evaluate all 13 rows for
+    every caller."""
+
+    @pytest.fixture(scope="class")
+    def spectrum(self):
+        return build_ar1(48, 0.5)[0]
+
+    @staticmethod
+    def evaluated(model):
+        return {rows: len(plan.terms) for rows, plan in risk._weights(model).plans.items()}
+
+    @staticmethod
+    def signal(p, seed=0):
+        return np.random.default_rng(seed).standard_normal(p)
+
+    def test_regression_shift_alignment_evaluates_one_row(self, spectrum):
+        beta = self.signal(48)
+        model = make_model(spectrum, beta=beta, beta0=beta + self.signal(48, 1), sigma2=0.1)
+        check_reg_shift_alignment(model)
+        assert self.evaluated(model) == {("a2",): 1}
+
+    def test_in_distribution_alignment_evaluates_four_rows(self, spectrum):
+        model = make_model(spectrum, beta=self.signal(48), sigma2=0.1)
+        check_in_dist_alignment(model, 2.0)
+        assert self.evaluated(model) == {("b2", "b3", "s2", "s3"): 4}
+
+    @pytest.mark.parametrize("shift, rows", [("none", 4), ("regression", 6)])
+    def test_slope_scan(self, spectrum, shift, rows):
+        # in distribution S0 = S, so n2 (n3) repeats t2 (t3) and q2 (q3)
+        # repeats b2 (b3), and c1, c2 have zero weights; a regression shift
+        # adds c1 and c2
+        beta = self.signal(48)
+        beta0 = beta + self.signal(48, 1) if shift == "regression" else None
+        model = make_model(spectrum, beta=beta, beta0=beta0, sigma2=0.1)
+        risk._scan(risk._weights(model), np.geomspace(0.1, 10.0, 240), 2.0)
+        assert self.evaluated(model) == {risk._SLOPE_ROWS: rows}
+
+    def test_one_level_risk_evaluates_two_rows_in_distribution(self, spectrum):
+        model = make_model(spectrum, beta=self.signal(48), sigma2=0.1)
+        risk_at_mu(model, 0.5, 2.0)
+        assert self.evaluated(model) == {risk._PART_ROWS: 2}
 
 
 class TestClosedFormMaps:

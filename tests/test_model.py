@@ -45,9 +45,11 @@ def dense_sigma0(m):
 
 
 def dense_ar1(p, rho):
-    """The AR(1) correlation matrix rho**|i-j|, built entry by entry."""
-    idx = np.arange(p)
-    return rho ** np.abs(idx[:, None] - idx[None, :])
+    """The AR(1) correlation matrix rho**|i-j|, copied from a strided Toeplitz
+    view of its first row (the powers rho**k once each)."""
+    powers = rho ** np.arange(p)
+    return np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([powers[:0:-1], powers]), p)[::-1].copy()
 
 
 @st.composite
@@ -65,6 +67,13 @@ def ar1_cases(draw):
 class TestAR1Eigensystem:
     """The Kac-Murdock-Szego closed form against a dense eigendecomposition:
     rho**|i-j| is a dense Toeplitz matrix whose inverse is tridiagonal."""
+
+    @pytest.mark.parametrize("rho", [-0.7, 1e-12, 0.5, 0.99])
+    def test_dense_reference_matches_entrywise_powers(self, rho):
+        for p in (1, 2, 3, 17):
+            idx = np.arange(p)
+            entrywise = rho ** np.abs(idx[:, None] - idx[None, :])
+            assert dense_ar1(p, rho).tobytes() == entrywise.tobytes()
 
     def test_two_by_two_closed_form(self):
         # [[1, rho], [rho, 1]] has eigenvalues 1 -+ rho
@@ -235,6 +244,18 @@ class TestStructuredTestCovariance:
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         got, want = predict_sign(m, phi), predict_sign(ref, phi)
         assert (got.predicted_sign, got.applied_rule) == (want.predicted_sign, want.applied_rule)
+
+    @PROPERTY_SETTINGS
+    @given(ar1_cases(), st.floats(-0.99, 0.99))
+    def test_dense_offset_is_the_entrywise_maximum(self, case, rho0):
+        # the dense references above, W' K W; a scalar t and vectors t
+        p, rho = case
+        spectrum, w = build_ar1(p, rho)
+        ref = make_model(spectrum, beta=np.ones(p), sigma0=w.T @ dense_ar1(p, rho0) @ w)
+        assert ref.sigma0_dense is not None
+        for t in (1.0, -0.5, spectrum.eigenvalues, ref.sigma0_diag):
+            entrywise = float(np.max(np.abs(ref.sigma0_dense - np.eye(p) * t)))
+            assert ref._sigma0_offset(t).hex() == entrywise.hex()
 
     def test_ar1_joint_build_needs_no_dense_matrix(self, monkeypatch):
         # the p = 500 joint-shift config of the benchmark's cli-batch deck
