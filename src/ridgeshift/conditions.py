@@ -161,7 +161,7 @@ def check_cov_shift_overparam(model: ShiftModel, phi: float) -> ConditionReport:
     lhs = model.null_parts()[0]  # b' S0 b
     alpha2 = model.alpha2
     try:
-        rhs = float(np.mean(model.sigma0_diag)) * (
+        rhs = float(np.mean(model.sigma0.diagonal)) * (
             alpha2 + (1.0 + mu0) ** 3 / mu0**3 * model.sigma2
         )
     except OverflowError:

@@ -1,11 +1,11 @@
 """Train/test distribution pairs expressed in the eigenbasis of the train covariance.
 
 Everything downstream works in the basis where the train covariance is
-diagonal. The test covariance is kept dense in that basis, as its diagonal
-alone when it is diagonal there, or, for an AR(1) test covariance in an
-AR(1) train eigenbasis, as a diagonal plus one rank-one term per parity
-class; signal vectors are stored as projection coefficients in the same
-basis. The trace and quadratic-form functionals of a model are evaluated by
+diagonal. The test covariance is held there in one of three forms, which
+only this module tells apart: diagonal, a diagonal plus one rank-one term
+per parity class (an AR(1) one in an AR(1) train eigenbasis), or dense.
+Signal vectors are stored as projection coefficients in the same basis.
+The trace and quadratic-form functionals of a model are evaluated by
 the risk kernel (:mod:`ridgeshift.risk`). :func:`build_model` builds a model
 from a parsed JSON config, whose format the README's "CLI" section
 documents.
@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,11 +24,22 @@ from .errors import InvalidParameterError, SingularResolventError
 _PSD_RTOL = 1e-10
 _IDENTITY_ATOL = 1e-12
 
-def _as_float_vector(values, name: str) -> np.ndarray:
+def _as_float_array(values, name: str, scalar: bool = False):
+    """``values`` as a float array, or as a float when ``scalar``. Strings,
+    complex numbers, objects, ragged lists and arrays given for a scalar
+    raise InvalidParameterError naming ``name``."""
     try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"{name} must be numbers") from None
+        arr = None if np.iscomplexobj(values) else np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or scalar and arr.ndim:
+        raise InvalidParameterError(
+            f"{name} must be a number, got {values!r}" if scalar else f"{name} must be numbers")
+    return float(arr) if scalar else arr
+
+
+def _as_float_vector(values, name: str) -> np.ndarray:
+    arr = _as_float_array(values, name)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidParameterError(f"{name} must be a non-empty 1-d array")
     if not np.all(np.isfinite(arr)):
@@ -83,7 +93,7 @@ class Spectrum:
 
     @classmethod
     def from_values(cls, values) -> "Spectrum":
-        return cls(np.sort(np.asarray(values, dtype=float)))
+        return cls(np.sort(_as_float_vector(values, "eigenvalues")))
 
     def _check_shift(self, mu: float) -> None:
         if not math.isfinite(mu) or mu <= -self.r_min:
@@ -98,24 +108,47 @@ class Spectrum:
         return float((r**sigma_power / (r + mu) ** power).sum()) / r.size
 
 
-class _ParityRankOne(NamedTuple):
-    """The symmetric p x p matrix diag(diag) + sum_c coef[c] v_c v_c', c = 0, 1,
-    where v_c is ``vec`` on the parity class c (the indices c, c + 2, ...)
-    and zero elsewhere: a diagonal plus one rank-one term per class. Entries
-    between the two classes are zero, so every functional below is O(p)."""
+class _TestCovariance:
+    """A test covariance S0 in the train eigenbasis, in one of three forms.
+    Each gives ``diagonal`` (set once, read-only), ``product(x)`` = x' S0,
+    ``off_diagonal_max()`` and ``sandwich(b)``, its part in the risk kernel:
+    the diagonal weights of the rows q2 = b' R S0 R b and q3 = b' R^2 S0 R b,
+    and None or ``rows(inv, inv2, diag)``, which completes on one block of
+    levels each row that ``diag`` maps to the sum of its diagonal weights."""
 
-    diag: np.ndarray
-    vec: np.ndarray
-    coef: tuple[float, float]
+    def __init__(self, diagonal: np.ndarray) -> None:
+        diagonal.setflags(write=False)
+        self.diagonal = diagonal
 
-    def diagonal(self) -> np.ndarray:
-        out = self.diag.copy()
-        for c, k in enumerate(self.coef):
-            out[c::2] += k * self.vec[c::2] ** 2
-        return out
+
+class _Diagonal(_TestCovariance):
+    """S0 = diag(``diagonal``)."""
 
     def product(self, x: np.ndarray) -> np.ndarray:
-        """The vector x' M."""
+        return x * self.diagonal
+
+    def off_diagonal_max(self) -> float:
+        return 0.0
+
+    def sandwich(self, b: np.ndarray):
+        return b * b * self.diagonal, None
+
+
+class _ParityRankOne(_TestCovariance):
+    """S0 = diag(diag) + sum_c coef[c] v_c v_c', c = 0, 1, where v_c is
+    ``vec`` on the parity class c (the indices c, c + 2, ...) and zero
+    elsewhere: a diagonal plus one rank-one term per class. Entries between
+    the two classes are zero, so every functional is O(p)."""
+
+    def __init__(self, diag: np.ndarray, vec: np.ndarray, coef: tuple[float, float]) -> None:
+        self.diag, self.vec, self.coef = diag, vec, coef
+        diagonal = diag.copy()
+        for c, k in enumerate(coef):
+            diagonal[c::2] += k * vec[c::2] ** 2
+        super().__init__(diagonal)
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """The vector x' S0."""
         out = x * self.diag
         for c, k in enumerate(self.coef):
             v = self.vec[c::2]
@@ -131,6 +164,51 @@ class _ParityRankOne(NamedTuple):
                 top = np.partition(v, v.size - 2)[-2:]
                 out = max(out, abs(k) * float(top[0] * top[1]))
         return out
+
+    def sandwich(self, b: np.ndarray):
+        vb = np.zeros((b.size, 2))
+        for c in (0, 1):
+            vb[c::2, c] = b[c::2] * self.vec[c::2]
+        coef = np.array(self.coef)
+
+        def rows(inv, inv2, diag):
+            # add the sum over classes c of coef_c (v_c' R b)(v_c' R^k b), k = 1, 2
+            m = inv @ vb
+            return {name: q + (m * (m if name == "q2" else inv2 @ vb)) @ coef
+                    for name, q in diag.items()}
+
+        return b * b * self.diag, rows
+
+
+class _Dense(_TestCovariance):
+    """S0 = ``matrix``, symmetric, with some entry off its diagonal nonzero
+    (so p >= 2)."""
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        matrix.setflags(write=False)
+        self.matrix = matrix
+        super().__init__(np.ascontiguousarray(np.diag(matrix)))
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.matrix
+
+    def off_diagonal_max(self) -> float:
+        # a view of the entries off the diagonal: in the flattened matrix
+        # each diagonal entry is followed by p entries, the last of them the
+        # next diagonal entry
+        p = self.diagonal.size
+        off = self.matrix.ravel()[1:].reshape(p - 1, p + 1)[:, :p]
+        return max(float(off.max()), -float(off.min()))
+
+    def sandwich(self, b: np.ndarray):
+        def rows(inv, inv2, diag):
+            # the whole sandwich, through one BLAS product, replaces the
+            # diagonal functionals (of zero weights)
+            wb = b * inv
+            mwb = (wb @ self.matrix) * wb
+            return {name: (mwb if name == "q2" else mwb * inv).sum(axis=1) for name in diag}
+
+        return np.zeros(b.size), rows
 
 
 # pi = _PI_HI + _PI_LO with 25 significant bits in _PI_HI, so k * _PI_HI is
@@ -270,37 +348,36 @@ def build_ar1(p: int, rho: float) -> tuple[Spectrum, np.ndarray]:
     return Spectrum(ar1.eigenvalues), ar1.eigenvectors
 
 
-def _dense_or_diagonal(sigma0_matrix, p: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """The dense matrix (None when diagonal) and the diagonal of a test
-    covariance given as an array, checked to be symmetric and PSD."""
-    s0 = np.asarray(sigma0_matrix, dtype=float)
+def _dense_or_diagonal(sigma0, p: int) -> _TestCovariance:
+    """The form of the test covariance ``sigma0``; an array is checked to be
+    finite, symmetric and PSD, and held as a diagonal when it is one."""
+    if isinstance(sigma0, _TestCovariance):
+        return sigma0
+    s0 = _as_float_array(sigma0, "sigma0")
     if not np.all(np.isfinite(s0)):
-        raise InvalidParameterError("sigma0_matrix contains non-finite entries")
+        raise InvalidParameterError("sigma0 contains non-finite entries")
     if s0.ndim == 2 and s0.shape == (p, p) and (
         np.count_nonzero(s0) == np.count_nonzero(np.diagonal(s0))
     ):
         s0 = np.diagonal(s0)
     if s0.shape == (p,):
-        dense = None
-        diag = s0.copy()
-        eigs = np.sort(diag)
+        form = _Diagonal(s0.copy())
+        eigs = np.sort(form.diagonal)
     elif s0.shape == (p, p):
         scale = float(np.max(np.abs(s0))) or 1.0
         if np.max(np.abs(s0 - s0.T)) > 1e-8 * scale:
-            raise InvalidParameterError("sigma0_matrix must be symmetric")
-        dense = 0.5 * (s0 + s0.T)
-        dense.setflags(write=False)
-        diag = np.ascontiguousarray(np.diag(dense))
-        eigs = np.linalg.eigvalsh(dense)
+            raise InvalidParameterError("sigma0 must be symmetric")
+        form = _Dense(0.5 * (s0 + s0.T))
+        eigs = np.linalg.eigvalsh(form.matrix)
     else:
         raise InvalidParameterError(
-            f"sigma0_matrix must be {p}x{p} (or its diagonal), got {s0.shape}"
+            f"sigma0 must be {p}x{p} (or its diagonal), got {s0.shape}"
         )
     if eigs[0] < -_PSD_RTOL * max(eigs[-1], 1e-300):
         raise InvalidParameterError(
-            f"sigma0_matrix is not PSD up to round-off (min eig {eigs[0]:.3e})"
+            f"sigma0 is not PSD up to round-off (min eig {eigs[0]:.3e})"
         )
-    return dense, diag
+    return form
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,41 +388,25 @@ class ShiftModel:
     in which case ``signal_alpha2`` holds the signal energy and all
     signal-weighted functionals are evaluated in expectation.
 
-    The test covariance ``sigma0_matrix`` is given dense, as the vector of
-    its diagonal when it is diagonal in this basis, or in the structured
-    form that :meth:`_AR1Eigensystem.rotated_ar1` returns for an AR(1) test
-    covariance (a diagonal plus one rank-one term per parity class). A
-    diagonal one is stored as ``sigma0_diag`` alone, a structured one as
-    ``_sigma0_parity`` with its diagonal in ``sigma0_diag``; ``sigma0_dense``
-    is None for both, and only a dense one is checked for symmetry and
-    positive semidefiniteness (a structured one is positive definite by
-    construction). Functionals use :meth:`sigma0_product`. ``_memo`` keeps
-    values derived once per model (the risk kernel's weights); it lives and
-    dies with the model.
+    The test covariance ``sigma0`` may be given as a p x p matrix, as the
+    vector of its diagonal, or in one of the forms of this module; it is
+    held in its form (see ``_TestCovariance``), which alone knows its
+    structure. ``_memo`` keeps values derived once per model (the risk
+    kernel's weights); it lives and dies with the model.
     """
 
     spectrum: Spectrum
-    sigma0_matrix: InitVar[np.ndarray]
+    sigma0: _TestCovariance
     beta: np.ndarray | None
     beta0: np.ndarray | None
     sigma2: float
     sigma0_sq: float
     signal_alpha2: float | None = None
-    sigma0_diag: np.ndarray = field(init=False)
-    sigma0_dense: np.ndarray | None = field(init=False, repr=False)
-    _sigma0_parity: _ParityRankOne | None = field(default=None, init=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self, sigma0_matrix) -> None:
+    def __post_init__(self) -> None:
         p = self.spectrum.p
-        if isinstance(sigma0_matrix, _ParityRankOne):
-            object.__setattr__(self, "_sigma0_parity", sigma0_matrix)
-            dense, diag = None, sigma0_matrix.diagonal()
-        else:
-            dense, diag = _dense_or_diagonal(sigma0_matrix, p)
-        diag.setflags(write=False)
-        object.__setattr__(self, "sigma0_dense", dense)
-        object.__setattr__(self, "sigma0_diag", diag)
+        object.__setattr__(self, "sigma0", _dense_or_diagonal(self.sigma0, p))
 
         if not (0.0 <= self.sigma2 < math.inf and 0.0 <= self.sigma0_sq < math.inf):
             raise InvalidParameterError("noise levels must be finite and nonnegative")
@@ -360,18 +421,13 @@ class ShiftModel:
         else:
             if self.beta is None:
                 raise InvalidParameterError("explicit signal requires beta")
-            b = _as_float_vector(self.beta, "beta")
-            if b.size != p:
-                raise InvalidParameterError("beta dimension does not match spectrum")
-            b = b.copy()
-            b.setflags(write=False)
-            object.__setattr__(self, "beta", b)
-            b0 = b if self.beta0 is None else _as_float_vector(self.beta0, "beta0")
-            if b0.size != p:
-                raise InvalidParameterError("beta0 dimension does not match spectrum")
-            b0 = b0.copy()
-            b0.setflags(write=False)
-            object.__setattr__(self, "beta0", b0)
+            for name, given in (("beta", self.beta), ("beta0", self.beta0)):
+                # beta0 defaults to (a copy of) beta
+                v = _as_float_vector(self.beta if given is None else given, name).copy()
+                if v.size != p:
+                    raise InvalidParameterError(f"{name} dimension does not match spectrum")
+                v.setflags(write=False)
+                object.__setattr__(self, name, v)
 
     @property
     def p(self) -> int:
@@ -408,25 +464,7 @@ class ShiftModel:
 
     def _sigma0_offset(self, t) -> float:
         """max |S0 - diag(t)| over all entries, for a vector or a scalar t."""
-        offset = float(np.max(np.abs(self.sigma0_diag - t)))
-        if self._sigma0_parity is not None:
-            offset = max(offset, self._sigma0_parity.off_diagonal_max())
-        elif self.sigma0_dense is not None:
-            # a view of the entries off the diagonal (a dense S0 has p >= 2):
-            # in the flattened matrix each diagonal entry is followed by p
-            # entries, the last of them the next diagonal entry
-            p = self.p
-            off = self.sigma0_dense.ravel()[1:].reshape(p - 1, p + 1)[:, :p]
-            offset = max(offset, float(off.max()), -float(off.min()))
-        return offset
-
-    def sigma0_product(self, x: np.ndarray) -> np.ndarray:
-        """The vector x' S0 (= S0 x, S0 being symmetric)."""
-        if self._sigma0_parity is not None:
-            return self._sigma0_parity.product(x)
-        if self.sigma0_dense is None:
-            return x * self.sigma0_diag
-        return x @ self.sigma0_dense
+        return max(float(np.max(np.abs(self.sigma0.diagonal - t))), self.sigma0.off_diagonal_max())
 
     @property
     def kappa2(self) -> float:
@@ -434,14 +472,14 @@ class ShiftModel:
         if not self.has_regression_shift:
             return self.sigma0_sq
         d = self.beta0 - self.beta
-        return self.sigma0_sq + float(self.sigma0_product(d) @ d)
+        return self.sigma0_sq + float(self.sigma0.product(d) @ d)
 
     def null_parts(self) -> tuple[float, float]:
         """Bias b' S0 b and cross term 2 b' S0 (b0-b) of the zero predictor
         (in expectation for isotropic signals, where the cross term vanishes)."""
         if self.is_isotropic_signal:
-            return self.alpha2 * float(np.mean(self.sigma0_diag)), 0.0
-        b_s0 = self.sigma0_product(self.beta)
+            return self.alpha2 * float(np.mean(self.sigma0.diagonal)), 0.0
+        b_s0 = self.sigma0.product(self.beta)
         return float(b_s0 @ self.beta), 2.0 * float(b_s0 @ (self.beta0 - self.beta))
 
     def null_risk(self) -> float:
@@ -463,15 +501,14 @@ def make_model(
 ) -> ShiftModel:
     """Convenience constructor. ``sigma0`` may be None (= train covariance),
     a vector (diagonal in the train eigenbasis), or a dense matrix."""
-    s0 = spectrum.eigenvalues if sigma0 is None else np.asarray(sigma0, dtype=float)
     return ShiftModel(
         spectrum=spectrum,
-        sigma0_matrix=s0,
-        beta=None if beta is None else np.asarray(beta, dtype=float),
-        beta0=None if beta0 is None else np.asarray(beta0, dtype=float),
-        sigma2=float(sigma2),
-        sigma0_sq=float(sigma0_sq),
-        signal_alpha2=None if alpha2 is None else float(alpha2),
+        sigma0=spectrum.eigenvalues if sigma0 is None else sigma0,
+        beta=beta,
+        beta0=beta0,
+        sigma2=_as_float_array(sigma2, "sigma2", scalar=True),
+        sigma0_sq=_as_float_array(sigma0_sq, "sigma0_sq", scalar=True),
+        signal_alpha2=None if alpha2 is None else _as_float_array(alpha2, "alpha2", scalar=True),
     )
 
 
@@ -513,10 +550,7 @@ def _number(section: dict, name: str, key: str, default: float | None = None) ->
     value = section.get(key, default)
     if value is None:
         raise InvalidParameterError(f"{name} needs {key!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"{name} {key!r} must be a number, got {value!r}") from None
+    return _as_float_array(value, f"{name} {key!r}", scalar=True)
 
 
 def _vector(name: str, p: int, values=None, path=None) -> np.ndarray:
@@ -539,12 +573,9 @@ def _vector(name: str, p: int, values=None, path=None) -> np.ndarray:
 
 def _combination_vector(p: int, signal: dict) -> np.ndarray:
     """Sum of weighted unit vectors at the 1-based ``indices``."""
-    try:
-        idx = np.asarray(signal.get("indices"), dtype=float)
-        weights = np.asarray(signal.get("weights"), dtype=float)
-    except (TypeError, ValueError):
-        idx = weights = None
-    if idx is None or idx.ndim != 1 or idx.shape != weights.shape:
+    idx = _as_float_array(signal.get("indices"), "eigvec-combination indices")
+    weights = _as_float_array(signal.get("weights"), "eigvec-combination weights")
+    if idx.ndim != 1 or idx.shape != weights.shape:
         raise InvalidParameterError("eigvec-combination needs matching lists of indices and weights")
     bad = idx[(idx != np.round(idx)) | (idx < 1) | (idx > p)]
     if bad.size:
@@ -675,7 +706,7 @@ def build_model(doc: dict) -> ShiftModel:
 
     return ShiftModel(
         spectrum=spectrum,
-        sigma0_matrix=sigma0,
+        sigma0=sigma0,
         beta=beta,
         beta0=beta0,
         sigma2=_number(doc, "model config", "sigma2", 0.0),

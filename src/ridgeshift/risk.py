@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -104,8 +104,8 @@ class _Blocks(NamedTuple):
 
 
 #: Each functional of _Blocks as (k, weights): the diagonal resolvent sum
-#: sum_i w_i / (r_i + mu)^k, to which q2 and q3 add the S0 sandwich when S0
-#: is not diagonal.
+#: sum_i w_i / (r_i + mu)^k, which the test covariance's sandwich completes
+#: for q2 and q3 when S0 is not diagonal.
 _ROWS = {
     "c1": (1, "c1"), "t2": (2, "t"), "s2": (2, "s"), "n2": (2, "n"), "b2": (2, "sig"),
     "q2": (2, "sand"), "c2": (2, "c2"), "a2": (2, "align"), "t3": (3, "t"), "s3": (3, "s"),
@@ -117,31 +117,26 @@ _ALL_ROWS = _Blocks._fields[1:]
 class _Plan(NamedTuple):
     """How :func:`_blocks` evaluates a tuple of rows: ``terms`` are the
     distinct (k, weights) pairs with nonzero weights, each evaluated once;
-    ``rows`` names the term of each row read from one, ``zeros`` the
-    signed zero of each row with all-zero weights, and ``sandwich`` the
-    rows of q2 and q3 that need the S0 sandwich."""
+    ``rows`` names the term of each row read from one, and ``zeros`` the
+    signed zero of each row with all-zero weights."""
 
     terms: tuple[tuple[int, np.ndarray], ...]
     rows: tuple[tuple[str, int], ...]
     zeros: tuple[tuple[str, float], ...]
-    sandwich: tuple[str, ...]
 
 
 class _Weights(NamedTuple):
     """Per-model inputs of the kernel. ``w`` maps each weight name of
     ``_ROWS`` to its vector (bitwise-equal vectors to one shared array) or,
     when every entry is zero, to the signed zero that a sum of its products
-    gives. ``beta`` and ``sigma0`` are set only when the S0 sandwich needs
-    the dense test covariance, and ``rank1`` only when S0 has one rank-one
-    term per parity class: the p x 2 matrix of b times each class's vector,
-    and the two coefficients. ``plans`` keeps the plan of each tuple of
-    rows asked for."""
+    gives. ``sandwich`` is None when q2 and q3 are diagonal functionals
+    alone, else the test covariance's function that completes them block by
+    block (see ``ridgeshift.model._TestCovariance``). ``plans`` keeps the
+    plan of each tuple of rows asked for."""
 
     r: np.ndarray
     w: dict[str, np.ndarray | float]
-    beta: np.ndarray | None
-    sigma0: np.ndarray | None
-    rank1: tuple[np.ndarray, np.ndarray] | None
+    sandwich: Callable | None
     sigma2: float
     kappa2: float
     plans: dict[tuple[str, ...], _Plan]
@@ -159,38 +154,26 @@ def _weights(model: ShiftModel) -> _Weights:
 def _make_weights(model: ShiftModel) -> _Weights:
     r = model.spectrum.eigenvalues
     p = r.size
-    s0d = model.sigma0_diag
+    s0 = model.sigma0
     zero = np.zeros(p)
-    beta = sigma0 = rank1 = None
     if model.is_isotropic_signal:
         # E[b' A b] = alpha2 tr[A] / p; the cross terms with b0 - b vanish
         a = model.alpha2 / p
-        sig, sand, c1, c2, align = a * r, a * s0d, zero, zero, zero
+        sig, sand, c1, c2, align, sandwich = a * r, a * s0.diagonal, zero, zero, zero, None
     else:
         b = model.beta
         d = model.beta0 - b
-        dvec = model.sigma0_product(d)
-        parity = model._sigma0_parity
-        if parity is not None:
-            # the diagonal part joins the diagonal functionals
-            sand = b * b * parity.diag
-            vb = np.zeros((p, 2))
-            for c in (0, 1):
-                vb[c::2, c] = b[c::2] * parity.vec[c::2]
-            rank1 = vb, np.array(parity.coef)
-        elif model.sigma0_dense is None:
-            sand = b * b * s0d  # a diagonal S0 needs no dense sandwich
-        else:
-            sand, beta, sigma0 = zero, b, model.sigma0_dense
+        dvec = s0.product(d)
+        sand, sandwich = s0.sandwich(b)
         sig, c1, c2, align = b * b * r, b * dvec, b * r * dvec, b * r * r * d
-    named = {"c1": c1, "t": r * r / p, "s": r / p, "n": s0d * r / p, "sig": sig,
+    named = {"c1": c1, "t": r * r / p, "s": r / p, "n": s0.diagonal * r / p, "sig": sig,
              "sand": sand, "c2": c2, "align": align}
     shared: dict[bytes, np.ndarray] = {}
     # the products of all-zero weights are zeros of the weights' signs, as
     # the resolvent's powers are positive: their sum does not depend on mu
     w = {name: shared.setdefault(v.tobytes(), v) if v.any() else float(v.sum())
          for name, v in named.items()}
-    return _Weights(r, w, beta, sigma0, rank1, model.sigma2, model.kappa2, {})
+    return _Weights(r, w, sandwich, model.sigma2, model.kappa2, {})
 
 
 def _plan(wt: _Weights, rows: tuple[str, ...]) -> _Plan:
@@ -210,9 +193,7 @@ def _plan(wt: _Weights, rows: tuple[str, ...]) -> _Plan:
             if j == len(terms):
                 terms.append((k, w))
             read.append((name, j))
-        dense_or_rank1 = wt.sigma0 is not None or wt.rank1 is not None
-        sandwich = tuple(name for name in ("q2", "q3") if dense_or_rank1 and name in rows)
-        plan = wt.plans[rows] = _Plan(tuple(terms), tuple(read), tuple(zeros), sandwich)
+        plan = wt.plans[rows] = _Plan(tuple(terms), tuple(read), tuple(zeros))
     return plan
 
 
@@ -225,9 +206,13 @@ def _blocks(wt: _Weights, mus, rows: tuple[str, ...] = _ALL_ROWS) -> _Blocks:
     mus = np.asarray(mus, dtype=float)
     n = mus.size
     sums = np.empty((len(plan.terms), n))
-    sandwich = {name: np.empty(n) for name in plan.sandwich}
-    # the highest power of R read; the rank-one sandwich reads R^2
-    top = max([k for k, _ in plan.terms] + [2 if sandwich else 1])
+    out = {name: sums[j] for name, j in plan.rows}
+    out.update((name, np.full(n, zero)) for name, zero in plan.zeros)
+    # the diagonal functionals of the rows q2 and q3 read, which the sandwich completes
+    diagonal = {name: out[name] for name in ("q2", "q3") if wt.sandwich and name in out}
+    out.update((name, np.empty(n)) for name in diagonal)
+    # the highest power of R read; the sandwich reads R^2
+    top = max([k for k, _ in plan.terms] + [2 if diagonal else 1])
     block = max(1, min(_BLOCK, _BLOCK_CELLS // wt.r.size))
     for lo in range(0, n, block):
         cut = slice(lo, lo + block)
@@ -240,27 +225,10 @@ def _blocks(wt: _Weights, mus, rows: tuple[str, ...] = _ALL_ROWS) -> _Blocks:
             # accumulate in order, leave the traces several ulps off at p in
             # the thousands
             sums[j, cut] = (powers[k - 1] * w).sum(axis=1)
-        if wt.sigma0 is not None and sandwich:
-            # the S0 sandwich through one BLAS product per block
-            wb = wt.beta * inv
-            mwb = (wb @ wt.sigma0) * wb
-            if "q2" in sandwich:
-                sandwich["q2"][cut] = mwb.sum(axis=1)
-            if "q3" in sandwich:
-                sandwich["q3"][cut] = (mwb * inv).sum(axis=1)
-        elif sandwich:
-            # sum over classes c of coef_c (v_c' R b)(v_c' R^k b), k = 1, 2
-            vb, coef = wt.rank1
-            m = inv @ vb
-            if "q2" in sandwich:
-                sandwich["q2"][cut] = (m * m) @ coef
-            if "q3" in sandwich:
-                sandwich["q3"][cut] = (m * (powers[1] @ vb)) @ coef
-    out = {name: sums[j] for name, j in plan.rows}
-    out.update((name, np.full(n, zero)) for name, zero in plan.zeros)
-    for name, extra in sandwich.items():
-        # a dense S0 has no diagonal part; a rank-one one adds to its own
-        out[name] = extra if wt.sigma0 is not None else out[name] + extra
+        if diagonal:
+            done = wt.sandwich(inv, powers[1], {name: q[cut] for name, q in diagonal.items()})
+            for name, q in done.items():
+                out[name][cut] = q
     return _Blocks(mus, *map(out.get, _ALL_ROWS))
 
 

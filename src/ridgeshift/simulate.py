@@ -285,7 +285,7 @@ def empirical_risk(
     d = np.asarray(beta_hat, dtype=float) - beta0
     if d.size != model.p:
         raise InvalidParameterError("dimension mismatch")
-    return float(model.sigma0_product(d) @ d) + model.sigma0_sq
+    return float(model.sigma0.product(d) @ d) + model.sigma0_sq
 
 
 def _admissible_bound(model: ShiftModel, aspect: float) -> float:

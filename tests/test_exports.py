@@ -1,14 +1,14 @@
 """The package's public surface: every name listed in ``__all__`` resolves,
 no module reads the environment (every setting is an argument), every
-module uses what it imports, and the package reads every functional the risk
-kernel computes."""
+module uses what it imports, the package reads every functional the risk
+kernel computes, and only the model module names the test covariance forms."""
 
 import ast
 import re
 from pathlib import Path
 
 import ridgeshift
-from ridgeshift import risk
+from ridgeshift import model, risk
 
 
 def test_every_exported_name_resolves():
@@ -59,3 +59,19 @@ def test_every_kernel_functional_is_read():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert [name for name in risk._Blocks._fields if name != "mu" and name not in read] == []
+
+
+def test_only_the_model_module_names_the_test_covariance_forms():
+    # the form of S0 is decided in one module; the others read it through
+    # the interface the forms share
+    forms = {"_TestCovariance", "_Diagonal", "_ParityRankOne", "_Dense"}
+    assert forms <= set(vars(model))
+    package = Path(ridgeshift.__file__).parent
+    naming = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name != "model.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                # a Name, an Attribute, or an imported alias
+                names = {getattr(node, key, None) for key in ("id", "attr", "name")}
+                naming += [f"{path.name}:{node.lineno} {name}" for name in forms & names]
+    assert naming == []

@@ -33,6 +33,7 @@ from ridgeshift import (
     tilde_v,
 )
 from ridgeshift import risk
+from ridgeshift.model import _ParityRankOne
 
 SHIFT_KINDS = ("none", "covariate", "regression", "joint", "isotropic")
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -97,7 +98,7 @@ def ar1_pair_cases(draw):
                   "beta0": {"kind": "scale", "factor": -1.5}},
         "sigma2": 0.01,
     })
-    assert model._sigma0_parity is not None
+    assert isinstance(model.sigma0, _ParityRankOne)
     return model, phi, branch_levels(draw, model.spectrum, phi)
 
 
@@ -136,29 +137,18 @@ def full_rows(model, mus):
     level, from one stack of weights, whatever the caller reads."""
     r = model.spectrum.eigenvalues
     p = r.size
-    s0d = model.sigma0_diag
+    s0 = model.sigma0
     zero = np.zeros(p)
-    beta = sigma0 = rank1 = None
     if model.is_isotropic_signal:
         a = model.alpha2 / p
-        sig, sand, c1, c2, align = a * r, a * s0d, zero, zero, zero
+        sig, sand, c1, c2, align, sandwich = a * r, a * s0.diagonal, zero, zero, zero, None
     else:
         b = model.beta
         d = model.beta0 - b
-        dvec = model.sigma0_product(d)
-        parity = model._sigma0_parity
-        if parity is not None:
-            sand = b * b * parity.diag
-            vb = np.zeros((p, 2))
-            for c in (0, 1):
-                vb[c::2, c] = b[c::2] * parity.vec[c::2]
-            rank1 = vb, np.array(parity.coef)
-        elif model.sigma0_dense is None:
-            sand = b * b * s0d
-        else:
-            sand, beta, sigma0 = zero, b, model.sigma0_dense
+        dvec = s0.product(d)
+        sand, sandwich = s0.sandwich(b)
         sig, c1, c2, align = b * b * r, b * dvec, b * r * dvec, b * r * r * d
-    w2 = np.stack([r * r / p, r / p, s0d * r / p, sig, sand, c2, align])
+    w2 = np.stack([r * r / p, r / p, s0.diagonal * r / p, sig, sand, c2, align])
     mus = np.asarray(mus, dtype=float)
     out = np.empty((13, mus.size))
     block = max(1, min(risk._BLOCK, risk._BLOCK_CELLS // p))
@@ -169,16 +159,9 @@ def full_rows(model, mus):
         o[0] = (inv * c1).sum(axis=1)
         o[1:8] = (inv2[:, None, :] * w2).sum(axis=2).T
         o[8:13] = ((inv2 * inv)[:, None, :] * w2[:5]).sum(axis=2).T
-        if sigma0 is not None:
-            wb = beta * inv
-            mwb = (wb @ sigma0) * wb
-            o[5] = mwb.sum(axis=1)
-            o[12] = (mwb * inv).sum(axis=1)
-        elif rank1 is not None:
-            vb, coef = rank1
-            m = inv @ vb
-            o[5] += (m * m) @ coef
-            o[12] += (m * (inv2 @ vb)) @ coef
+        if sandwich is not None:
+            done = sandwich(inv, inv2, {"q2": o[5], "q3": o[12]})
+            o[5], o[12] = done["q2"], done["q3"]
     return out
 
 

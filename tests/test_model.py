@@ -4,12 +4,15 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
+from functools import partial
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
+from hypothesis.vendor.pretty import pretty
 
 from ridgeshift import (
     InvalidParameterError,
@@ -23,7 +26,7 @@ from ridgeshift import (
     predict_sign,
     risk_decomposition,
 )
-from ridgeshift.model import _KEYS, _AR1Eigensystem
+from ridgeshift.model import _KEYS, _AR1Eigensystem, _Dense, _Diagonal, _ParityRankOne
 from ridgeshift.risk import _blocks, _weights
 
 EPS = np.finfo(float).eps
@@ -31,17 +34,9 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def dense_sigma0(m):
-    """The test covariance of ``m`` as a dense matrix in the train eigenbasis."""
-    if m.sigma0_dense is not None:
-        return m.sigma0_dense
-    parity = m._sigma0_parity
-    if parity is None:
-        return np.diag(m.sigma0_diag)
-    dense = np.diag(parity.diag)
-    for c, coef in enumerate(parity.coef):
-        v = parity.vec[c::2]
-        dense[c::2, c::2] += coef * np.multiply.outer(v, v)
-    return dense
+    """The test covariance of ``m`` as a dense matrix in the train eigenbasis,
+    one product with a unit vector per row."""
+    return np.array([m.sigma0.product(e) for e in np.eye(m.p)])
 
 
 def dense_ar1(p, rho):
@@ -181,6 +176,7 @@ class TestStructuredTestCovariance:
     reads it must agree with a dense model built from W' K W."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
+    @seed(240401233)
     @example(2000, 0.5, -0.3, "joint", 2.0)
     @example(2000, 0.9, "rho", "covariate", 2.0)
     @given(
@@ -197,11 +193,11 @@ class TestStructuredTestCovariance:
         values = rng.standard_normal(p)
         cfg = ar1_pair_config(p, rho, rho0, shift, {"kind": "explicit", "values": list(values)})
         m = build_model(cfg)
-        assert m.sigma0_dense is None and m._sigma0_parity is not None
+        assert isinstance(m.sigma0, _ParityRankOne)
         spectrum, w = build_ar1(p, rho)
         s0 = w.T @ dense_ar1(p, rho0) @ w
         ref = make_model(spectrum, beta=m.beta, beta0=m.beta0, sigma0=s0, sigma2=m.sigma2)
-        assert ref.sigma0_dense is not None
+        assert isinstance(ref.sigma0, _Dense)
         # the entrywise tolerance of test_rotated_test_covariance_matches_dense;
         # a bilinear form x' S0 y moves by at most that times |x|_1 |y|_1
         tol = 8 * EPS * (p + 1.0 / (1.0 - abs(rho0))) * np.max(np.abs(s0))
@@ -215,12 +211,12 @@ class TestStructuredTestCovariance:
 
         r, b, d = spectrum.eigenvalues, m.beta, m.beta0 - m.beta
         x = rng.standard_normal(p)
-        close(m.sigma0_product(x), ref.sigma0_product(x), l1(x))
-        close(m.sigma0_diag, ref.sigma0_diag, 1.0)
+        close(m.sigma0.product(x), ref.sigma0.product(x), l1(x))
+        close(m.sigma0.diagonal, ref.sigma0.diagonal, 1.0)
         close(m.kappa2, ref.kappa2, l1(d) ** 2)
         close(m.null_parts(), ref.null_parts(), [l1(b) ** 2, 2.0 * l1(b) * l1(d)])
         # max |S0 - diag(t)|; at t = diag(S0) only the entries off the diagonal count
-        for t in (r, 1.0, m.sigma0_diag):
+        for t in (r, 1.0, m.sigma0.diagonal):
             close(m._sigma0_offset(t), ref._sigma0_offset(t), 1.0)
         assert m.has_covariate_shift == ref.has_covariate_shift == (rho0 != rho)
 
@@ -246,15 +242,16 @@ class TestStructuredTestCovariance:
         assert (got.predicted_sign, got.applied_rule) == (want.predicted_sign, want.applied_rule)
 
     @PROPERTY_SETTINGS
+    @seed(240401233)
     @given(ar1_cases(), st.floats(-0.99, 0.99))
     def test_dense_offset_is_the_entrywise_maximum(self, case, rho0):
         # the dense references above, W' K W; a scalar t and vectors t
         p, rho = case
         spectrum, w = build_ar1(p, rho)
         ref = make_model(spectrum, beta=np.ones(p), sigma0=w.T @ dense_ar1(p, rho0) @ w)
-        assert ref.sigma0_dense is not None
-        for t in (1.0, -0.5, spectrum.eigenvalues, ref.sigma0_diag):
-            entrywise = float(np.max(np.abs(ref.sigma0_dense - np.eye(p) * t)))
+        assert isinstance(ref.sigma0, _Dense)
+        for t in (1.0, -0.5, spectrum.eigenvalues, ref.sigma0.diagonal):
+            entrywise = float(np.max(np.abs(ref.sigma0.matrix - np.eye(p) * t)))
             assert ref._sigma0_offset(t).hex() == entrywise.hex()
 
     def test_ar1_joint_build_needs_no_dense_matrix(self, monkeypatch):
@@ -265,7 +262,8 @@ class TestStructuredTestCovariance:
         monkeypatch.setattr(np.linalg, "eigvalsh", boom)
         monkeypatch.setattr(_AR1Eigensystem, "eigenvectors", property(boom))
         m = build_model(dict(ar1_pair_config(500, 0.5, 0.3), sigma0_sq=0.0))
-        assert m.sigma0_dense is None and m.has_covariate_shift and m.has_regression_shift
+        assert isinstance(m.sigma0, _ParityRankOne)
+        assert m.has_covariate_shift and m.has_regression_shift
 
     def test_large_pair_builds_and_optimizes_in_linear_memory(self):
         # a dense 20,000 x 20,000 test covariance alone would take 3.2 GB
@@ -347,10 +345,10 @@ class TestDiagonalTestCovariance:
         sp = Spectrum.from_values([0.5, 1.0, 2.0])
         for s0 in (None, [1.0, 2.0, 3.0], np.diag([1.0, 2.0, 3.0])):
             m = make_model(sp, beta=np.ones(3), sigma0=s0)
-            assert m.sigma0_dense is None
-            np.testing.assert_array_equal(dense_sigma0(m), np.diag(m.sigma0_diag))
+            assert isinstance(m.sigma0, _Diagonal)
+            np.testing.assert_array_equal(dense_sigma0(m), np.diag(m.sigma0.diagonal))
         dense = make_model(sp, beta=np.ones(3), sigma0=np.full((3, 3), 0.5) + np.eye(3))
-        assert dense.sigma0_dense is not None
+        assert isinstance(dense.sigma0, _Dense)
 
     def test_functionals_match_the_dense_matrix(self):
         rng = np.random.default_rng(5)
@@ -358,7 +356,7 @@ class TestDiagonalTestCovariance:
         beta = rng.standard_normal(9)
         m = make_model(sp, beta=beta, beta0=2.0 * beta, sigma0=rng.uniform(0.5, 2.0, 9))
         x = rng.standard_normal(9)
-        np.testing.assert_array_equal(m.sigma0_product(x), x @ dense_sigma0(m))
+        np.testing.assert_array_equal(m.sigma0.product(x), x @ dense_sigma0(m))
         assert m.null_risk() == float(m.beta0 @ dense_sigma0(m) @ m.beta0)
         wb = beta / (sp.eigenvalues + 0.3)
         assert _blocks(_weights(m), [0.3]).q2[0] == pytest.approx(
@@ -410,7 +408,7 @@ class TestShiftModelValidation:
         s0 = rng.standard_normal((6, 6))
         s0 = s0 @ s0.T / 6 + 0.2 * np.eye(6)
         m = make_model(Spectrum.identity(6), beta=np.ones(6), sigma0=s0, sigma2=0.0)
-        np.testing.assert_array_equal(m.sigma0_diag, np.diag(dense_sigma0(m)))
+        np.testing.assert_array_equal(m.sigma0.diagonal, np.diag(dense_sigma0(m)))
 
     def test_isotropic_excludes_explicit_beta(self):
         with pytest.raises(InvalidParameterError):
@@ -440,6 +438,35 @@ class TestShiftModelValidation:
     def test_signal_energy_must_be_finite_and_nonnegative(self, bad):
         with pytest.raises(InvalidParameterError, match="signal_alpha2"):
             make_model(Spectrum.identity(4), alpha2=bad, sigma2=0.5)
+
+    @pytest.mark.parametrize("build, name", [
+        pytest.param(partial(Spectrum.from_values, ["a", "b"]), "eigenvalues", id="spectrum"),
+        *(pytest.param(partial(make_model, Spectrum.identity(3), **{"beta": np.ones(3), key: bad}),
+                       key, id=f"{key}-{kind}")
+          for key in ("sigma0", "beta", "beta0")
+          for kind, bad in (("string", "abc"), ("ragged", [[1.0, 2.0], [3.0]]),
+                            ("complex", [1j, 1.0, 1.0]), ("complex-array", np.array([1j, 1.0, 1.0])),
+                            ("object", object()))),
+        *(pytest.param(partial(make_model, Spectrum.identity(3), **{key: "x"}), key, id=key)
+          for key in ("alpha2", "sigma2", "sigma0_sq")),
+    ])
+    def test_malformed_inputs_raise_typed_errors_naming_them(self, build, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=f"^{name} must be"):
+                build()
+
+    @pytest.mark.parametrize("form", [_Diagonal, _ParityRankOne, _Dense])
+    def test_every_form_pretty_prints(self, form):
+        # hypothesis prints the models held by a falsifying example this way
+        sp = Spectrum.identity(6)
+        model = {
+            _Diagonal: lambda: make_model(sp, beta=np.ones(6), sigma2=0.1),
+            _ParityRankOne: lambda: build_model(ar1_pair_config(6, 0.5, 0.3)),
+            _Dense: lambda: make_model(sp, beta=np.ones(6), sigma0=np.full((6, 6), 0.1) + np.eye(6)),
+        }[form]()
+        assert isinstance(model.sigma0, form)
+        assert pretty(model).startswith("ShiftModel(")
 
 
 class TestBuildModel:
@@ -667,6 +694,7 @@ class TestBuildModel:
             ({"p": 4, "shift": {"kind": "regression", "beta0": {"factor": [2.0]}}}, "'factor'"),
             ({"p": 4, "spectrum": {"kind": "explicit", "values": ["a", 1, 2, 3]}}, "spectrum values"),
             ({"p": 4, "spectrum": {"kind": "explicit"}}, "spectrum needs"),
+            ({"p": 4, "sigma2": 10**400}, "'sigma2'"),  # beyond the float range
         ],
     )
     def test_malformed_documents_name_their_key(self, doc, key):
@@ -704,8 +732,8 @@ class TestBuildModel:
                                                       "values": [0.5, 1.0, 2.0]}},
         }
         m = build_model(cfg)
-        np.testing.assert_array_equal(m.sigma0_diag, [0.5, 1.0, 2.0])
-        assert m.sigma0_dense is None and m.has_covariate_shift
+        np.testing.assert_array_equal(m.sigma0.diagonal, [0.5, 1.0, 2.0])
+        assert isinstance(m.sigma0, _Diagonal) and m.has_covariate_shift
 
 
 class TestListedSpectrumOrder:

@@ -37,7 +37,7 @@ def isotropic_optimal_risk(model, phi: float) -> float:
         raise InvalidParameterError("snr must be finite and positive")
     mu_star = solve_mu(model.spectrum, phi / model.snr, phi).mu
     r = model.spectrum.eigenvalues
-    return model.alpha2 * mu_star * float(np.mean(model.sigma0_diag / (r + mu_star))) + model.sigma0_sq
+    return model.alpha2 * mu_star * float(np.mean(model.sigma0.diagonal / (r + mu_star))) + model.sigma0_sq
 
 
 def unit_signal(p: int) -> np.ndarray:
