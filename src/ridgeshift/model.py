@@ -108,17 +108,20 @@ class Spectrum:
         return float((r**sigma_power / (r + mu) ** power).sum()) / r.size
 
 
+@dataclass(eq=False)
 class _TestCovariance:
-    """A test covariance S0 in the train eigenbasis, in one of three forms.
-    Each gives ``diagonal`` (set once, read-only), ``product(x)`` = x' S0,
-    ``off_diagonal_max()`` and ``sandwich(b)``, its part in the risk kernel:
-    the diagonal weights of the rows q2 = b' R S0 R b and q3 = b' R^2 S0 R b,
-    and None or ``rows(inv, inv2, diag)``, which completes on one block of
-    levels each row that ``diag`` maps to the sum of its diagonal weights."""
+    """A test covariance S0 in the train eigenbasis, in one of three forms,
+    shown by its form and ``diagonal`` (set once, read-only). Each gives
+    ``product(x)`` = x' S0, ``off_diagonal_max()`` and ``sandwich(b)``, its
+    part in the risk kernel: the diagonal weights of q2 = b' R S0 R b and
+    q3 = b' R^2 S0 R b, and None or ``rows(inv, inv2, q2, q3)``, which takes
+    on one block of levels the sums of those weights (None where not read)
+    and returns the completed q2 and q3 (the kernel keeps those read)."""
 
-    def __init__(self, diagonal: np.ndarray) -> None:
-        diagonal.setflags(write=False)
-        self.diagonal = diagonal
+    diagonal: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.diagonal.setflags(write=False)
 
 
 class _Diagonal(_TestCovariance):
@@ -169,13 +172,12 @@ class _ParityRankOne(_TestCovariance):
         vb = np.zeros((b.size, 2))
         for c in (0, 1):
             vb[c::2, c] = b[c::2] * self.vec[c::2]
-        coef = np.array(self.coef)
 
-        def rows(inv, inv2, diag):
+        def rows(inv, inv2, q2, q3):
             # add the sum over classes c of coef_c (v_c' R b)(v_c' R^k b), k = 1, 2
             m = inv @ vb
-            return {name: q + (m * (m if name == "q2" else inv2 @ vb)) @ coef
-                    for name, q in diag.items()}
+            return (None if q2 is None else q2 + (m * m) @ self.coef,
+                    None if q3 is None else q3 + (m * (inv2 @ vb)) @ self.coef)
 
         return b * b * self.diag, rows
 
@@ -201,12 +203,12 @@ class _Dense(_TestCovariance):
         return max(float(off.max()), -float(off.min()))
 
     def sandwich(self, b: np.ndarray):
-        def rows(inv, inv2, diag):
+        def rows(inv, inv2, q2, q3):
             # the whole sandwich, through one BLAS product, replaces the
-            # diagonal functionals (of zero weights)
+            # diagonal functionals (of zero weights); q2 is one sum of it
             wb = b * inv
             mwb = (wb @ self.matrix) * wb
-            return {name: (mwb if name == "q2" else mwb * inv).sum(axis=1) for name in diag}
+            return mwb.sum(axis=1), None if q3 is None else (mwb * inv).sum(axis=1)
 
         return np.zeros(b.size), rows
 
@@ -356,9 +358,7 @@ def _dense_or_diagonal(sigma0, p: int) -> _TestCovariance:
     s0 = _as_float_array(sigma0, "sigma0")
     if not np.all(np.isfinite(s0)):
         raise InvalidParameterError("sigma0 contains non-finite entries")
-    if s0.ndim == 2 and s0.shape == (p, p) and (
-        np.count_nonzero(s0) == np.count_nonzero(np.diagonal(s0))
-    ):
+    if s0.shape == (p, p) and np.count_nonzero(s0) == np.count_nonzero(np.diagonal(s0)):
         s0 = np.diagonal(s0)
     if s0.shape == (p,):
         form = _Diagonal(s0.copy())

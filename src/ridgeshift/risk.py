@@ -226,9 +226,10 @@ def _blocks(wt: _Weights, mus, rows: tuple[str, ...] = _ALL_ROWS) -> _Blocks:
             # the thousands
             sums[j, cut] = (powers[k - 1] * w).sum(axis=1)
         if diagonal:
-            done = wt.sandwich(inv, powers[1], {name: q[cut] for name, q in diagonal.items()})
-            for name, q in done.items():
-                out[name][cut] = q
+            read = [diagonal[name][cut] if name in diagonal else None for name in ("q2", "q3")]
+            for name, q in zip(("q2", "q3"), wt.sandwich(inv, powers[1], *read)):
+                if name in diagonal:
+                    out[name][cut] = q
     return _Blocks(mus, *map(out.get, _ALL_ROWS))
 
 

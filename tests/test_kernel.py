@@ -33,7 +33,7 @@ from ridgeshift import (
     tilde_v,
 )
 from ridgeshift import risk
-from ridgeshift.model import _ParityRankOne
+from ridgeshift.model import _Dense, _ParityRankOne
 
 SHIFT_KINDS = ("none", "covariate", "regression", "joint", "isotropic")
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -139,14 +139,24 @@ def full_rows(model, mus):
     p = r.size
     s0 = model.sigma0
     zero = np.zeros(p)
+    beta = sigma0 = rank1 = None
     if model.is_isotropic_signal:
         a = model.alpha2 / p
-        sig, sand, c1, c2, align, sandwich = a * r, a * s0.diagonal, zero, zero, zero, None
+        sig, sand, c1, c2, align = a * r, a * s0.diagonal, zero, zero, zero
     else:
         b = model.beta
         d = model.beta0 - b
         dvec = s0.product(d)
-        sand, sandwich = s0.sandwich(b)
+        if isinstance(s0, _ParityRankOne):
+            sand = b * b * s0.diag
+            vb = np.zeros((p, 2))
+            for c in (0, 1):
+                vb[c::2, c] = b[c::2] * s0.vec[c::2]
+            rank1 = vb, np.array(s0.coef)
+        elif isinstance(s0, _Dense):
+            sand, beta, sigma0 = zero, b, s0.matrix
+        else:
+            sand = b * b * s0.diagonal
         sig, c1, c2, align = b * b * r, b * dvec, b * r * dvec, b * r * r * d
     w2 = np.stack([r * r / p, r / p, s0.diagonal * r / p, sig, sand, c2, align])
     mus = np.asarray(mus, dtype=float)
@@ -159,9 +169,16 @@ def full_rows(model, mus):
         o[0] = (inv * c1).sum(axis=1)
         o[1:8] = (inv2[:, None, :] * w2).sum(axis=2).T
         o[8:13] = ((inv2 * inv)[:, None, :] * w2[:5]).sum(axis=2).T
-        if sandwich is not None:
-            done = sandwich(inv, inv2, {"q2": o[5], "q3": o[12]})
-            o[5], o[12] = done["q2"], done["q3"]
+        if sigma0 is not None:
+            wb = beta * inv
+            mwb = (wb @ sigma0) * wb
+            o[5] = mwb.sum(axis=1)
+            o[12] = (mwb * inv).sum(axis=1)
+        elif rank1 is not None:
+            vb, coef = rank1
+            m = inv @ vb
+            o[5] += (m * m) @ coef
+            o[12] += (m * (inv2 @ vb)) @ coef
     return out
 
 

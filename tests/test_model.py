@@ -466,7 +466,10 @@ class TestShiftModelValidation:
             _Dense: lambda: make_model(sp, beta=np.ones(6), sigma0=np.full((6, 6), 0.1) + np.eye(6)),
         }[form]()
         assert isinstance(model.sigma0, form)
-        assert pretty(model).startswith("ShiftModel(")
+        text = " ".join(pretty(model).split())  # as one line, however it was wrapped
+        assert text.startswith("ShiftModel(")
+        shown = " ".join(repr(model.sigma0.diagonal).split())
+        assert f"sigma0={form.__name__}(diagonal={shown})" in text
 
 
 class TestBuildModel:
