@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import suppress
 from typing import Sequence
 
 import numpy as np
@@ -23,14 +24,13 @@ import numpy as np
 from . import __version__
 from .conditions import (
     LEVEL_POINTS,
-    _ridgeless_on_edge,
     check_cov_shift_overparam,
     check_in_dist_alignment,
     check_reg_shift_alignment,
     check_reg_shift_general_balance,
     predict_sign,
 )
-from .errors import InvalidParameterError, RidgeShiftError
+from .errors import BelowMinimumPenaltyError, InvalidParameterError, RidgeShiftError
 from .fixed_point import (
     equivalence_path,
     lambda_min,
@@ -165,23 +165,22 @@ def _cmd_conditions(model: ShiftModel, args) -> _Table:
     pred = predict_sign(model, phi, points)
     # the report that decided the sign is printed, not computed again
     decided = {pred.report.condition_id: pred.report} if pred.report else {}
-    # the checks that start at the ridgeless level have no start on the edge
-    level_checks = not _ridgeless_on_edge(model.spectrum, phi)
     rows: list[tuple] = []
 
     def add(condition_id: str, check, *check_args) -> None:
-        report = decided.get(condition_id) or check(*check_args)
-        rows.append(("condition", report.condition_id, str(report.holds),
-                     report.worst_margin, report.grid))
+        # raised only by the check's solve of mu(0, phi), on the branch edge: no row
+        with suppress(BelowMinimumPenaltyError):
+            report = decided.get(condition_id) or check(*check_args)
+            rows.append(("condition", report.condition_id, str(report.holds),
+                         report.worst_margin, report.grid))
 
-    if level_checks and phi > 1.0 and not model.is_isotropic_signal:
+    if phi > 1.0 and not model.is_isotropic_signal:
         add("in-dist-alignment", check_in_dist_alignment, model, phi, points)
-    if level_checks and model.spectrum.is_identity and phi > 1.0:
+    if model.spectrum.is_identity and phi > 1.0:
         add("cov-shift-overparam", check_cov_shift_overparam, model, phi)
-    if not model.is_isotropic_signal and model.has_regression_shift:
+    if model.has_regression_shift:
         add("reg-shift-alignment", check_reg_shift_alignment, model, points)
-    if level_checks:
-        add("reg-shift-general-balance", check_reg_shift_general_balance, model, phi, points)
+    add("reg-shift-general-balance", check_reg_shift_general_balance, model, phi, points)
     rows.append(("sign-prediction", pred.predicted_sign, pred.regime, math.nan,
                  pred.applied_rule))
     return {"phi": phi}, ["record", "id", "value", "worst_margin", "detail"], rows

@@ -25,6 +25,7 @@ necessary.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Literal
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import BelowMinimumPenaltyError, BranchViolationError, InvalidParameterError
 from .fixed_point import _check_phi, solve_mu
-from .model import ShiftModel, Spectrum
+from .model import ShiftModel
 from .risk import _blocks, _kernel, _weights
 
 ConditionId = Literal[
@@ -59,7 +60,7 @@ LEVEL_POINTS = 400
 
 
 def _check_points(points: int) -> None:
-    if not isinstance(points, (int, np.integer)):
+    if isinstance(points, bool) or not isinstance(points, (int, np.integer)):
         raise InvalidParameterError(f"points must be an integer, got {points!r}")
     if points < 1:
         raise InvalidParameterError(f"level grid needs at least 1 point, got {points}")
@@ -95,18 +96,6 @@ class SignPrediction:
     predicted_sign: Sign
     applied_rule: str
     report: ConditionReport | None = None
-
-
-def _ridgeless_on_edge(spectrum: Spectrum, phi: float) -> bool:
-    """Whether the ridgeless penalty is within rounding of lambda_min(phi)
-    (phi at or a few ulps from 1): the penalty equation then has no level
-    above the branch edge at lam = 0, and the checks that start at the
-    ridgeless level have no start."""
-    try:
-        solve_mu(spectrum, 0.0, phi)
-    except BelowMinimumPenaltyError:
-        return True
-    return False
 
 
 def _report(condition_id: ConditionId, margins: np.ndarray, grid_desc: str) -> ConditionReport:
@@ -176,7 +165,7 @@ def check_cov_shift_overparam(model: ShiftModel, phi: float) -> ConditionReport:
 def check_reg_shift_alignment(model: ShiftModel, points: int = LEVEL_POINTS) -> ConditionReport:
     """Regression-shift alignment: b' S^2 (S+mu I)^-2 (b0 - b) > 0 for every
     level mu >= 0; the grid's levels are checked after mu = 0 itself."""
-    if model.is_isotropic_signal or not model.has_regression_shift:
+    if not model.has_regression_shift:
         raise InvalidParameterError("degenerate shift: beta0 equals beta")
     mus = np.concatenate([[0.0], _levels(0.0, model.spectrum.r_max, points)])
     margins = _blocks(_weights(model), mus, ("a2",)).a2
@@ -219,10 +208,11 @@ def _verdict(regime: Regime, rule: str, report: ConditionReport, holds: bool) ->
 def predict_sign(model: ShiftModel, phi: float, points: int = LEVEL_POINTS) -> SignPrediction:
     """Route a model through the sufficient sign tests; inconclusive whenever
     no test's hypotheses are verified. A route runs only the checks it reads
-    and carries the deciding one as ``report``. A test that starts at the
-    ridgeless level is skipped where that level is on the branch edge (phi
-    within rounding of 1), as at phi = 1 itself. ``points`` and ``phi`` are
-    checked whether or not the route builds a level grid."""
+    and carries the deciding one as ``report``. Where a test's own solve of
+    the ridgeless level finds it on the branch edge (phi within rounding of
+    1), the route falls through to its boundary or uncovered rule, as at
+    phi = 1 itself. ``points`` and ``phi`` are checked whether or not the
+    route builds a level grid."""
     _check_points(points)
     _check_phi(phi)
     regime: Regime = "underparameterized" if phi < 1.0 else "overparameterized"
@@ -235,9 +225,11 @@ def predict_sign(model: ShiftModel, phi: float, points: int = LEVEL_POINTS) -> S
     if not cov and not reg:
         if phi < 1.0:
             return SignPrediction(regime, "nonnegative", "no-shift-underparameterized")
-        if phi > 1.0 and not _ridgeless_on_edge(model.spectrum, phi):
-            report = check_in_dist_alignment(model, phi, points)
-            return _verdict(regime, "no-shift-alignment", report, report.holds)
+        if phi > 1.0:
+            # raised only by the check's solve of mu(0, phi), on the branch edge
+            with suppress(BelowMinimumPenaltyError):
+                report = check_in_dist_alignment(model, phi, points)
+                return _verdict(regime, "no-shift-alignment", report, report.holds)
         return SignPrediction(regime, "inconclusive", "boundary-aspect-ratio")
 
     if cov and not reg:
@@ -246,20 +238,24 @@ def predict_sign(model: ShiftModel, phi: float, points: int = LEVEL_POINTS) -> S
         if phi > 1.0:
             if model._sigma0_offset(1.0) <= 1e-12:
                 return SignPrediction(regime, "nonnegative", "cov-shift-identity-test-cov")
-            if model.spectrum.is_identity and not _ridgeless_on_edge(model.spectrum, phi):
-                report = check_cov_shift_overparam(model, phi)
-                return _verdict(regime, "cov-shift-alignment", report, report.holds)
+            if model.spectrum.is_identity:
+                # raised only by the check's solve of mu(0, phi), on the branch edge
+                with suppress(BelowMinimumPenaltyError):
+                    report = check_cov_shift_overparam(model, phi)
+                    return _verdict(regime, "cov-shift-alignment", report, report.holds)
         return SignPrediction(regime, "inconclusive", "cov-shift-uncovered")
 
     if reg and not cov:
-        if _ridgeless_on_edge(model.spectrum, phi):
-            return SignPrediction(regime, "inconclusive", "boundary-aspect-ratio")
-        if phi < 1.0:
-            balance = check_reg_shift_general_balance(model, phi, points)
-            return _verdict(regime, "reg-shift-balance", balance, balance.holds)
-        alignment = check_in_dist_alignment(model, phi, points)
-        shift_align = check_reg_shift_alignment(model, points)
-        return _verdict(regime, "reg-shift-joint-alignment", shift_align,
-                        alignment.holds and shift_align.holds)
+        # raised only by the first check's solve of mu(0, phi), on the branch edge
+        with suppress(BelowMinimumPenaltyError):
+            if phi < 1.0:
+                balance = check_reg_shift_general_balance(model, phi, points)
+                return _verdict(regime, "reg-shift-balance", balance, balance.holds)
+            if phi > 1.0:
+                alignment = check_in_dist_alignment(model, phi, points)
+                shift_align = check_reg_shift_alignment(model, points)
+                return _verdict(regime, "reg-shift-joint-alignment", shift_align,
+                                alignment.holds and shift_align.holds)
+        return SignPrediction(regime, "inconclusive", "boundary-aspect-ratio")
 
     return SignPrediction(regime, "inconclusive", "joint-shift-uncovered")

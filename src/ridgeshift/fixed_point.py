@@ -67,8 +67,8 @@ def _check_phi(phi: float) -> None:
 
 def _check_count(name: str, value: int, minimum: int) -> None:
     """Reject a count that is not a Python or numpy integer (a float such as
-    2.0 included) or that lies below ``minimum``."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    2.0 or a bool included) or that lies below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 

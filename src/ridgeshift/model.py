@@ -25,17 +25,18 @@ _PSD_RTOL = 1e-10
 _IDENTITY_ATOL = 1e-12
 
 def _as_float_array(values, name: str, scalar: bool = False):
-    """``values`` as a float array, or as a float when ``scalar``. Strings,
-    complex numbers, objects, ragged lists and arrays given for a scalar
-    raise InvalidParameterError naming ``name``."""
+    """``values`` as a float array, or as a float when ``scalar``. Values
+    that numpy reads as neither integers nor floats (strings, bytes,
+    booleans, complex numbers, objects), ragged lists and arrays given for a
+    scalar raise InvalidParameterError naming ``name``."""
     try:
-        arr = None if np.iscomplexobj(values) else np.asarray(values, dtype=float)
+        arr = np.asarray(values)
     except (TypeError, ValueError, OverflowError):
         arr = None
-    if arr is None or scalar and arr.ndim:
+    if arr is None or arr.dtype.kind not in "iuf" or scalar and arr.ndim:
         raise InvalidParameterError(
             f"{name} must be a number, got {values!r}" if scalar else f"{name} must be numbers")
-    return float(arr) if scalar else arr
+    return float(arr) if scalar else np.asarray(arr, dtype=float)
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:

@@ -282,9 +282,10 @@ def empirical_risk(
         if model.is_isotropic_signal:
             raise InvalidParameterError("isotropic-random model needs an explicit beta0 draw")
         beta0 = model.beta0
+    if np.shape(beta_hat) != (model.p,) or np.shape(beta0) != (model.p,):
+        raise InvalidParameterError(f"dimension mismatch: beta_hat {np.shape(beta_hat)}, "
+                                    f"beta0 {np.shape(beta0)}, p={model.p}")
     d = np.asarray(beta_hat, dtype=float) - beta0
-    if d.size != model.p:
-        raise InvalidParameterError("dimension mismatch")
     return float(model.sigma0.product(d) @ d) + model.sigma0_sq
 
 

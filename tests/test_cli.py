@@ -455,10 +455,20 @@ class TestErrors:
             ({"p": 5.9, "signal": {"kind": "isotropic", "alpha2": 1.0}}, "'p'"),
             ({"p": "5", "signal": {"kind": "isotropic", "alpha2": 1.0}}, "'p'"),
             ({"p": True, "signal": {"kind": "isotropic", "alpha2": 1.0}}, "'p'"),
+            # no other number may be a string or a bool either
+            ({"p": 4, "signal": {"kind": "isotropic", "alpha2": 1.0}, "sigma2": "0.5"},
+             "'sigma2'"),
+            ({"p": 4, "signal": {"kind": "isotropic", "alpha2": 1.0}, "sigma2": True},
+             "'sigma2'"),
+            ({"p": 4, "signal": {"kind": "isotropic", "alpha2": True}}, "'alpha2'"),
+            ({"p": 4, "signal": {"kind": "eigvec-combination", "indices": [1], "weights": [1.0]},
+              "shift": {"kind": "regression", "beta0": {"kind": "scale", "factor": "2"}}},
+             "'factor'"),
         ],
         ids=["p-not-a-number", "spectrum-not-an-object", "top-level-list", "sigma2-not-a-number",
              "misspelled-top-level-key", "misspelled-sigma0-key", "fractional-index",
-             "fractional-p", "string-p", "bool-p"],
+             "fractional-p", "string-p", "bool-p", "string-sigma2", "bool-sigma2", "bool-alpha2",
+             "string-factor"],
     )
     def test_malformed_document_is_invalid_configuration(self, tmp_path, capsys, doc, key):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Alignment checks and the sign router."""
 
+import itertools
 import re
 import warnings
 from pathlib import Path
@@ -30,6 +31,15 @@ def extreme_pair_model(p=100, rho=0.5, sigma2=0.0, beta0_factor=None):
     beta[0] = beta[-1] = 0.5
     beta0 = None if beta0_factor is None else beta0_factor * beta
     return make_model(sp, beta=beta, beta0=beta0, sigma2=sigma2)
+
+
+def identity_cov_shift_model(p=20):
+    """The extreme-pair signal under an AR(1)-spectrum test covariance, with
+    an identity train covariance."""
+    beta = np.zeros(p)
+    beta[0] = beta[-1] = 0.5
+    return make_model(Spectrum.identity(p), beta=beta, sigma0=build_ar1(p, 0.5)[0].eigenvalues,
+                      sigma2=0.01)
 
 
 class TestMuGrid:
@@ -294,6 +304,35 @@ class TestPredictSign:
             assert (pred.predicted_sign, pred.applied_rule) == (
                 "inconclusive", "boundary-aspect-ratio")
 
+    @pytest.mark.parametrize("phi", [1.0, 1.0 + 2**-52])
+    def test_ridgeless_level_on_the_edge_leaves_a_covariate_shift_uncovered(self, phi):
+        # the identity-train-covariance test reads the ridgeless level, which
+        # the edge leaves without a start
+        pred = predict_sign(identity_cov_shift_model(), phi)
+        assert (pred.predicted_sign, pred.applied_rule) == ("inconclusive", "cov-shift-uncovered")
+        assert pred.report is None
+
+    @pytest.mark.parametrize("shift, phi", [
+        ("none", 3.0), ("regression", 0.5), ("regression", 3.0), ("covariate", 3.0)])
+    def test_each_route_solves_the_ridgeless_level_once(self, monkeypatch, shift, phi):
+        # the check that reads the ridgeless level is also what finds it on
+        # the edge; no second solve asks first
+        solves = []
+
+        def counted(spectrum, lam, aspect, **kwargs):
+            if lam == 0.0 and aspect == phi:
+                solves.append(aspect)
+            return solve_mu(spectrum, lam, aspect, **kwargs)
+
+        monkeypatch.setattr(conditions, "solve_mu", counted)
+        if shift == "covariate":
+            m = identity_cov_shift_model(48)
+        else:
+            m = extreme_pair_model(p=48, sigma2=0.01,
+                                   beta0_factor=2.0 if shift == "regression" else None)
+        assert predict_sign(m, phi).report is not None
+        assert solves == [phi]
+
     def test_joint_shift_inconclusive(self):
         rng = np.random.default_rng(9)
         sp = random_spectrum(rng, 10)
@@ -332,10 +371,11 @@ class TestPredictSign:
                     predict_sign(m, phi, points)
 
     def test_non_integral_points_rejected_on_every_route(self):
+        # a bool is not a count, though it subclasses int
         for m in self._route_models():
-            for phi in (0.5, 2.0):
+            for phi, points in itertools.product((0.5, 2.0), (2.5, True, False)):
                 with pytest.raises(InvalidParameterError, match="points must be an integer"):
-                    predict_sign(m, phi, 2.5)
+                    predict_sign(m, phi, points)
 
 
 class TestReadmeLibraryExample:

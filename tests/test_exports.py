@@ -1,7 +1,8 @@
 """The package's public surface: every name listed in ``__all__`` resolves,
 no module reads the environment (every setting is an argument), every
 module uses what it imports, the package reads every functional the risk
-kernel computes, and only the model module names the test covariance forms."""
+kernel computes, only the model module names the test covariance forms, and
+the CLI imports only public names."""
 
 import ast
 import re
@@ -75,3 +76,15 @@ def test_only_the_model_module_names_the_test_covariance_forms():
                 names = {getattr(node, key, None) for key in ("id", "attr", "name")}
                 naming += [f"{path.name}:{node.lineno} {name}" for name in forms & names]
     assert naming == []
+
+
+def test_the_cli_imports_only_public_names():
+    # the CLI is a client of the public API; a private name imported into it
+    # is a second home for a rule that belongs behind a public function
+    tree = ast.parse((Path(ridgeshift.__file__).parent / "cli.py").read_text())
+    private = [f"{node.lineno} {alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("ridgeshift"))
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert private == []

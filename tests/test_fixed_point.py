@@ -132,6 +132,8 @@ class TestSolveMu:
             (0.0, 2.0, 1.0),
             (0.0, 0.5, 0.0),
             (1.0, 1.0, (1.0 + math.sqrt(5.0)) / 2.0),
+            # f(lam + aspect r_max) rounds to -1 here, so the bracket doubles
+            (4542852795154656.0, 0.5, 4542852795154657.0),
         ],
     )
     def test_identity_closed_form_points(self, lam, phi, expected):

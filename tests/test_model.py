@@ -17,6 +17,7 @@ from hypothesis.vendor.pretty import pretty
 from ridgeshift import (
     InvalidParameterError,
     SingularResolventError,
+    ShiftModel,
     Spectrum,
     build_ar1,
     build_model,
@@ -294,6 +295,11 @@ class TestSpectrum:
         np.testing.assert_array_equal(sp.eigenvalues, [1.0, 2.0, 3.0])
         assert sp.r_min == 1.0 and sp.r_max == 3.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(InvalidParameterError, match="eigenvalues contains non-finite"):
+            Spectrum.from_values([1.0, bad])
+
 
 class TestAvgTraceResolvent:
     def test_identity_scalar(self):
@@ -395,9 +401,19 @@ class TestRotationInvariance:
 class TestShiftModelValidation:
     def test_non_psd_sigma0_rejected(self):
         sp = Spectrum.identity(3)
-        bad = np.diag([1.0, 1.0, -0.01])
-        with pytest.raises(InvalidParameterError):
-            make_model(sp, beta=np.ones(3), sigma0=bad, sigma2=0.0)
+        # held as its diagonal, and dense
+        for bad in (np.diag([1.0, 1.0, -0.01]), [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]):
+            with pytest.raises(InvalidParameterError, match="not PSD"):
+                make_model(sp, beta=np.ones(3), sigma0=bad, sigma2=0.0)
+
+    def test_explicit_signal_requires_beta(self):
+        sp = Spectrum.identity(3)
+        with pytest.raises(InvalidParameterError, match="explicit signal requires beta"):
+            ShiftModel(spectrum=sp, sigma0=sp.eigenvalues, beta=None, beta0=None,
+                       sigma2=0.1, sigma0_sq=0.0)
+
+    def test_noiseless_snr_is_infinite(self):
+        assert make_model(Spectrum.identity(3), beta=np.ones(3)).snr == math.inf
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidParameterError):
@@ -446,9 +462,26 @@ class TestShiftModelValidation:
           for key in ("sigma0", "beta", "beta0")
           for kind, bad in (("string", "abc"), ("ragged", [[1.0, 2.0], [3.0]]),
                             ("complex", [1j, 1.0, 1.0]), ("complex-array", np.array([1j, 1.0, 1.0])),
-                            ("object", object()))),
+                            ("object", object()), ("numeric-strings", ["1", "2", "3"]),
+                            ("bytes", [b"1", b"2", b"3"]), ("bools", [True, False, True]))),
         *(pytest.param(partial(make_model, Spectrum.identity(3), **{key: "x"}), key, id=key)
           for key in ("alpha2", "sigma2", "sigma0_sq")),
+        # a string that spells a number, or a bool, is not a number either
+        pytest.param(partial(Spectrum.from_values, ["1", "2"]), "eigenvalues",
+                     id="spectrum-numeric-strings"),
+        *(pytest.param(partial(make_model, Spectrum.identity(3), **{key: bad}), key,
+                       id=f"{key}-{kind}")
+          for key in ("alpha2", "sigma2", "sigma0_sq")
+          for kind, bad in (("numeric-string", "0.5"), ("bool", True))),
+        # well-typed, but of no admissible size or symmetry
+        pytest.param(partial(Spectrum.from_values, []), "eigenvalues", id="spectrum-empty"),
+        pytest.param(partial(Spectrum.identity, 0), "p", id="identity-p0"),
+        pytest.param(partial(build_ar1, 1, 0.5), "p", id="ar1-p1"),
+        pytest.param(partial(make_model, Spectrum.identity(3), beta=np.ones(3),
+                             sigma0=[[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                     "sigma0", id="sigma0-non-symmetric"),
+        pytest.param(partial(make_model, Spectrum.identity(3), beta=np.ones(3), sigma0=np.eye(2)),
+                     "sigma0", id="sigma0-wrong-shape"),
     ])
     def test_malformed_inputs_raise_typed_errors_naming_them(self, build, name):
         with warnings.catch_warnings():
@@ -681,6 +714,29 @@ class TestBuildModel:
         cfg = {"p": 4, "signal": {"kind": "explicit", "values": [1.0, 0.0, 0.0, 0.0]}}
         cfg.update(patch)
         with pytest.raises(InvalidParameterError, match=f"unknown key.*'{key}'"):
+            build_model(cfg)
+
+    @pytest.mark.parametrize("patch, match", [
+        ({"signal": {"kind": "eigvec-combination", "indices": [1, 2], "weights": [1.0]}},
+         "matching lists"),
+        ({"signal": {"kind": "eigvec-combination", "indices": [1], "weights": [1.0],
+                     "basis": "test"}}, "must be 'sigma' or 'sigma0'"),
+        ({"signal": {"kind": "explicit", "values": [1.0, 0.0, 0.0, 0.0], "basis": "sigma0"},
+          "shift": {"kind": "covariate", "sigma0": {"kind": "ar1", "rho": 0.5}}},
+         "needs an eigvec-combination signal"),
+        ({"signal": {"kind": "eigvec-combination", "indices": [1], "weights": [1.0],
+                     "basis": "sigma0"},
+          "shift": {"kind": "joint", "sigma0": {"kind": "ar1", "rho": 0.5},
+                    "beta0": {"kind": "explicit", "values": [1.0, 0.0, 0.0, 0.0]}}},
+         "only scaled beta0"),
+        ({"signal": {"kind": "isotropic", "alpha2": 1.0},
+          "shift": {"kind": "regression", "beta0": {"kind": "scale", "factor": 2.0}}},
+         "needs an explicit signal"),
+    ], ids=["unequal-combination-lists", "unknown-basis", "sigma0-basis-explicit-signal",
+            "sigma0-basis-explicit-beta0", "regression-shift-isotropic-signal"])
+    def test_inconsistent_sections_name_the_rule(self, patch, match):
+        cfg = dict({"p": 4, "spectrum": {"kind": "identity"}, "sigma2": 0.1}, **patch)
+        with pytest.raises(InvalidParameterError, match=match):
             build_model(cfg)
 
     def test_eigenvector_indices_must_be_integers(self):

@@ -277,6 +277,12 @@ class TestOptimalLambda:
         with pytest.raises(InvalidParameterError, match="lambda_floor"):
             optimal_lambda(m, 2.0, lambda_floor=math.nan)
 
+    def test_floor_above_the_search_window_is_invalid(self):
+        # the window ends T_MAX (1 + |lambda_min|) above lambda_min
+        m = make_model(Spectrum.identity(6), beta=unit_signal(6), sigma2=0.5)
+        with pytest.raises(InvalidParameterError, match="above the search window"):
+            optimal_lambda(m, 0.5, lambda_floor=1e7)
+
     def test_degenerate_flat_risk(self):
         m = make_model(Spectrum.identity(5), beta=np.zeros(5), sigma2=0.0, sigma0_sq=0.3)
         point = optimal_lambda(m, 2.0)

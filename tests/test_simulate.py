@@ -55,8 +55,16 @@ class TestGenerateData:
 
     def test_non_integral_sample_size_rejected(self):
         m = make_model(Spectrum.identity(3), beta=unit_signal(3), sigma2=0.5)
-        with pytest.raises(InvalidParameterError, match="n must be an integer"):
-            generate_data(m, 2.5, rng=0)
+        for n in (2.5, True):  # a bool is not a count, though it subclasses int
+            with pytest.raises(InvalidParameterError, match="n must be an integer"):
+                generate_data(m, n, rng=0)
+
+    def test_isotropic_model_needs_a_draw(self):
+        m = make_model(Spectrum.identity(3), alpha2=1.0, sigma2=0.5)
+        with pytest.raises(InvalidParameterError, match="explicit beta draw"):
+            generate_data(m, 5, rng=0)
+        with pytest.raises(InvalidParameterError, match="explicit beta0 draw"):
+            empirical_risk(np.zeros(3), m)
 
 
 class TestRidgeFit:
@@ -266,8 +274,9 @@ class TestEnsembleFit:
             EnsembleConfig(psi=psi)
 
     def test_non_integral_subsample_count_rejected(self):
-        with pytest.raises(InvalidParameterError, match="n_subsamples must be an integer"):
-            EnsembleConfig(psi=4.0, n_subsamples=2.5)
+        for count in (2.5, True):
+            with pytest.raises(InvalidParameterError, match="n_subsamples must be an integer"):
+                EnsembleConfig(psi=4.0, n_subsamples=count)
 
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -419,6 +428,15 @@ class TestEmpiricalRisk:
         m = make_model(Spectrum.identity(4), beta=beta, beta0=2 * beta, sigma2=0.0, sigma0_sq=0.3)
         assert empirical_risk(beta, m) == pytest.approx(1.0 + 0.3, abs=1e-12)
 
+    @pytest.mark.parametrize("beta_hat, beta0", [
+        (np.zeros(1), None), (0.0, None), (np.zeros(3), None), (np.zeros(4), np.zeros(2))],
+        ids=["one-entry", "scalar", "short", "short-target"])
+    def test_lengths_checked_before_subtracting(self, beta_hat, beta0):
+        # broadcasting would score a one-entry fit against every coefficient
+        m = make_model(Spectrum.identity(4), beta=unit_signal(4), sigma2=0.1)
+        with pytest.raises(InvalidParameterError, match="dimension mismatch"):
+            empirical_risk(beta_hat, m, beta0=beta0)
+
 
 class TestMcExperiment:
     @staticmethod
@@ -459,6 +477,9 @@ class TestMcExperiment:
         ("seed", -1, "seed"), ("threads", 0, "threads"),
         ("p", 4.5, "p must be an integer"), ("reps", 2.5, "reps must be an integer"),
         ("seed", 1.5, "seed must be an integer"), ("threads", 1.5, "threads must be an integer"),
+        ("p", True, "p must be an integer"), ("reps", True, "reps must be an integer"),
+        ("seed", False, "seed must be an integer"), ("threads", True, "threads must be an integer"),
+        ("phi", 100.0, r"n = round\(p/phi\) must be >= 1"),
     ])
     def test_invalid_config_rejected_at_construction(self, field, value, match):
         # checked before any replicate runs, not at the first random stream
@@ -466,6 +487,34 @@ class TestMcExperiment:
         kwargs[field] = value
         with pytest.raises(InvalidParameterError, match=match):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("grid, ensemble, include_plain, match", [
+        ([], None, True, "empty penalty grid"),
+        ([0.5], None, False, "needs ensemble cells"),
+        # k = round(40 / 1.99) = 20 = n passes the config, but psi < phi
+        ([0.5], EnsembleConfig(psi=1.99), True, "below phi"),
+    ], ids=["empty-grid", "no-cells", "psi-below-phi"])
+    def test_invalid_experiments_rejected(self, grid, ensemble, include_plain, match):
+        cfg = SimConfig(p=40, phi=2.0, reps=1, seed=0, ensemble=ensemble,
+                        include_plain=include_plain)
+        with pytest.raises(InvalidParameterError, match=match):
+            mc_experiment(self._model(40), cfg, grid)
+
+    def test_failed_group_reports_nan_and_keeps_no_replicates(self, monkeypatch, tmp_path):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(simulate, "_fits", singular)
+        result = mc_experiment(self._model(30), SimConfig(p=30, phi=1.5, reps=3, seed=2),
+                               [0.1, 0.4])
+        for cell in result.cells:
+            assert cell.failed and cell.replicate_risks is None
+            assert all(math.isnan(v) for v in (cell.empirical_mean, cell.empirical_se,
+                                                cell.rel_error))
+            assert math.isfinite(cell.theory_total)
+        out = tmp_path / "reps.csv"
+        result.dump_replicates_csv(out)
+        assert out.read_text() == "cell_id,lambda,phi,psi,rep,risk\n"
 
     def test_guard_rejects_penalties_near_edge(self):
         m = self._model(40)
