@@ -4,7 +4,8 @@ Subcommands take a JSON model config plus numeric flags and emit
 machine-readable tables (CSV by default, JSON with a fixed schema). All
 floats are printed with 17 significant digits so reruns are byte-identical.
 ``main`` builds the model from ``--config`` and writes the table; each
-``_cmd_*`` only computes its params, columns and rows from the model.
+``_cmd_*`` computes its params, columns and rows from the model (and
+``simulate`` writes its ``--dump-replicates`` file).
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 numeric
 failure (the failing cell is named on stderr).
@@ -78,6 +79,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
+def _csv(columns: list[str], rows: list[tuple]) -> str:
+    return "".join(",".join(map(_fmt, line)) + "\n" for line in [columns, *rows])
+
+
 def _write_table(args, command: str, params: dict, columns: list[str], rows: list[tuple]) -> None:
     if args.format == "json":
         def clean(v):
@@ -97,9 +102,7 @@ def _write_table(args, command: str, params: dict, columns: list[str], rows: lis
         }
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = _csv(columns, rows)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -163,8 +166,8 @@ def _cmd_optimize(model: ShiftModel, args) -> _Table:
 def _cmd_conditions(model: ShiftModel, args) -> _Table:
     phi, points = args.phi, args.grid_points
     pred = predict_sign(model, phi, points)
-    # the report that decided the sign is printed, not computed again
-    decided = {pred.report.condition_id: pred.report} if pred.report else {}
+    # the reports the sign route read are printed, not computed again
+    decided = {r.condition_id: r for r in pred.reports}
     rows: list[tuple] = []
 
     def add(condition_id: str, check, *check_args) -> None:
@@ -209,7 +212,10 @@ def _cmd_simulate(model: ShiftModel, args) -> _Table:
     )
     result = mc_experiment(model, config, [float(l) for l in lams])
     if args.dump_replicates:
-        result.dump_replicates_csv(args.dump_replicates)
+        reps = [(cid, c.lam, c.phi, c.psi, rep, risk) for cid, c in enumerate(result.cells)
+                if not c.failed for rep, risk in enumerate(c.replicate_risks)]
+        with open(args.dump_replicates, "w") as fh:
+            fh.write(_csv(["cell_id", "lambda", "phi", "psi", "rep", "risk"], reps))
     return (
         {"phi": args.phi, "seed": args.seed, "reps": args.reps},
         ["lambda", "phi", "psi", "empirical_mean", "empirical_se", "theory_total", "rel_error"],

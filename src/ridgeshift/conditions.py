@@ -95,7 +95,12 @@ class SignPrediction:
     regime: Regime
     predicted_sign: Sign
     applied_rule: str
-    report: ConditionReport | None = None
+    reports: tuple[ConditionReport, ...] = ()  # every check the route read, the decider last
+
+    @property
+    def report(self) -> ConditionReport | None:
+        """The report that decided the sign, or None."""
+        return self.reports[-1] if self.reports else None
 
 
 def _report(condition_id: ConditionId, margins: np.ndarray, grid_desc: str) -> ConditionReport:
@@ -197,22 +202,22 @@ def check_reg_shift_general_balance(
     )
 
 
-def _verdict(regime: Regime, rule: str, report: ConditionReport, holds: bool) -> SignPrediction:
-    """``negative`` under ``rule`` when ``holds``, else ``inconclusive``
-    under ``<rule>-failed``; either way carrying the deciding ``report``."""
-    if holds:
-        return SignPrediction(regime, "negative", rule, report)
-    return SignPrediction(regime, "inconclusive", f"{rule}-failed", report)
+def _verdict(regime: Regime, rule: str, *reports: ConditionReport) -> SignPrediction:
+    """``negative`` under ``rule`` when every report holds, else ``inconclusive``
+    under ``<rule>-failed``; either way carrying the ``reports``, the decider last."""
+    if all(r.holds for r in reports):
+        return SignPrediction(regime, "negative", rule, reports)
+    return SignPrediction(regime, "inconclusive", f"{rule}-failed", reports)
 
 
 def predict_sign(model: ShiftModel, phi: float, points: int = LEVEL_POINTS) -> SignPrediction:
     """Route a model through the sufficient sign tests; inconclusive whenever
     no test's hypotheses are verified. A route runs only the checks it reads
-    and carries the deciding one as ``report``. Where a test's own solve of
-    the ridgeless level finds it on the branch edge (phi within rounding of
-    1), the route falls through to its boundary or uncovered rule, as at
-    phi = 1 itself. ``points`` and ``phi`` are checked whether or not the
-    route builds a level grid."""
+    and carries them as ``reports``, the deciding one last. Where a test's
+    own solve of the ridgeless level finds it on the branch edge (phi within
+    rounding of 1), the route falls through to its boundary or uncovered
+    rule, as at phi = 1 itself. ``points`` and ``phi`` are checked whether
+    or not the route builds a level grid."""
     _check_points(points)
     _check_phi(phi)
     regime: Regime = "underparameterized" if phi < 1.0 else "overparameterized"
@@ -228,8 +233,8 @@ def predict_sign(model: ShiftModel, phi: float, points: int = LEVEL_POINTS) -> S
         if phi > 1.0:
             # raised only by the check's solve of mu(0, phi), on the branch edge
             with suppress(BelowMinimumPenaltyError):
-                report = check_in_dist_alignment(model, phi, points)
-                return _verdict(regime, "no-shift-alignment", report, report.holds)
+                return _verdict(regime, "no-shift-alignment",
+                                check_in_dist_alignment(model, phi, points))
         return SignPrediction(regime, "inconclusive", "boundary-aspect-ratio")
 
     if cov and not reg:
@@ -241,21 +246,20 @@ def predict_sign(model: ShiftModel, phi: float, points: int = LEVEL_POINTS) -> S
             if model.spectrum.is_identity:
                 # raised only by the check's solve of mu(0, phi), on the branch edge
                 with suppress(BelowMinimumPenaltyError):
-                    report = check_cov_shift_overparam(model, phi)
-                    return _verdict(regime, "cov-shift-alignment", report, report.holds)
+                    return _verdict(regime, "cov-shift-alignment",
+                                    check_cov_shift_overparam(model, phi))
         return SignPrediction(regime, "inconclusive", "cov-shift-uncovered")
 
     if reg and not cov:
         # raised only by the first check's solve of mu(0, phi), on the branch edge
         with suppress(BelowMinimumPenaltyError):
             if phi < 1.0:
-                balance = check_reg_shift_general_balance(model, phi, points)
-                return _verdict(regime, "reg-shift-balance", balance, balance.holds)
+                return _verdict(regime, "reg-shift-balance",
+                                check_reg_shift_general_balance(model, phi, points))
             if phi > 1.0:
-                alignment = check_in_dist_alignment(model, phi, points)
-                shift_align = check_reg_shift_alignment(model, points)
-                return _verdict(regime, "reg-shift-joint-alignment", shift_align,
-                                alignment.holds and shift_align.holds)
+                return _verdict(regime, "reg-shift-joint-alignment",
+                                check_in_dist_alignment(model, phi, points),
+                                check_reg_shift_alignment(model, points))
         return SignPrediction(regime, "inconclusive", "boundary-aspect-ratio")
 
     return SignPrediction(regime, "inconclusive", "joint-shift-uncovered")

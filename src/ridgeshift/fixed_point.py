@@ -351,7 +351,8 @@ def equivalence_path(
             raise InvalidParameterError(f"invalid anchor: {exc}") from exc
         # The ensemble endpoint has mu_star sitting exactly on its branch
         # edge, which fixes the aspect ratio in closed form.
-        psi_bar = 1.0 / spectrum.resolvent_trace(mu_star, power=2, sigma_power=2)
+        r = spectrum.eigenvalues
+        psi_bar = 1.0 / (float((r**2 / (r + mu_star) ** 2).sum()) / r.size)
         lam_bar = float(lambda_bar)
         if psi_bar < phi - 1e-9 * (1.0 + phi):
             raise InvalidParameterError(

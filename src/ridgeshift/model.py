@@ -102,12 +102,6 @@ class Spectrum:
                 f"resolvent shift mu={mu} is at or below -r_min={-self.r_min}"
             )
 
-    def resolvent_trace(self, mu: float, power: int = 1, sigma_power: int = 1) -> float:
-        """Averaged trace ``tr[S^a (S + mu I)^-power] / p`` of the diagonal train covariance."""
-        self._check_shift(mu)
-        r = self.eigenvalues
-        return float((r**sigma_power / (r + mu) ** power).sum()) / r.size
-
 
 @dataclass(eq=False)
 class _TestCovariance:
@@ -406,6 +400,11 @@ class ShiftModel:
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("sigma2", "sigma0_sq"):
+            object.__setattr__(self, name, _as_float_array(getattr(self, name), name, scalar=True))
+        if self.signal_alpha2 is not None:  # named alpha2, like make_model's argument
+            object.__setattr__(self, "signal_alpha2",
+                               _as_float_array(self.signal_alpha2, "alpha2", scalar=True))
         p = self.spectrum.p
         object.__setattr__(self, "sigma0", _dense_or_diagonal(self.sigma0, p))
 
@@ -507,9 +506,9 @@ def make_model(
         sigma0=spectrum.eigenvalues if sigma0 is None else sigma0,
         beta=beta,
         beta0=beta0,
-        sigma2=_as_float_array(sigma2, "sigma2", scalar=True),
-        sigma0_sq=_as_float_array(sigma0_sq, "sigma0_sq", scalar=True),
-        signal_alpha2=None if alpha2 is None else _as_float_array(alpha2, "alpha2", scalar=True),
+        sigma2=sigma2,
+        sigma0_sq=sigma0_sq,
+        signal_alpha2=alpha2,
     )
 
 

@@ -32,7 +32,7 @@ solves for mu.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal, NamedTuple
 
 import numpy as np
@@ -60,18 +60,16 @@ BoundaryFlag = Literal["interior", "at-lambda-min", "at-infinity-null", "at-floo
 
 @dataclass(frozen=True)
 class RiskDecomposition:
-    """Additive risk decomposition; ``total`` is the exact sum of the parts."""
+    """Additive risk decomposition; ``total`` sums bias + variance + shift + kappa2 in that order."""
 
     bias: float
     variance: float
     shift: float
     kappa2: float
-    total: float
+    total: float = field(init=False)
 
-    @classmethod
-    def from_parts(cls, bias: float, variance: float, shift: float, kappa2: float):
-        return cls(bias=bias, variance=variance, shift=shift, kappa2=kappa2,
-                   total=bias + variance + shift + kappa2)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "total", self.bias + self.variance + self.shift + self.kappa2)
 
 
 # -- the kernel ----------------------------------------------------------------
@@ -307,8 +305,8 @@ def tilde_v(model: ShiftModel, mu: float, phi: float, psi: float | None = None) 
     value signals a level below the branch edge. One point of the kernel.
     """
     _check_phi(phi)
-    if psi is not None and psi != PSI_INFINITE and psi < phi - 1e-12:
-        raise InvalidParameterError(f"subsample aspect {psi} must be >= data aspect {phi}")
+    if psi is not None and not psi >= phi - 1e-12:  # NaN included
+        raise InvalidParameterError(f"subsample aspect must be >= data aspect {phi}, got {psi}")
     if mu == math.inf:
         return 0.0
     return float(_at_mu(model, mu, phi).tv[0])
@@ -320,9 +318,9 @@ def risk_at_mu(model: ShiftModel, mu: float, phi: float) -> RiskDecomposition:
     penalty (or subsampling) strong enough to kill the fit, the null risk."""
     if mu == math.inf:
         bias, shift = model.null_parts()
-        return RiskDecomposition.from_parts(bias, 0.0, shift, model.kappa2)
+        return RiskDecomposition(bias, 0.0, shift, model.kappa2)
     parts = _at_mu(model, mu, phi)
-    return RiskDecomposition.from_parts(
+    return RiskDecomposition(
         float(parts.bias[0]), float(parts.variance[0]), float(parts.shift[0]), parts.kappa2
     )
 
@@ -549,5 +547,6 @@ def optimal_psi(model: ShiftModel, lam: float, phi: float) -> tuple[float, float
         return PSI_INFINITE, float(null)
     if best_mu == mu_phi:
         return float(phi), best_risk
-    psi = (1.0 - lam / best_mu) / sp.resolvent_trace(best_mu, power=1, sigma_power=1)
+    r = sp.eigenvalues
+    psi = (1.0 - lam / best_mu) / (float((r / (r + best_mu)).sum()) / r.size)
     return max(float(psi), float(phi)), best_risk

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .fixed_point import _check_count, lambda_min
-from .model import ShiftModel
+from .model import ShiftModel, _as_float_vector
 from .risk import ensemble_risk
 
 #: ratio of extreme retained design eigenvalues beyond which a fit is flagged
@@ -116,18 +116,6 @@ class SimResult:
     cells: tuple[CellResult, ...]
     seed: int
 
-    def dump_replicates_csv(self, path) -> None:
-        """Raw replicate risks, one row per (cell, replicate)."""
-        with open(path, "w") as fh:
-            fh.write("cell_id,lambda,phi,psi,rep,risk\n")
-            for cid, c in enumerate(self.cells):
-                if c.replicate_risks is None:
-                    continue
-                for rep, risk in enumerate(c.replicate_risks):
-                    fh.write(
-                        f"{cid},{c.lam:.17g},{c.phi:.17g},{c.psi:.17g},{rep},{risk:.17g}\n"
-                    )
-
 
 def generate_data(
     model: ShiftModel,
@@ -140,13 +128,14 @@ def generate_data(
     standard normal entries, y = X beta + noise * sqrt(sigma2).
 
     ``beta`` overrides the model signal (isotropic-random models must pass
-    the realized draw here)."""
+    the realized draw here; it must hold p finite numbers)."""
     _check_count("n", n, 1)
     rng = np.random.default_rng(rng)  # a Generator passes through unaltered
-    if beta is None:
-        if model.is_isotropic_signal:
-            raise InvalidParameterError("isotropic-random model needs an explicit beta draw")
-        beta = model.beta
+    if beta is None and model.is_isotropic_signal:
+        raise InvalidParameterError("isotropic-random model needs an explicit beta draw")
+    beta = model.beta if beta is None else _as_float_vector(beta, "beta")
+    if beta.size != model.p:
+        raise InvalidParameterError(f"beta has {beta.size} values, p is {model.p}")
     x = rng.standard_normal((n, model.p))
     x *= np.sqrt(model.spectrum.eigenvalues)
     y = x @ beta
@@ -277,7 +266,7 @@ def empirical_risk(
     beta_hat: np.ndarray, model: ShiftModel, beta0: np.ndarray | None = None
 ) -> float:
     """Exact conditional prediction risk (d' S0 d + sigma0_sq) in the train
-    eigenbasis; ``beta0`` overrides the model target."""
+    eigenbasis; ``beta0`` overrides the model target. Both hold p finite numbers."""
     if beta0 is None:
         if model.is_isotropic_signal:
             raise InvalidParameterError("isotropic-random model needs an explicit beta0 draw")
@@ -285,7 +274,7 @@ def empirical_risk(
     if np.shape(beta_hat) != (model.p,) or np.shape(beta0) != (model.p,):
         raise InvalidParameterError(f"dimension mismatch: beta_hat {np.shape(beta_hat)}, "
                                     f"beta0 {np.shape(beta0)}, p={model.p}")
-    d = np.asarray(beta_hat, dtype=float) - beta0
+    d = _as_float_vector(beta_hat, "beta_hat") - _as_float_vector(beta0, "beta0")
     return float(model.sigma0.product(d) @ d) + model.sigma0_sq
 
 

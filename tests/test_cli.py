@@ -231,25 +231,45 @@ class TestConditions:
         assert [row[1] for row in rows[:-1]] == ["reg-shift-alignment"]
         assert rows[-1][1] == "inconclusive" and rows[-1][4] == "boundary-aspect-ratio"
 
-    def test_deciding_check_runs_once(self, monkeypatch, capsys, banded_config):
-        # the router's report is printed for its row, not computed again
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        """The argument tuples of every call of the check ``name``."""
         from ridgeshift import cli, conditions
 
         calls = []
-        check = conditions.check_in_dist_alignment
+        check = getattr(conditions, name)
 
         def counted(*args):
             calls.append(args)
             return check(*args)
 
-        monkeypatch.setattr(conditions, "check_in_dist_alignment", counted)
-        monkeypatch.setattr(cli, "check_in_dist_alignment", counted)
+        monkeypatch.setattr(conditions, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+        return calls
+
+    def test_deciding_check_runs_once(self, monkeypatch, capsys, banded_config):
+        # the router's report is printed for its row, not computed again
+        calls = self._count_calls(monkeypatch, "check_in_dist_alignment")
         assert main(["conditions", "--config", banded_config, "--phi", "2",
                      "--grid-points", "50"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert len(calls) == 1
         assert rows[0][1] == "in-dist-alignment"
         assert rows[-1][4].startswith("no-shift-alignment")
+
+    def test_every_check_the_route_read_runs_once(self, monkeypatch, capsys, reg_shift_config):
+        # overparameterized regression shift: the route reads the in-dist
+        # alignment and decides on the shift alignment; both rows are printed
+        # from the router's reports
+        in_dist = self._count_calls(monkeypatch, "check_in_dist_alignment")
+        shift = self._count_calls(monkeypatch, "check_reg_shift_alignment")
+        assert main(["conditions", "--config", reg_shift_config, "--phi", "3",
+                     "--grid-points", "50"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert (len(in_dist), len(shift)) == (1, 1)
+        assert [row[1] for row in rows[:-1]] == [
+            "in-dist-alignment", "reg-shift-alignment", "reg-shift-general-balance"]
+        assert rows[-1][4].startswith("reg-shift-joint-alignment")
 
     def test_readme_transcript_at_unit_aspect(self, capsys, reg_shift_config):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -300,6 +320,23 @@ class TestSimulate:
         lines = dump.read_text().splitlines()
         assert lines[0] == "cell_id,lambda,phi,psi,rep,risk"
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "0", "1", "1", "2", "2", "3", "3"]
+
+    def test_failed_group_dumps_only_the_header(self, tmp_path, monkeypatch, iso_config):
+        from ridgeshift import simulate
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(simulate, "_fits", singular)
+        dump = tmp_path / "reps.csv"
+        code, out = run_to_file(tmp_path, [
+            "simulate", "--config", iso_config, "--phi", "2", "--grid", "0.2:1:2",
+            "--reps", "2", "--seed", "3", "--dump-replicates", str(dump),
+        ])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 and all(row[3] == "nan" for row in rows)
+        assert dump.read_text() == "cell_id,lambda,phi,psi,rep,risk\n"
 
 
 class TestSweep:

@@ -1,8 +1,8 @@
 """The package's public surface: every name listed in ``__all__`` resolves,
 no module reads the environment (every setting is an argument), every
 module uses what it imports, the package reads every functional the risk
-kernel computes, only the model module names the test covariance forms, and
-the CLI imports only public names."""
+kernel computes, only the model module names the test covariance forms, the
+CLI imports only public names, and only the CLI opens files."""
 
 import ast
 import re
@@ -88,3 +88,15 @@ def test_the_cli_imports_only_public_names():
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert private == []
+
+
+def test_only_the_cli_opens_files():
+    # the library returns its results; reading a config and writing tables
+    # and dumps is the front end's job
+    package = Path(ridgeshift.__file__).parent
+    opening = [f"{path.name}:{node.lineno}" for path in sorted(package.rglob("*.py"))
+               if path.name != "cli.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "open"]
+    assert opening == []

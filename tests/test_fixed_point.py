@@ -471,13 +471,6 @@ class TestFusedEvaluation:
             assert value == mu * mu * s2 / t2 + lam
             assert slope == 2.0 * mu * t1 * t3 / (t2 * t2)
 
-    def test_resolvent_trace(self):
-        sp, r = self.SPECTRUM, self.SPECTRUM.eigenvalues
-        for mu in (-0.5 * sp.r_min, 0.0, 0.7, 1e3):
-            for power, sigma_power in ((1, 1), (2, 2), (2, 1), (1, 0)):
-                want = float(np.mean(r**sigma_power / (r + mu) ** power))
-                assert sp.resolvent_trace(mu, power, sigma_power) == want
-
 
 class TestTildeV:
     def test_identity_unit(self):

@@ -16,7 +16,6 @@ from hypothesis.vendor.pretty import pretty
 
 from ridgeshift import (
     InvalidParameterError,
-    SingularResolventError,
     ShiftModel,
     Spectrum,
     build_ar1,
@@ -26,6 +25,7 @@ from ridgeshift import (
     optimal_lambda,
     predict_sign,
     risk_decomposition,
+    tilde_v,
 )
 from ridgeshift.model import _KEYS, _AR1Eigensystem, _Dense, _Diagonal, _ParityRankOne
 from ridgeshift.risk import _blocks, _weights
@@ -302,26 +302,11 @@ class TestSpectrum:
 
 
 class TestAvgTraceResolvent:
-    def test_identity_scalar(self):
-        m = make_model(Spectrum.identity(5), beta=np.ones(5) / np.sqrt(5), sigma2=0.0)
-        assert m.spectrum.resolvent_trace(1.0, power=2, sigma_power=1) == pytest.approx(0.25, abs=1e-14)
-
     def test_sandwich_scalar(self):
         beta = np.zeros(5)
         beta[2] = 1.0
         m = make_model(Spectrum.identity(5), beta=beta, sigma2=0.0)
         assert _blocks(_weights(m), [1.0]).q2[0] == pytest.approx(0.25, abs=1e-14)
-
-    def test_two_point_spectrum(self):
-        sp = Spectrum.from_values([1.0, 2.0])
-        m = make_model(sp, beta=np.array([1.0, 0.0]), sigma2=0.0)
-        # mean of r^2 / r^2 at mu=0
-        assert m.spectrum.resolvent_trace(0.0, power=2, sigma_power=2) == pytest.approx(1.0, abs=1e-14)
-
-    def test_singular_shift_raises(self):
-        m = make_model(Spectrum.from_values([0.5, 1.0]), beta=np.array([1.0, 0.0]), sigma2=0.0)
-        with pytest.raises(SingularResolventError):
-            m.spectrum.resolvent_trace(-0.5, power=1)
 
     def test_diagonal_matches_dense(self):
         rng = np.random.default_rng(3)
@@ -341,8 +326,6 @@ class TestAvgTraceResolvent:
         sp = Spectrum.from_values(np.exp(rng.uniform(-1, 1, 20)))
         m = make_model(sp, beta=rng.standard_normal(20), sigma2=0.0)
         mus = np.linspace(-0.5 * sp.r_min, 50.0, 40)
-        vals = [m.spectrum.resolvent_trace(mu, power=2, sigma_power=1) for mu in mus]
-        assert np.all(np.diff(vals) < 0)
         assert np.all(np.diff(_blocks(_weights(m), mus).n2) < 0)  # tr[S0 S R^2] / p
 
 
@@ -473,6 +456,15 @@ class TestShiftModelValidation:
                        id=f"{key}-{kind}")
           for key in ("alpha2", "sigma2", "sigma0_sq")
           for kind, bad in (("numeric-string", "0.5"), ("bool", True))),
+        # the same, given to the model type itself
+        *(pytest.param(partial(ShiftModel, Spectrum.identity(3), np.ones(3), None, None,
+                               **{"sigma2": 0.5, "sigma0_sq": 0.0, key: bad}),
+                       name, id=f"model-{key}-{kind}")
+          for key, name in (("sigma2", "sigma2"), ("sigma0_sq", "sigma0_sq"),
+                            ("signal_alpha2", "alpha2"))
+          for kind, bad in (("numeric-string", "0.5"), ("bool", True))),
+        pytest.param(partial(tilde_v, make_model(Spectrum.identity(3), beta=np.ones(3)),
+                             1.0, 2.0, math.nan), "subsample aspect", id="tilde-v-nan-psi"),
         # well-typed, but of no admissible size or symmetry
         pytest.param(partial(Spectrum.from_values, []), "eigenvalues", id="spectrum-empty"),
         pytest.param(partial(Spectrum.identity, 0), "p", id="identity-p0"),

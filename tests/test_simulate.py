@@ -3,6 +3,7 @@ risks, and the seeded experiment driver with its subsample averages."""
 
 import math
 import tracemalloc
+from functools import partial
 import weakref
 from unittest import mock
 
@@ -428,14 +429,25 @@ class TestEmpiricalRisk:
         m = make_model(Spectrum.identity(4), beta=beta, beta0=2 * beta, sigma2=0.0, sigma0_sq=0.3)
         assert empirical_risk(beta, m) == pytest.approx(1.0 + 0.3, abs=1e-12)
 
-    @pytest.mark.parametrize("beta_hat, beta0", [
-        (np.zeros(1), None), (0.0, None), (np.zeros(3), None), (np.zeros(4), np.zeros(2))],
-        ids=["one-entry", "scalar", "short", "short-target"])
-    def test_lengths_checked_before_subtracting(self, beta_hat, beta0):
+    @pytest.mark.parametrize("call, match", [
+        (partial(empirical_risk, np.zeros(1)), "dimension mismatch"),
+        (partial(empirical_risk, 0.0), "dimension mismatch"),
+        (partial(empirical_risk, np.zeros(3)), "dimension mismatch"),
+        (partial(empirical_risk, np.zeros(4), beta0=np.zeros(2)), "dimension mismatch"),
+        # a non-finite fit or target would score as NaN
+        (partial(empirical_risk, np.full(4, np.nan)), "^beta_hat contains non-finite"),
+        (partial(empirical_risk, np.zeros(4), beta0=np.r_[0.0, np.inf, 0.0, 0.0]),
+         "^beta0 contains non-finite"),
+        # the signal that draws the responses is checked the same way
+        (partial(generate_data, n=5, rng=0, beta=np.zeros(3)), "^beta has 3 values, p is 4"),
+        (partial(generate_data, n=5, rng=0, beta=np.full(4, np.inf)), "^beta contains non-finite"),
+    ], ids=["one-entry", "scalar", "short", "short-target", "nan-fit", "inf-target",
+            "short-signal", "inf-signal"])
+    def test_lengths_checked_before_subtracting(self, call, match):
         # broadcasting would score a one-entry fit against every coefficient
         m = make_model(Spectrum.identity(4), beta=unit_signal(4), sigma2=0.1)
-        with pytest.raises(InvalidParameterError, match="dimension mismatch"):
-            empirical_risk(beta_hat, m, beta0=beta0)
+        with pytest.raises(InvalidParameterError, match=match):
+            call(m)
 
 
 class TestMcExperiment:
@@ -500,7 +512,7 @@ class TestMcExperiment:
         with pytest.raises(InvalidParameterError, match=match):
             mc_experiment(self._model(40), cfg, grid)
 
-    def test_failed_group_reports_nan_and_keeps_no_replicates(self, monkeypatch, tmp_path):
+    def test_failed_group_reports_nan_and_keeps_no_replicates(self, monkeypatch):
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
@@ -512,9 +524,6 @@ class TestMcExperiment:
             assert all(math.isnan(v) for v in (cell.empirical_mean, cell.empirical_se,
                                                 cell.rel_error))
             assert math.isfinite(cell.theory_total)
-        out = tmp_path / "reps.csv"
-        result.dump_replicates_csv(out)
-        assert out.read_text() == "cell_id,lambda,phi,psi,rep,risk\n"
 
     def test_guard_rejects_penalties_near_edge(self):
         m = self._model(40)
@@ -531,16 +540,6 @@ class TestMcExperiment:
         assert psis == [2.0, 4.0]
         for cell in result.cells:
             assert cell.rel_error < 0.2
-
-    def test_replicate_dump(self, tmp_path):
-        m = self._model(30)
-        cfg = SimConfig(p=30, phi=1.5, reps=3, seed=2)
-        result = mc_experiment(m, cfg, [0.1])
-        out = tmp_path / "reps.csv"
-        result.dump_replicates_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "cell_id,lambda,phi,psi,rep,risk"
-        assert len(lines) == 1 + 3
 
     def test_isotropic_signal_resampled(self):
         m = make_model(Spectrum.identity(60), alpha2=1.0, sigma2=0.5)
