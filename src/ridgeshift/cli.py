@@ -46,7 +46,6 @@ from .risk import (
     risk_decomposition,
     tilde_v,
 )
-from .simulate import EnsembleConfig, SimConfig, mc_experiment
 
 #: What a subcommand computes: the table's params, its columns and its rows.
 _Table = tuple[dict, list[str], list[tuple]]
@@ -202,6 +201,9 @@ def _cmd_path(model: ShiftModel, args) -> _Table:
 
 
 def _cmd_simulate(model: ShiftModel, args) -> _Table:
+    # the Monte Carlo layer loads only for the command that runs it
+    from .simulate import EnsembleConfig, SimConfig, mc_experiment
+
     lams = _parse_grid(args.grid)
     ensemble = None
     if args.psi is not None:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BelowMinimumPenaltyError, BranchViolationError, InvalidParameterError
 from .fixed_point import _check_phi, solve_mu
-from .model import ShiftModel
+from .model import ShiftModel, _check_count
 from .risk import _blocks, _kernel, _weights
 
 ConditionId = Literal[
@@ -59,17 +59,10 @@ FLOOR = 1e-8
 LEVEL_POINTS = 400
 
 
-def _check_points(points: int) -> None:
-    if isinstance(points, bool) or not isinstance(points, (int, np.integer)):
-        raise InvalidParameterError(f"points must be an integer, got {points!r}")
-    if points < 1:
-        raise InvalidParameterError(f"level grid needs at least 1 point, got {points}")
-
-
 def _levels(start: float, r_max: float, points: int, phi: float | None = None) -> np.ndarray:
     """``points`` log-spaced levels from max(start, FLOOR) to CAP_FACTOR * r_max;
     ``phi``, when given, is the aspect whose ridgeless level is ``start``."""
-    _check_points(points)
+    _check_count("points", points, 1)
     lo = max(start, FLOOR)
     hi = CAP_FACTOR * r_max
     if hi <= lo:
@@ -218,7 +211,7 @@ def predict_sign(model: ShiftModel, phi: float, points: int = LEVEL_POINTS) -> S
     rounding of 1), the route falls through to its boundary or uncovered
     rule, as at phi = 1 itself. ``points`` and ``phi`` are checked whether
     or not the route builds a level grid."""
-    _check_points(points)
+    _check_count("points", points, 1)
     _check_phi(phi)
     regime: Regime = "underparameterized" if phi < 1.0 else "overparameterized"
     cov = model.has_covariate_shift

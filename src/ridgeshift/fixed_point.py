@@ -29,7 +29,7 @@ from .errors import (
     InvalidParameterError,
     SolverFailureError,
 )
-from .model import Spectrum
+from .model import Spectrum, _check_count
 
 #: Sentinel for an infinite subsample aspect ratio (the null-risk endpoint).
 PSI_INFINITE = math.inf
@@ -63,13 +63,6 @@ class FixedPointSolution:
 def _check_phi(phi: float) -> None:
     if not (phi > 0.0) or not math.isfinite(phi):
         raise InvalidParameterError(f"aspect ratio must be positive and finite, got {phi}")
-
-
-def _check_count(name: str, value: int, minimum: int) -> None:
-    """Reject a count that is not a Python or numpy integer (a float such as
-    2.0 or a bool included) or that lies below ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _solve_monotone(f, lo: float, hi: float, flo: float, fhi: float, increasing: bool,
@@ -193,11 +186,14 @@ def _solve_edge(spectrum: Spectrum, phi: float) -> float:
 def lambda_of_mu(spectrum: Spectrum, mu, aspect: float):
     """Penalty on the admissible branch that induces the level ``mu``:
     lam = mu * (1 - aspect * tr[S (S + mu I)^-1] / p). ``mu`` may be a
-    scalar (a float is returned) or an array of levels."""
+    scalar (a float is returned) or an array of levels; a level at or below
+    -r_min, or NaN, raises SingularResolventError, and +inf is admissible."""
     _check_phi(aspect)
     mus = np.asarray(mu, dtype=float)
-    if mus.ndim == 0 and mu != math.inf:
-        spectrum._check_shift(mu)
+    levels = mus[mus != math.inf]  # +inf is the killed fit
+    if levels.size:
+        # the least level, or a NaN, is the one the guard must see
+        spectrum._check_shift(float(levels.min()))
     r = spectrum.eigenvalues
     lam = mus * (1.0 - aspect * ((r / (r + mus[..., None])).sum(axis=-1) / r.size))
     # + 0.0 turns the -0.0 of mu = 0 at aspect > 1 into 0
@@ -352,7 +348,14 @@ def equivalence_path(
         # The ensemble endpoint has mu_star sitting exactly on its branch
         # edge, which fixes the aspect ratio in closed form.
         r = spectrum.eigenvalues
-        psi_bar = 1.0 / (float((r**2 / (r + mu_star) ** 2).sum()) / r.size)
+        with np.errstate(over="ignore"):
+            t2 = float((r**2 / (r + mu_star) ** 2).sum()) / r.size
+        psi_bar = 1.0 / t2 if t2 > 0.0 else math.inf
+        if psi_bar == math.inf:
+            raise InvalidParameterError(
+                f"invalid anchor: lambda_bar={lambda_bar} is too large, its ensemble "
+                f"aspect overflows"
+            )
         lam_bar = float(lambda_bar)
         if psi_bar < phi - 1e-9 * (1.0 + phi):
             raise InvalidParameterError(

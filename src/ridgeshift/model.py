@@ -48,6 +48,13 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _check_count(name: str, value: int, minimum: int) -> None:
+    """Reject a count that is not a Python or numpy integer (a float such as
+    2.0 or a bool included) or that lies below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues of the train covariance, ascending and strictly positive.
@@ -88,8 +95,7 @@ class Spectrum:
 
     @classmethod
     def identity(cls, p: int) -> "Spectrum":
-        if p < 1:
-            raise InvalidParameterError("p must be >= 1")
+        _check_count("p", p, 1)
         return cls(np.ones(p))
 
     @classmethod
@@ -247,8 +253,7 @@ class _AR1Eigensystem:
     """
 
     def __init__(self, p: int, rho: float) -> None:
-        if p < 2:
-            raise InvalidParameterError("p must be >= 2")
+        _check_count("p", p, 2)
         if not (0.0 < rho < 1.0):
             raise InvalidParameterError("rho must lie strictly inside (0, 1)")
         k = np.arange(p, 0, -1, dtype=float)  # root index, largest theta first
@@ -633,7 +638,10 @@ def build_model(doc: dict) -> ShiftModel:
     if basis not in ("sigma", "sigma0"):
         raise InvalidParameterError(f"signal basis must be 'sigma' or 'sigma0', got {basis!r}")
     ar1: _AR1Eigensystem | None = None
-    order = np.arange(p)  # standard-basis index of each ascending eigenvalue
+    try:
+        order = np.arange(p)  # standard-basis index of each ascending eigenvalue
+    except ValueError:  # numpy refuses the size before it allocates anything
+        raise InvalidParameterError(f"model config 'p' is too large, got {p:.3g}") from None
     alpha2 = None
 
     def rotate(vals: np.ndarray) -> np.ndarray:

@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .fixed_point import _check_count, lambda_min
-from .model import ShiftModel, _as_float_vector
+from .fixed_point import lambda_min
+from .model import ShiftModel, _as_float_vector, _check_count
 from .risk import ensemble_risk
 
 #: ratio of extreme retained design eigenvalues beyond which a fit is flagged
@@ -359,6 +358,8 @@ def mc_experiment(
 
     tasks = [(g, rep) for g in range(len(groups)) for rep in range(config.reps)]
     if config.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             results = list(pool.map(lambda task: run_replicate(*task), tasks))
     else:

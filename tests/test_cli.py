@@ -454,7 +454,7 @@ class TestErrors:
                      "--grid-points", points])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid configuration") and "at least 1 point" in err
+        assert err.startswith("error: invalid configuration") and "points must be an integer >= 1" in err
 
     def test_malformed_config(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -492,6 +492,9 @@ class TestErrors:
             ({"p": 5.9, "signal": {"kind": "isotropic", "alpha2": 1.0}}, "'p'"),
             ({"p": "5", "signal": {"kind": "isotropic", "alpha2": 1.0}}, "'p'"),
             ({"p": True, "signal": {"kind": "isotropic", "alpha2": 1.0}}, "'p'"),
+            # and of a size numpy refuses before it allocates anything
+            ({"p": 1e300, "signal": {"kind": "isotropic", "alpha2": 1.0}}, "'p'"),
+            ({"p": 1e20, "signal": {"kind": "isotropic", "alpha2": 1.0}}, "'p'"),
             # no other number may be a string or a bool either
             ({"p": 4, "signal": {"kind": "isotropic", "alpha2": 1.0}, "sigma2": "0.5"},
              "'sigma2'"),
@@ -504,7 +507,7 @@ class TestErrors:
         ],
         ids=["p-not-a-number", "spectrum-not-an-object", "top-level-list", "sigma2-not-a-number",
              "misspelled-top-level-key", "misspelled-sigma0-key", "fractional-index",
-             "fractional-p", "string-p", "bool-p", "string-sigma2", "bool-sigma2", "bool-alpha2",
+             "fractional-p", "string-p", "bool-p", "huge-p", "large-p", "string-sigma2", "bool-sigma2", "bool-alpha2",
              "string-factor"],
     )
     def test_malformed_document_is_invalid_configuration(self, tmp_path, capsys, doc, key):

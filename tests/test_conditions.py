@@ -47,7 +47,7 @@ class TestMuGrid:
 
     @pytest.mark.parametrize("points", [0, -1])
     def test_fewer_than_one_point_rejected(self, points):
-        with pytest.raises(InvalidParameterError, match="at least 1 point"):
+        with pytest.raises(InvalidParameterError, match="points must be an integer >= 1"):
             conditions._levels(0.5, 2.0, points)
 
     def test_one_point_is_the_start(self):
@@ -368,7 +368,7 @@ class TestPredictSign:
         # also where the route builds no level grid (isotropic signal, phi < 1)
         for m in self._route_models():
             for phi in (0.5, 2.0):
-                with pytest.raises(InvalidParameterError, match="at least 1 point"):
+                with pytest.raises(InvalidParameterError, match="points must be an integer >= 1"):
                     predict_sign(m, phi, points)
 
     def test_non_integral_points_rejected_on_every_route(self):

@@ -2,10 +2,19 @@
 no module reads the environment (every setting is an argument), every
 module uses what it imports, the package reads every functional the risk
 kernel computes, only the model module names the test covariance forms, the
-CLI imports only public names, and only the CLI opens files."""
+CLI imports only public names, and only the CLI opens files. A layer loads
+when one of its names is first read: the package's name table lists each
+name once, under the module that defines it, and the module sets of fresh
+interpreters pin what a bare import and the CLI commands load."""
 
 import ast
+import inspect
+import json
+import os
 import re
+import subprocess
+import sys
+from importlib import import_module
 from pathlib import Path
 
 import ridgeshift
@@ -100,3 +109,59 @@ def test_only_the_cli_opens_files():
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                and node.func.id == "open"]
     assert opening == []
+
+
+def test_the_name_table_lists_each_name_once_under_its_defining_module():
+    listed = [name for names in ridgeshift._PUBLIC.values() for name in names]
+    assert len(listed) == len(set(listed))
+    assert ridgeshift.__all__ == ["__version__", *listed]
+    for layer, names in ridgeshift._PUBLIC.items():
+        module = import_module(f"ridgeshift.{layer}")
+        assert getattr(ridgeshift, layer) is module
+        for name in names:
+            assert name in vars(module), f"{layer}.{name}"
+            obj = vars(module)[name]
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, f"{layer}.{name}"
+            # read through the package, never cached in it
+            assert getattr(ridgeshift, name) is obj and name not in vars(ridgeshift)
+    assert not hasattr(ridgeshift, "no_such_name")
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    src = str(Path(ridgeshift.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules, file=sys.stderr)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_a_bare_import_loads_no_layer_and_not_numpy():
+    loaded = _modules_loaded_by("import ridgeshift")
+    assert [name for name in loaded if name.startswith("ridgeshift.")] == []
+    assert "numpy" not in loaded
+
+
+def _cli(tmp_path, *argv: str) -> str:
+    config = tmp_path / "iso.json"
+    config.write_text(json.dumps({"p": 8, "signal": {"kind": "isotropic", "alpha2": 1.0},
+                                  "sigma2": 0.5}))
+    args = [argv[0], "--config", str(config), "--out", str(tmp_path / "out.csv"), *argv[1:]]
+    return f"from ridgeshift.cli import main\nassert main({args!r}) == 0"
+
+
+def test_a_theory_command_loads_neither_the_monte_carlo_layer_nor_a_thread_pool(tmp_path):
+    loaded = _modules_loaded_by(_cli(tmp_path, "fixpoint", "--phi", "2", "--lambda", "0.1"))
+    assert "ridgeshift.fixed_point" in loaded
+    assert "ridgeshift.simulate" not in loaded and "concurrent.futures" not in loaded
+
+
+def test_a_serial_simulation_loads_no_thread_pool(tmp_path):
+    loaded = _modules_loaded_by(
+        _cli(tmp_path, "simulate", "--phi", "2", "--grid", "0.5:1:2", "--reps", "2"))
+    assert "ridgeshift.simulate" in loaded and "concurrent.futures" not in loaded

@@ -119,10 +119,15 @@ class TestLambdaOfMu:
         assert type(zero) is float and zero == 0.0 and math.copysign(1.0, zero) == 1.0
         assert lambda_of_mu(sp, math.inf, 3.0) == math.inf
 
-    @pytest.mark.parametrize("mu", [-0.5, -1.0, -math.inf, math.nan])
-    def test_singular_scalar_shift_raises(self, mu):
-        with pytest.raises(SingularResolventError):
-            lambda_of_mu(Spectrum.from_values([0.5, 1.0, 2.0]), mu, 3.0)
+    @pytest.mark.parametrize("mu", [-0.5, -0.7, -1.0, -math.inf, math.nan])
+    @pytest.mark.parametrize("levels", [float, lambda mu: [mu], lambda mu: [1.0, math.inf, mu]],
+                             ids=["scalar", "array", "array-with-valid-levels"])
+    def test_singular_scalar_shift_raises(self, mu, levels):
+        # one guard for both modes: no level at or below -r_min, nor NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularResolventError):
+                lambda_of_mu(Spectrum.from_values([0.5, 1.0, 2.0]), levels(mu), 2.0)
 
 
 class TestSolveMu:
@@ -544,6 +549,14 @@ class TestEquivalencePath:
             equivalence_path(sp, phi=2.0)  # no anchor
         with pytest.raises(InvalidParameterError):
             equivalence_path(sp, phi=2.0, lambda_bar=0.1, psi_bar=3.0)  # both
+
+    def test_huge_penalty_anchor_is_invalid_once_its_aspect_overflows(self):
+        sp = Spectrum.from_values([0.5, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert equivalence_path(sp, 0.5, lambda_bar=1e150).psi_bar == 5.714285714285704e+299
+            with pytest.raises(InvalidParameterError, match="lambda_bar"):
+                equivalence_path(sp, 0.5, lambda_bar=1e160)
 
     @pytest.mark.parametrize("samples", [1, 2.5, 2.0, "3"])
     def test_samples_must_be_an_integer_of_at_least_two(self, samples):

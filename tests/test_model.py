@@ -469,6 +469,11 @@ class TestShiftModelValidation:
         pytest.param(partial(Spectrum.from_values, []), "eigenvalues", id="spectrum-empty"),
         pytest.param(partial(Spectrum.identity, 0), "p", id="identity-p0"),
         pytest.param(partial(build_ar1, 1, 0.5), "p", id="ar1-p1"),
+        # a count is an integer, not a float of integral value or a bool
+        pytest.param(partial(Spectrum.identity, 2.5), "p", id="identity-p-float"),
+        pytest.param(partial(Spectrum.identity, True), "p", id="identity-p-bool"),
+        pytest.param(partial(Spectrum.identity, np.float64(3.0)), "p", id="identity-p-np-float"),
+        pytest.param(partial(build_ar1, 2.5, 0.5), "p", id="ar1-p-float"),
         pytest.param(partial(make_model, Spectrum.identity(3), beta=np.ones(3),
                              sigma0=[[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
                      "sigma0", id="sigma0-non-symmetric"),
