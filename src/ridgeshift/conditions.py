@@ -32,8 +32,8 @@ from typing import Literal
 import numpy as np
 
 from .errors import BelowMinimumPenaltyError, BranchViolationError, InvalidParameterError
-from .fixed_point import _check_phi, solve_mu
-from .model import ShiftModel, _check_count
+from .fixed_point import solve_mu
+from .model import ShiftModel, _check_aspect, _check_count
 from .risk import _blocks, _kernel, _weights
 
 ConditionId = Literal[
@@ -90,11 +90,6 @@ class SignPrediction:
     applied_rule: str
     reports: tuple[ConditionReport, ...] = ()  # every check the route read, the decider last
 
-    @property
-    def report(self) -> ConditionReport | None:
-        """The report that decided the sign, or None."""
-        return self.reports[-1] if self.reports else None
-
 
 def _report(condition_id: ConditionId, margins: np.ndarray, grid_desc: str) -> ConditionReport:
     worst = float(np.min(margins))
@@ -116,6 +111,7 @@ def check_in_dist_alignment(
 
     where b_k = mu^k b' S (S+mu I)^-k b and s_k = mu^k tr[S (S+mu I)^-k] / p.
     Holding for all levels forces the optimal penalty below zero."""
+    _check_aspect(phi)
     if phi <= 1.0:
         raise InvalidParameterError("wrong regime: requires phi > 1")
     sp = model.spectrum
@@ -142,6 +138,7 @@ def check_cov_shift_overparam(model: ShiftModel, phi: float) -> ConditionReport:
             "invalid model: test requires an isotropic train covariance; "
             "use the general balance check otherwise"
         )
+    _check_aspect(phi)
     if phi <= 1.0:
         raise InvalidParameterError("wrong regime: requires phi > 1")
     mu0 = solve_mu(model.spectrum, 0.0, phi).mu  # = phi - 1 for identity
@@ -212,7 +209,7 @@ def predict_sign(model: ShiftModel, phi: float, points: int = LEVEL_POINTS) -> S
     rule, as at phi = 1 itself. ``points`` and ``phi`` are checked whether
     or not the route builds a level grid."""
     _check_count("points", points, 1)
-    _check_phi(phi)
+    _check_aspect(phi)
     regime: Regime = "underparameterized" if phi < 1.0 else "overparameterized"
     cov = model.has_covariate_shift
     reg = model.has_regression_shift

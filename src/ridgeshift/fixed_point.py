@@ -29,7 +29,8 @@ from .errors import (
     InvalidParameterError,
     SolverFailureError,
 )
-from .model import Spectrum, _check_count
+from .model import (Spectrum, _as_float_array, _check_aspect, _check_count,
+                    _check_subsample_aspect, _is_number)
 
 #: Sentinel for an infinite subsample aspect ratio (the null-risk endpoint).
 PSI_INFINITE = math.inf
@@ -51,18 +52,10 @@ _EDGE_MEMO_SIZE = 256
 
 @dataclass(frozen=True)
 class FixedPointSolution:
-    """One admissible solution of the penalty equation at penalty ``lam``
-    and aspect ratio ``aspect``."""
+    """One admissible solution of the penalty equation: its level and residual."""
 
-    lam: float
-    aspect: float
     mu: float
     residual: float
-
-
-def _check_phi(phi: float) -> None:
-    if not (phi > 0.0) or not math.isfinite(phi):
-        raise InvalidParameterError(f"aspect ratio must be positive and finite, got {phi}")
 
 
 def _solve_monotone(f, lo: float, hi: float, flo: float, fhi: float, increasing: bool,
@@ -114,7 +107,8 @@ def _solve_monotone(f, lo: float, hi: float, flo: float, fhi: float, increasing:
 
 def _edge(spectrum: Spectrum, phi: float) -> tuple[float, float]:
     """The memoized edge record (mu_zero, lambda_min) of ``phi``."""
-    _check_phi(phi)
+    _check_aspect(phi)
+    phi = float(phi)  # the memo's key, which a 0-d array cannot be
     edges = spectrum._edges
     edge = edges.get(phi)
     if edge is None:
@@ -188,8 +182,8 @@ def lambda_of_mu(spectrum: Spectrum, mu, aspect: float):
     lam = mu * (1 - aspect * tr[S (S + mu I)^-1] / p). ``mu`` may be a
     scalar (a float is returned) or an array of levels; a level at or below
     -r_min, or NaN, raises SingularResolventError, and +inf is admissible."""
-    _check_phi(aspect)
-    mus = np.asarray(mu, dtype=float)
+    _check_aspect(aspect)
+    mus = _as_float_array(mu, "mu")
     levels = mus[mus != math.inf]  # +inf is the killed fit
     if levels.size:
         # the least level, or a NaN, is the one the guard must see
@@ -221,11 +215,10 @@ def solve_mu(
     by at most 1e-11 (1 + |lambda_min|), returns the edge solution instead
     of raising (used by ensemble evaluations where the edge is admissible).
     """
-    if not math.isfinite(lam):
-        raise InvalidParameterError(f"penalty must be finite, got {lam}")
+    if not (_is_number(lam) and math.isfinite(lam)):
+        raise InvalidParameterError(f"penalty must be finite, got {lam!r}")
     if aspect == PSI_INFINITE:
-        return FixedPointSolution(lam=lam, aspect=aspect, mu=math.inf, residual=0.0)
-    _check_phi(aspect)
+        return FixedPointSolution(mu=math.inf, residual=0.0)
 
     mu0 = mu_zero(spectrum, aspect)
     lmin = lambda_min(spectrum, aspect)
@@ -233,7 +226,7 @@ def solve_mu(
     # |lmin| + |mu0|, and a penalty above that is solved, however close
     if lam <= lmin + 4.0 * _EPS * (abs(lmin) + abs(mu0)):
         if boundary_ok and lam >= lmin - 1e-11 * (1.0 + abs(lmin)):
-            return FixedPointSolution(lam=lam, aspect=aspect, mu=mu0, residual=abs(lam - lmin))
+            return FixedPointSolution(mu=mu0, residual=abs(lam - lmin))
         raise BelowMinimumPenaltyError(
             f"penalty {lam} is not above the minimum {lmin} at aspect {aspect}"
         )
@@ -266,7 +259,7 @@ def solve_mu(
         raise SolverFailureError(
             f"penalty equation residual {residual:.3e} at lam={lam}, aspect={aspect}"
         )
-    return FixedPointSolution(lam=lam, aspect=aspect, mu=float(mu), residual=float(residual))
+    return FixedPointSolution(mu=float(mu), residual=float(residual))
 
 
 def _edge_level(spectrum: Spectrum, lam: float, lo: float, hi: float | None = None) -> float:
@@ -295,7 +288,13 @@ def _edge_level(spectrum: Spectrum, lam: float, lo: float, hi: float | None = No
     if hi is None:
         # t2 <= r_max s2, so g >= mu^2 / r_max + lam = 3 |lam| there
         hi = 2.0 * math.sqrt(spectrum.r_max * -lam)
-    return _solve_monotone(g, lo, hi, g(lo)[0], g(hi)[0], increasing=lo >= 0.0,
+    try:
+        ghi = g(hi)[0]
+    except ZeroDivisionError:  # t2 falls as mu grows, so t2^2 underflows first at hi
+        raise InvalidParameterError(
+            f"penalty {lam} is too negative: the edge level of its aspect is beyond the "
+            f"float range") from None
+    return _solve_monotone(g, lo, hi, g(lo)[0], ghi, increasing=lo >= 0.0,
                            f_noise=4.0 * _EPS * abs(lam))
 
 
@@ -311,7 +310,6 @@ class EquivalencePath:
 
     lambda_bar: float
     psi_bar: float
-    phi: float
     mu_star: float
     points: tuple[tuple[float, float, float], ...]
 
@@ -330,14 +328,13 @@ def equivalence_path(
     ``psi_bar`` (ensemble aspect, >= phi) must be given; the other endpoint
     follows from matching mu between the two parameterizations.
     """
-    _check_phi(phi)
+    _check_aspect(phi)
     _check_count("samples", samples, 2)
     if (lambda_bar is None) == (psi_bar is None):
         raise InvalidParameterError("give exactly one anchor: lambda_bar or psi_bar")
 
     if psi_bar is not None:
-        if psi_bar < phi:
-            raise InvalidParameterError(f"invalid anchor: psi_bar={psi_bar} below phi={phi}")
+        _check_subsample_aspect(psi_bar, phi, "psi_bar")
         mu_star = mu_zero(spectrum, psi_bar)
         lam_bar = lambda_of_mu(spectrum, mu_star, phi)
     else:
@@ -357,10 +354,8 @@ def equivalence_path(
                 f"aspect overflows"
             )
         lam_bar = float(lambda_bar)
-        if psi_bar < phi - 1e-9 * (1.0 + phi):
-            raise InvalidParameterError(
-                f"invalid anchor: resolved psi_bar={psi_bar} below phi={phi}"
-            )
+        # mu_star is at or above the edge of phi, so 1 / t2 falls below phi
+        # only by the rounding of the edge and of the sum
         psi_bar = max(psi_bar, phi)
 
     lam_end = lambda_of_mu(spectrum, mu_star, psi_bar)
@@ -372,7 +367,6 @@ def equivalence_path(
     return EquivalencePath(
         lambda_bar=float(lam_bar),
         psi_bar=float(psi_bar),
-        phi=float(phi),
         mu_star=float(mu_star),
         points=points,
     )

@@ -23,20 +23,26 @@ from .errors import InvalidParameterError, SingularResolventError
 
 _PSD_RTOL = 1e-10
 _IDENTITY_ATOL = 1e-12
+_PSI_ATOL = 1e-12  # how far a subsample aspect may round below the data aspect
+
+def _is_number(value, kinds: str = "iuf", scalar: bool = True) -> bool:
+    """The number test: numpy reads ``value`` as numbers of a dtype kind in ``kinds`` (not
+    strings, bytes, bools, complex numbers or None), and as one (0-d arrays too) if ``scalar``."""
+    if type(value) is float:  # as numpy reads it, without the cost of an array
+        return "f" in kinds
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError, OverflowError):  # ragged lists
+        return False
+    return arr.dtype.kind in kinds and not (scalar and arr.ndim)
+
 
 def _as_float_array(values, name: str, scalar: bool = False):
-    """``values`` as a float array, or as a float when ``scalar``. Values
-    that numpy reads as neither integers nor floats (strings, bytes,
-    booleans, complex numbers, objects), ragged lists and arrays given for a
-    scalar raise InvalidParameterError naming ``name``."""
-    try:
-        arr = np.asarray(values)
-    except (TypeError, ValueError, OverflowError):
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or scalar and arr.ndim:
+    """``values`` as a float array, or a float when ``scalar``, if they pass the number test."""
+    if not _is_number(values, scalar=scalar):
         raise InvalidParameterError(
             f"{name} must be a number, got {values!r}" if scalar else f"{name} must be numbers")
-    return float(arr) if scalar else np.asarray(arr, dtype=float)
+    return float(values) if scalar else np.asarray(values, dtype=float)
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:
@@ -49,10 +55,24 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 
 
 def _check_count(name: str, value: int, minimum: int) -> None:
-    """Reject a count that is not a Python or numpy integer (a float such as
-    2.0 or a bool included) or that lies below ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+    """Reject a count that is no Python integer (one, such as a seed, may pass 64 bits) and
+    fails the number test for integers (a float such as 2.0 or a bool), or is below ``minimum``."""
+    if not (_is_number(value, "iu") or type(value) is int) or value < minimum:
         raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_aspect(value, name: str = "aspect ratio") -> None:
+    """The aspect rule: ``value`` is a positive finite number."""
+    if not (_is_number(value) and 0.0 < value < math.inf):
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_subsample_aspect(psi, phi, name: str = "psi") -> None:
+    """The subsample-aspect rule: ``psi`` in [phi - _PSI_ATOL, inf] for an aspect ``phi``."""
+    _check_aspect(phi)
+    if not (_is_number(psi) and psi >= phi - _PSI_ATOL):
+        raise InvalidParameterError(
+            f"subsample aspect must be >= data aspect {phi} (not below phi), got {name}={psi!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,6 +32,7 @@ solves for mu.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Literal, NamedTuple
 
@@ -45,7 +46,6 @@ from .errors import (
 )
 from .fixed_point import (
     PSI_INFINITE,
-    _check_phi,
     _edge_level,
     _solve_monotone,
     lambda_min,
@@ -53,7 +53,7 @@ from .fixed_point import (
     mu_zero,
     solve_mu,
 )
-from .model import ShiftModel
+from .model import ShiftModel, _check_aspect, _check_subsample_aspect, _is_number
 
 BoundaryFlag = Literal["interior", "at-lambda-min", "at-infinity-null", "at-floor", "degenerate"]
 
@@ -282,10 +282,17 @@ def _kernel(wt: _Weights, mus, phi: float, slopes: bool = True) -> _Parts:
         )
 
 
+#: the largest level whose square is finite (the bias multiplies by mu^2)
+_MU_MAX = math.sqrt(sys.float_info.max)
+
+
 def _at_mu(model: ShiftModel, mu: float, phi: float) -> _Parts:
-    """The kernel's parts at one finite level on the branch."""
-    _check_phi(phi)
+    """The kernel's parts at one finite level on the branch, at most _MU_MAX."""
+    if not _is_number(mu):
+        raise InvalidParameterError(f"level mu must be a number, got {mu!r}")
     model.spectrum._check_shift(mu)
+    if mu > _MU_MAX:
+        raise InvalidParameterError(f"level mu={mu} is too large: its square overflows")
     parts = _kernel(_weights(model), [mu], phi, slopes=False)
     if parts.denom[0] <= 0.0:
         raise BranchViolationError(
@@ -304,9 +311,7 @@ def tilde_v(model: ShiftModel, mu: float, phi: float, psi: float | None = None) 
     ridge); the denominator is positive on that branch and a nonpositive
     value signals a level below the branch edge. One point of the kernel.
     """
-    _check_phi(phi)
-    if psi is not None and not psi >= phi - 1e-12:  # NaN included
-        raise InvalidParameterError(f"subsample aspect must be >= data aspect {phi}, got {psi}")
+    _check_subsample_aspect(phi if psi is None else psi, phi)
     if mu == math.inf:
         return 0.0
     return float(_at_mu(model, mu, phi).tv[0])
@@ -316,6 +321,7 @@ def risk_at_mu(model: ShiftModel, mu: float, phi: float) -> RiskDecomposition:
     """Risk equivalents parameterized directly by the level mu (admissible for
     some aspect >= phi): one point of the vectorized kernel. At mu = inf, a
     penalty (or subsampling) strong enough to kill the fit, the null risk."""
+    _check_aspect(phi)
     if mu == math.inf:
         bias, shift = model.null_parts()
         return RiskDecomposition(bias, 0.0, shift, model.kappa2)
@@ -338,8 +344,7 @@ def ensemble_risk(model: ShiftModel, lam: float, phi: float, psi: float) -> Risk
     :func:`risk_decomposition` exactly. The boundary lam = lambda_min(psi) is
     admissible (finite) whenever psi > phi.
     """
-    if psi != PSI_INFINITE and psi < phi - 1e-12:
-        raise InvalidParameterError(f"invalid subsample ratio: psi={psi} below phi={phi}")
+    _check_subsample_aspect(psi, phi)
     sol = solve_mu(model.spectrum, lam, psi, boundary_ok=psi > phi)
     return risk_at_mu(model, sol.mu, phi)
 
@@ -424,8 +429,8 @@ def optimal_lambda(
     t_hi = T_MAX * scale
     floor_active = False
     if lambda_floor is not None:
-        if math.isnan(lambda_floor):
-            raise InvalidParameterError("lambda_floor is NaN")
+        if not _is_number(lambda_floor) or math.isnan(lambda_floor):
+            raise InvalidParameterError(f"lambda_floor must be a number, got {lambda_floor!r}")
         t_floor = lambda_floor - lmin
         if t_floor > t_hi:
             raise InvalidParameterError("lambda_floor above the search window")

@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .fixed_point import lambda_min
-from .model import ShiftModel, _as_float_vector, _check_count
+from .model import (ShiftModel, _as_float_vector, _check_aspect, _check_count,
+                    _check_subsample_aspect, _is_number)
 from .risk import ensemble_risk
 
 #: ratio of extreme retained design eigenvalues beyond which a fit is flagged
@@ -59,8 +60,7 @@ class EnsembleConfig:
     n_subsamples: int = 100
 
     def __post_init__(self) -> None:
-        if not self.psi > 0.0:
-            raise InvalidParameterError(f"psi must be positive, got {self.psi}")
+        _check_aspect(self.psi, "subsample aspect ratio psi")
         _check_count("n_subsamples", self.n_subsamples, 1)
 
 
@@ -79,8 +79,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         for name, minimum in (("p", 1), ("reps", 1), ("seed", 0), ("threads", 1)):
             _check_count(name, getattr(self, name), minimum)
-        if not 0.0 < self.phi < math.inf:
-            raise InvalidParameterError(f"phi must be positive and finite, got {self.phi}")
+        _check_aspect(self.phi, "aspect ratio phi")
         if self.n < 1:
             raise InvalidParameterError("n = round(p/phi) must be >= 1")
         if self.ensemble is not None:
@@ -298,6 +297,9 @@ def mc_experiment(
     each replicate's dataset and subsamples, and every cell that did not
     fail keeps its replicate risks.
     """
+    if not (_is_number(lambda_grid, scalar=False) and np.ndim(lambda_grid) == 1
+            and all(map(_is_number, lambda_grid))):
+        raise InvalidParameterError(f"lambda_grid must be a list of numbers, got {lambda_grid!r}")
     lambda_grid = [float(l) for l in lambda_grid]
     if not lambda_grid:
         raise InvalidParameterError("empty penalty grid")
@@ -320,9 +322,8 @@ def mc_experiment(
     elif ens is None:
         raise InvalidParameterError("include_plain=False needs ensemble cells")
     if ens is not None:
+        _check_subsample_aspect(ens.psi, phi)
         psi = float(ens.psi)
-        if psi < phi - 1e-12:
-            raise InvalidParameterError(f"psi={psi} below phi={phi}")
         gbound = _admissible_bound(model, psi)
         admissible = [l for l in lambda_grid if l >= gbound - 1e-12]
         if admissible:

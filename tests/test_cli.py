@@ -159,6 +159,11 @@ class TestRisk:
         assert code == 1
         assert not out.exists()
 
+    def test_penalty_beyond_the_float_range_of_the_risk_is_invalid(self, capsys, iso_config):
+        code = main(["risk", "--config", iso_config, "--phi", "2", "--grid", "0:1e200:3"])
+        assert code == 1
+        assert "is too large: its square overflows" in capsys.readouterr().err
+
     def test_sweep_keeps_a_nan_penalty_as_a_nan_cell(self, tmp_path, iso_config):
         code, out = run_to_file(
             tmp_path,

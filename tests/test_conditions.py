@@ -250,7 +250,7 @@ class TestPredictSign:
         m = make_model(Spectrum.identity(p), beta=beta, sigma0=s0sp.eigenvalues, sigma2=0.01)
         pred = predict_sign(m, 1.5)
         assert pred.predicted_sign == "negative"
-        assert pred.report is not None and pred.report.holds
+        assert pred.reports and pred.reports[-1].holds
 
     def test_cov_shift_identity_test_cov_nonnegative(self):
         rng = np.random.default_rng(7)
@@ -288,7 +288,7 @@ class TestPredictSign:
         m = extreme_pair_model(p=48, sigma2=0.01, beta0_factor=2.0)
         pred = predict_sign(m, phi)
         assert (pred.predicted_sign, pred.applied_rule) == (sign, rule)
-        assert pred.report.condition_id == "reg-shift-alignment"
+        assert pred.reports[-1].condition_id == "reg-shift-alignment"
         if sign == "negative":
             assert optimal_lambda(m, phi).lambda_star == pytest.approx(-0.322, abs=5e-4)
 
@@ -311,7 +311,7 @@ class TestPredictSign:
         # the edge leaves without a start
         pred = predict_sign(identity_cov_shift_model(), phi)
         assert (pred.predicted_sign, pred.applied_rule) == ("inconclusive", "cov-shift-uncovered")
-        assert pred.report is None
+        assert pred.reports == ()
 
     @pytest.mark.parametrize("shift, phi", [
         ("none", 3.0), ("regression", 0.5), ("regression", 3.0), ("covariate", 3.0)])
@@ -331,7 +331,7 @@ class TestPredictSign:
         else:
             m = extreme_pair_model(p=48, sigma2=0.01,
                                    beta0_factor=2.0 if shift == "regression" else None)
-        assert predict_sign(m, phi).report is not None
+        assert predict_sign(m, phi).reports
         assert solves == [phi]
 
     def test_joint_shift_inconclusive(self):

@@ -98,6 +98,7 @@ class TestAR1Eigensystem:
             build_ar1(4, rho)
 
     @PROPERTY_SETTINGS
+    @seed(240401233)
     @given(ar1_cases())
     def test_eigenvalues_match_dense(self, case):
         p, rho = case
@@ -107,6 +108,7 @@ class TestAR1Eigensystem:
                                    atol=8 * p * EPS * ref[-1])
 
     @PROPERTY_SETTINGS
+    @seed(240401233)
     @given(ar1_cases())
     def test_eigenvectors_orthonormal_and_signed(self, case):
         p, rho = case
@@ -122,6 +124,7 @@ class TestAR1Eigensystem:
         np.testing.assert_array_equal(w[::-1], w * parity)
 
     @PROPERTY_SETTINGS
+    @seed(240401233)
     @given(ar1_cases(), st.one_of(st.sampled_from([0.0, -0.5, 0.5]), st.floats(-0.99, 0.99)))
     def test_rotated_test_covariance_matches_dense(self, case, rho0):
         p, rho = case

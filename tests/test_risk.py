@@ -1,10 +1,11 @@
 """Risk equivalents, derivatives, and optimizers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from conftest import level_slopes, random_psd, random_spectrum
 from ridgeshift import (
@@ -98,6 +99,17 @@ class TestRiskDecomposition:
         with pytest.raises(BelowMinimumPenaltyError):
             risk_decomposition(m, -1.0, 4.0)
 
+    def test_levels_whose_square_overflows_raise_a_named_error(self):
+        # the bias multiplies by mu^2, finite up to about 1.34e154
+        m = make_model(Spectrum.from_values([0.5, 1.0, 2.0]), beta=[1.0, 0.5, 0.2], sigma2=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert risk_decomposition(m, 1e154, 2.0).total == pytest.approx(m.null_risk())
+            for call in (lambda: risk_decomposition(m, 1e155, 2.0),
+                         lambda: risk_at_mu(m, 1e155, 2.0), lambda: tilde_v(m, 1e155, 2.0)):
+                with pytest.raises(InvalidParameterError, match="level mu=.* is too large"):
+                    call()
+
     def test_nonnegativity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -145,6 +157,7 @@ class TestEnsembleRisk:
         assert d.total == pytest.approx(m.null_risk(), rel=1e-12)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
+    @seed(240401233)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 40), shift=st.floats(0.0, 2.0))
     def test_null_risk_is_the_risk_at_infinite_level(self, seed, p, shift):
         # the zero predictor's risk has one evaluator: ShiftModel.null_risk
@@ -458,6 +471,15 @@ class TestOptimalPsi:
                                match="no scanned level has a finite risk at lam=0.0, phi=2.0"):
                 optimal_psi(m, 0.0, 2.0)
 
+    def test_penalty_whose_edge_level_underflows_raises_a_named_error(self):
+        # the aspect's slope on the edge divides by t2^2, which underflows
+        m = make_model(Spectrum.from_values([0.5, 1.0, 2.0]), beta=[1.0, 0.5, 0.2], sigma2=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert optimal_psi(m, -1e150, 2.0) == (PSI_INFINITE, m.null_risk())
+            with pytest.raises(InvalidParameterError, match=r"penalty -1e\+200 is too negative"):
+                optimal_psi(m, -1e200, 2.0)
+
     def test_pure_variance_prefers_infinite_subsampling(self):
         # without signal the zero fit is optimal, reached only at psi = inf
         m = make_model(Spectrum.identity(5), beta=np.zeros(5), sigma2=1.0, sigma0_sq=0.2)
@@ -530,6 +552,7 @@ def monotone_models(draw):
 
 class TestOptimalRiskMonotonicity:
     @settings(max_examples=60, deadline=None, derandomize=True)
+    @seed(240401233)
     @given(monotone_models())
     def test_optimal_risk_never_falls_as_phi_grows(self, m):
         # the paper's monotonicity: the optimally tuned risk, negative
