@@ -13,8 +13,15 @@ strictly increasing bijection, so every root here is found by a safeguarded
 Newton iteration (bisection fallback) inside a bracket written down in
 closed form from the extreme eigenvalues, with no bracket search. Each
 Newton step is one pass over the spectrum that yields the residual and its
-slope together. The edge and its penalty, (mu_zero, lambda_min), are solved
-once per (spectrum, aspect) and memoized on the spectrum.
+slope together.
+
+The edge is solved in its concave form u(mu) = sqrt(phi), where
+u = (tr[S^2 (S + mu I)^-2] / p)^(-1/2) is the power mean of order -2 of the
+affine terms 1 + mu / r_i: concave and increasing, and linear when every
+eigenvalue is equal. Newton climbs to the edge from any point below it, and
+the roots of two lines above u give one in closed form, the tangent at
+mu = 0 among them. The edge and its penalty, (mu_zero, lambda_min), are
+solved once per (spectrum, aspect) and memoized on the spectrum.
 """
 
 from __future__ import annotations
@@ -43,9 +50,9 @@ _EPS = float(np.finfo(float).eps)
 #: ulps) ends the iteration: quadratic convergence leaves the next step at
 #: round-off.
 _STEP_TOL = 4.0 * _EPS
-#: Shifted eigenvalues up to this size have a finite cube (the largest is
-#: about 5.6e102).
-_CUBE_MAX = 1e102
+#: Shifted eigenvalues up to this size keep the edge slope's terms
+#: r^2 / (r + mu)^3 of unit eigenvalues above the float underflow (about 1e-306).
+_SHIFT_MAX = 1e102
 #: Edges memoized per spectrum; the memo is emptied when it reaches this size.
 _EDGE_MEMO_SIZE = 256
 
@@ -59,21 +66,23 @@ class FixedPointSolution:
 
 
 def _solve_monotone(f, lo: float, hi: float, flo: float, fhi: float, increasing: bool,
-                    f_noise: float = 0.0, secant: bool = False):
+                    f_noise: float = 0.0, secant: bool = False, start: float | None = None):
     """Root of a strictly monotone function on a bracket [lo, hi] with
     values flo at lo and fhi at hi of opposite sign. ``f(x)`` returns the
     value and the slope at x from one evaluation; with ``secant`` it returns
     the value alone and the slope is taken through the last two iterates.
-    Newton (or secant) steps are taken when they stay inside the bracket,
-    bisection otherwise; terminates on a zero residual, on a step of at most
-    a few ulps of x or within the evaluation noise of f (``f_noise``,
-    absolute, divided by the slope), or on bracket collapse."""
+    Iterates from ``start`` (the bracket's midpoint by default). Newton (or
+    secant) steps are taken when they stay inside the bracket, bisection
+    otherwise; terminates on a zero residual, on a step within the
+    evaluation noise of f (``f_noise``, absolute, divided by the slope),
+    which returns x, on a step of at most a few ulps of x, which returns the
+    stepped point, or on bracket collapse."""
     sign = 1.0 if increasing else -1.0
     if sign * flo > 0.0 or sign * fhi < 0.0:
         raise SolverFailureError(
             f"bracket [{lo}, {hi}] does not enclose a root (f(lo)={flo}, f(hi)={fhi})"
         )
-    x = 0.5 * (lo + hi)
+    x = 0.5 * (lo + hi) if start is None else start
     xp, fp = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
     for _ in range(MAX_BISECT + MAX_NEWTON):
         if secant:
@@ -95,7 +104,9 @@ def _solve_monotone(f, lo: float, hi: float, flo: float, fhi: float, increasing:
         step_ok = False
         if dfx != 0.0 and math.isfinite(dfx):
             x_new = x - fx / dfx
-            if abs(x_new - x) <= _STEP_TOL * abs(x) + f_noise / abs(dfx) and lo <= x_new <= hi:
+            if abs(x_new - x) <= f_noise / abs(dfx):
+                return x  # converged: the step is within the noise of f
+            if abs(x_new - x) <= _STEP_TOL * abs(x) and lo <= x_new <= hi:
                 return x_new  # converged: the next step is below round-off
             if lo < x_new < hi:
                 x = x_new
@@ -137,18 +148,29 @@ def mu_zero(spectrum: Spectrum, phi: float) -> float:
 def _solve_edge(spectrum: Spectrum, phi: float) -> float:
     """Solve the edge equation of :func:`mu_zero` from scratch."""
     r = spectrum.eigenvalues
-    r2 = r * r
     p = r.size
+    root_phi = math.sqrt(phi)
 
-    def g(mu: float) -> tuple[float, float]:
+    seen = {}  # the moments at each level evaluated, the root's among them
+
+    def moments(mu: float) -> tuple[float, float]:
+        # t2 = mean(q^2) and t3 = mean(q^2 / s), with q = r / s and s = r + mu
         s = r + mu
-        q = r / s
-        return (phi * (float((q * q).sum()) / p) - 1.0,
-                -2.0 * phi * (float((r2 / s**3).sum()) / p))
+        qq = r / s
+        qq *= qq
+        seen[mu] = out = float(np.add.reduce(qq)) / p, float(np.add.reduce(qq / s)) / p
+        return out
 
-    # g decreases from +inf (mu -> -r_min) to -1 (mu -> inf).
+    def u(mu: float) -> tuple[float, float]:
+        # u = t2^(-1/2) and its slope t3 / t2^(3/2), written so that no power
+        # of t2 underflows
+        t2, t3 = moments(mu)
+        u_mu = 1.0 / math.sqrt(t2)
+        return u_mu - root_phi, u_mu * t3 / t2
+
+    # u rises from 0 (mu -> -r_min) to +inf, and the edge is its root of u = sqrt(phi)
     r_min = spectrum.r_min
-    # at lo, r_min / (r_min + lo) = 2 sqrt(p / phi): that term alone gives g >= 3
+    # at lo, r_min / (r_min + lo) = 2 sqrt(p / phi): that term alone gives phi t2 >= 4
     lo = r_min * (0.5 * math.sqrt(phi / p) - 1.0)
     if lo <= -r_min:
         # below an aspect of about p eps^2 / 4 the edge is within rounding of the pole
@@ -157,20 +179,28 @@ def _solve_edge(spectrum: Spectrum, phi: float) -> float:
             f"of -r_min={-r_min}"
         )
     # r / (r + mu) is largest at r_max for mu >= 0 and at r_min for mu < 0;
-    # at hi that term is 1 / (2 sqrt(phi)), so g(hi) <= 1/4 - 1
-    hi = (spectrum.r_max if phi >= 0.25 else r_min) * (2.0 * math.sqrt(phi) - 1.0)
-    if spectrum.r_max + hi > _CUBE_MAX:
-        # the cubes in the slope of g would overflow inside the bracket
+    # at hi that term is 1 / (2 sqrt(phi)), so phi t2 <= 1/4
+    hi = (spectrum.r_max if phi >= 0.25 else r_min) * (2.0 * root_phi - 1.0)
+    if spectrum.r_max + hi > _SHIFT_MAX:
+        # the terms q^2 / s ~ r^2 / s^3 of the slope would underflow inside the bracket
         raise InvalidParameterError(
             f"aspect ratio {phi} is too large: the branch edge bracket reaches {hi:.3g}, "
-            f"where the edge equation's slope overflows"
+            f"where the edge equation's slope underflows"
         )
-    # g sums terms near 1 and subtracts 1: its noise is a few eps, which
+    # the roots of two lines above the concave u lie at or below the edge:
+    # the tangent at 0, 1 + mu mean(1 / r), and sqrt(p) (1 + mu / r_min),
+    # which the r_min term of t2 alone gives
+    start = min(max((root_phi - 1.0) / (float(np.add.reduce(1.0 / r)) / p),
+                    r_min * (math.sqrt(phi / p) - 1.0)), hi)
+    # t2 sums terms near 1 / phi: u carries a few eps of sqrt(phi), which
     # bounds the accuracy of roots near zero (phi near 1) in absolute terms
-    mu0 = _solve_monotone(g, lo, hi, g(lo)[0], g(hi)[0], increasing=False, f_noise=4.0 * _EPS)
+    mu0 = _solve_monotone(u, lo, hi, u(lo)[0], u(hi)[0], increasing=True,
+                          f_noise=4.0 * _EPS * root_phi, start=start)
     # a machine-accurate root still carries residual ~ ulp(mu0) * |g'| when
-    # the edge is steep (tiny phi), so the check is conditioning-aware
-    g0, dg0 = g(mu0)
+    # the edge is steep (tiny phi), so the check on g = phi t2 - 1, whose
+    # slope is -2 phi t3, is conditioning-aware
+    t2, t3 = seen[mu0] if mu0 in seen else moments(mu0)
+    g0, dg0 = phi * t2 - 1.0, -2.0 * phi * t3
     tol = RESIDUAL_TOL * max(1.0, phi) + 32.0 * _EPS * (abs(mu0) + spectrum.r_min) * abs(dg0)
     if abs(g0) > tol:
         raise SolverFailureError(f"edge equation residual {g0:.3e} above tolerance")

@@ -27,9 +27,16 @@ _PSI_ATOL = 1e-12  # how far a subsample aspect may round below the data aspect
 
 def _is_number(value, kinds: str = "iuf", scalar: bool = True) -> bool:
     """The number test: numpy reads ``value`` as numbers of a dtype kind in ``kinds`` (not
-    strings, bytes, bools, complex numbers or None), and as one (0-d arrays too) if ``scalar``."""
+    strings, bytes, bools, complex numbers or None), and as one (0-d arrays too) if ``scalar``.
+    A Python integer is one of kind "i" while it converts to a float."""
     if type(value) is float:  # as numpy reads it, without the cost of an array
         return "f" in kinds
+    if type(value) is int:  # numpy holds one beyond 64 bits as an object
+        try:
+            float(value)
+        except OverflowError:  # beyond the float range
+            return False
+        return "i" in kinds
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError, OverflowError):  # ragged lists

@@ -286,13 +286,18 @@ def _kernel(wt: _Weights, mus, phi: float, slopes: bool = True) -> _Parts:
 _MU_MAX = math.sqrt(sys.float_info.max)
 
 
+def _check_level(mu: float) -> None:
+    """The kernel's range: levels up to _MU_MAX."""
+    if mu > _MU_MAX:
+        raise InvalidParameterError(f"level mu={mu} is too large: its square overflows")
+
+
 def _at_mu(model: ShiftModel, mu: float, phi: float) -> _Parts:
     """The kernel's parts at one finite level on the branch, at most _MU_MAX."""
     if not _is_number(mu):
         raise InvalidParameterError(f"level mu must be a number, got {mu!r}")
     model.spectrum._check_shift(mu)
-    if mu > _MU_MAX:
-        raise InvalidParameterError(f"level mu={mu} is too large: its square overflows")
+    _check_level(mu)
     parts = _kernel(_weights(model), [mu], phi, slopes=False)
     if parts.denom[0] <= 0.0:
         raise BranchViolationError(
@@ -369,6 +374,7 @@ class OptimalPoint:
 
 def _scan(wt: _Weights, mus: np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
     """Total risk (+inf off the branch) and its mu-derivative over levels."""
+    _check_level(float(mus.max()))
     parts = _kernel(wt, mus, phi)
     return np.where(parts.denom > 0.0, parts.total, np.inf), parts.d_total
 

@@ -63,7 +63,7 @@ class TestMuGrid:
     @pytest.mark.parametrize("phi", [1e200, 1e250, 1e300])
     @pytest.mark.parametrize("shift", ["none", "regression", "covariate"])
     def test_huge_aspect_raises_a_named_error_and_no_warning(self, phi, shift):
-        # the edge solve's slope overflows above aspects of about 1e204, and
+        # the edge solve's slope underflows above aspects of about 1e204, and
         # the cube of the ridgeless level in the covariate-shift test above 1e102
         if shift == "regression":
             m = make_model(Spectrum.from_values([0.5, 1.0, 3.0]), beta=np.ones(3),

@@ -337,6 +337,30 @@ class TestSolverWork:
         assert root_work["roots"] == 600
         assert root_work["evals"] / root_work["roots"] <= 12.0
 
+    def test_edge_roots_climb_from_the_tangent_start(self, root_work):
+        # the edge is the root of the concave u = t2^(-1/2) = sqrt(phi), and
+        # Newton climbs to it from the root of a line above u
+        rng = np.random.default_rng(3)
+        sp = Spectrum.from_values(np.exp(rng.uniform(np.log(0.3), np.log(4.0), 48)))
+        for phi in np.exp(rng.uniform(np.log(0.1), np.log(10.0), 300)):
+            mu_zero(sp, float(phi))
+        assert root_work["roots"] == 300
+        assert root_work["evals"] / root_work["roots"] <= 8.0
+
+    @pytest.mark.parametrize("p", [1, 2, 7, 48])
+    def test_identity_edges_are_the_tangent_root(self, root_work, p):
+        # u is linear on an identity spectrum, so the tangent at 0 meets
+        # sqrt(phi) at the edge itself: one evaluation past the bracket ends
+        sp = Spectrum.identity(p)
+        phis = np.r_[np.exp(np.linspace(np.log(0.1), np.log(10.0), 101)),
+                     1.0 - 1e-9, 1.0 + 1e-9, 0.9999, 1.001]
+        for phi in phis:
+            evals = root_work["evals"]
+            mu0 = mu_zero(sp, float(phi))
+            assert root_work["evals"] - evals <= 3
+            want = math.sqrt(phi) - 1.0
+            assert abs(mu0 - want) <= np.spacing(abs(want)), (phi, mu0, want)
+
     @pytest.mark.parametrize("phi", [1.001, 1.0001, 0.9999, 1.00001])
     def test_tiny_edges_stop_at_the_noise_floor(self, root_work, phi):
         # Near phi = 1 the edge sqrt(phi) - 1 of an identity spectrum is tiny;
@@ -461,8 +485,10 @@ class TestFusedEvaluation:
             fixed_point._solve_edge(sp, phi)
             assert evaluations
             for mu, (value, slope) in evaluations:
-                assert value == phi * float(np.mean((r / (r + mu)) ** 2)) - 1.0
-                assert slope == -2.0 * phi * float(np.mean(r**2 / (r + mu) ** 3))
+                t2 = float(np.mean((r / (r + mu)) ** 2))
+                t3 = float(np.mean((r / (r + mu)) ** 2 / (r + mu)))
+                assert value == 1.0 / math.sqrt(t2) - math.sqrt(phi)
+                assert slope == 1.0 / math.sqrt(t2) * t3 / t2
 
     def test_edge_level_equation(self, evaluations):
         sp, r = self.SPECTRUM, self.SPECTRUM.eigenvalues

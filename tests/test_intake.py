@@ -171,6 +171,17 @@ def test_counts_take_python_integers_beyond_64_bits():
     assert SimConfig(p=8, phi=2.0, reps=2, seed=2**70).seed == 2**70
 
 
+def test_python_integers_beyond_64_bits_are_numbers_in_the_float_range():
+    # numpy holds them as objects; the number test reads them as their floats
+    assert solve_mu(SP, 2**70, 2.0) == solve_mu(SP, 2.0**70, 2.0)
+    assert mu_zero(SP, 2**70) == mu_zero(SP, 2.0**70)
+    assert optimal_lambda(MODEL, 2.0, lambda_floor=-(2**70)) == optimal_lambda(MODEL, 2.0)
+    with pytest.raises(InvalidParameterError, match="penalty must be finite"):
+        solve_mu(SP, 10**400, 2.0)
+    with pytest.raises(InvalidParameterError, match="aspect ratio must be positive and finite"):
+        mu_zero(SP, 10**400)
+
+
 def test_an_infinite_subsample_aspect_is_admitted_where_it_has_a_meaning():
     # the rule admits psi = inf, the null endpoint of the risk; an anchor of
     # a path and a Monte Carlo subsample need a finite aspect as well

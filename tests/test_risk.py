@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -26,6 +27,48 @@ from ridgeshift import (
     solve_mu,
     tilde_v,
 )
+
+
+def argmin_reference(model, phi: float, mu: float):
+    """(lam*, bound): the penalty at the root of dR/dmu next to the level
+    ``mu``, in 50 digits over the model's float inputs (a rank-one signal
+    and a diagonal S0), and the error bound of a float arg-min. The bound is
+    4 eps times the condition number: the terms that the float dR/dmu sums
+    (the bias's product rule, the variance and the shift) over d2R/dmu2,
+    plus the level, carried to the penalty lam = mu (1 - phi t1)."""
+    with mpmath.workdps(50):
+        r = [mpmath.mpf(float(x)) for x in model.spectrum.eigenvalues]
+        b = [mpmath.mpf(float(x)) for x in model.beta]
+        d = [mpmath.mpf(float(x)) - y for x, y in zip(model.beta0, b)]
+        s0 = [mpmath.mpf(float(x)) for x in model.sigma0.diagonal]
+        p = len(r)
+
+        def trace(weights, mu, k):
+            return mpmath.fsum(w / (x + mu) ** k for w, x in zip(weights, r)) / p
+
+        def tv(mu):
+            return phi * trace([s * x for s, x in zip(s0, r)], mu, 2) / (
+                1 - phi * trace([x * x for x in r], mu, 2))
+
+        def inner(mu):  # bias = mu^2 inner
+            v = tv(mu)
+            return p * trace([bi * bi * (v * x + s) for bi, x, s in zip(b, r, s0)], mu, 2)
+
+        def shift(mu):
+            return 2 * mu * p * trace([bi * s * di for bi, s, di in zip(b, s0, d)], mu, 1)
+
+        def risk(mu):
+            return mu * mu * inner(mu) + model.sigma2 * tv(mu) + shift(mu)
+
+        mu_ref = mpmath.findroot(lambda m: mpmath.diff(risk, m), mpmath.mpf(mu))
+        terms = (abs(2 * mu_ref * inner(mu_ref)) + abs(mu_ref**2 * mpmath.diff(inner, mu_ref))
+                 + abs(model.sigma2 * mpmath.diff(tv, mu_ref)) + abs(mpmath.diff(shift, mu_ref)))
+        eps = float(np.finfo(float).eps)
+        mu_bound = 4 * eps * (terms / abs(mpmath.diff(risk, mu_ref, 2)) + abs(mu_ref))
+        t1 = trace(r, mu_ref, 1)
+        slope = 1 - phi * trace([x * x for x in r], mu_ref, 2)
+        lam = mu_ref * (1 - phi * t1)
+        return lam, mu_bound * abs(slope) + 4 * eps * abs(mu_ref) * (1 + phi * t1)
 
 
 def isotropic_optimal_risk(model, phi: float) -> float:
@@ -326,8 +369,11 @@ class TestOptimalLambda:
         m = make_model(Spectrum.identity(2), beta=[1.0, 0.0], beta0=[1e-5, 1.0])
         point = optimal_lambda(m, 0.5)
         assert point.boundary_flag == "at-infinity-null"
-        assert point.lambda_star == pytest.approx(149997.6530, rel=1e-9)
         assert m.null_risk() - point.risk_star == pytest.approx(6.667e-11, rel=1e-3)
+        # the terms of dR/dmu cancel to a part in 1e5 here, so the arg-min
+        # is known only to the conditioning bound, about 3e-5 relative
+        lam, bound = argmin_reference(m, 0.5, point.mu_star)
+        assert abs(point.lambda_star - lam) <= bound, (point.lambda_star, float(lam), float(bound))
 
     def test_no_finite_scanned_level_is_a_solver_failure(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -479,6 +525,19 @@ class TestOptimalPsi:
             assert optimal_psi(m, -1e150, 2.0) == (PSI_INFINITE, m.null_risk())
             with pytest.raises(InvalidParameterError, match=r"penalty -1e\+200 is too negative"):
                 optimal_psi(m, -1e200, 2.0)
+
+    def test_scan_above_the_kernel_range_raises_a_named_error(self):
+        # the half-line of a penalty of 1e200 starts at a level of about 1e200,
+        # and a scan at phi = 1e150 reaches levels near 1e156, whose squares overflow
+        m = make_model(Spectrum.from_values([0.5, 1.0, 2.0]), beta=[1.0, 0.5, 0.2], sigma2=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert optimal_psi(m, 1e150, 2.0) == (2.0, pytest.approx(m.null_risk()))
+            for call in (lambda: optimal_psi(m, 1e200, 2.0), lambda: optimal_psi(m, 1.0, 1e150),
+                         lambda: optimal_lambda(m, 1e150)):
+                with pytest.raises(InvalidParameterError,
+                                   match=r"level mu=\S+e\+(199|15\d) is too large"):
+                    call()
 
     def test_pure_variance_prefers_infinite_subsampling(self):
         # without signal the zero fit is optimal, reached only at psi = inf
