@@ -28,7 +28,7 @@ _PSI_ATOL = 1e-12  # how far a subsample aspect may round below the data aspect
 def _is_number(value, kinds: str = "iuf", scalar: bool = True) -> bool:
     """The number test: numpy reads ``value`` as numbers of a dtype kind in ``kinds`` (not
     strings, bytes, bools, complex numbers or None), and as one (0-d arrays too) if ``scalar``.
-    A Python integer is one of kind "i" while it converts to a float."""
+    A Python integer is one of kind "i" while it converts to a float, in a list too."""
     if type(value) is float:  # as numpy reads it, without the cost of an array
         return "f" in kinds
     if type(value) is int:  # numpy holds one beyond 64 bits as an object
@@ -41,6 +41,8 @@ def _is_number(value, kinds: str = "iuf", scalar: bool = True) -> bool:
         arr = np.asarray(value)
     except (TypeError, ValueError, OverflowError):  # ragged lists
         return False
+    if arr.dtype.kind == "O" and arr.ndim and not scalar:  # a list holding such integers
+        return all(isinstance(v, (int, float)) and _is_number(v, kinds) for v in arr.flat)
     return arr.dtype.kind in kinds and not (scalar and arr.ndim)
 
 

@@ -356,7 +356,8 @@ def ensemble_risk(model: ShiftModel, lam: float, phi: float, psi: float) -> Risk
 
 # -- optimizers ---------------------------------------------------------------
 
-#: scan controls (see optimal_lambda); optimal_psi scans GRID_POINTS levels per piece
+#: scan controls (see optimal_lambda): levels per scan, optimal_psi's
+#: negative piece included, and the window's ends in units of the spectrum
 GRID_POINTS = 240
 T_MIN = 1e-6
 T_MAX = 1e6
@@ -410,41 +411,47 @@ def _minima(wt: _Weights, phi: float, mus: np.ndarray, risks: np.ndarray,
     return np.array(found_mu), np.array(found_risk)
 
 
-def optimal_lambda(
-    model: ShiftModel,
-    phi: float,
-    lambda_floor: float | None = None,
-) -> OptimalPoint:
+def optimal_lambda(model: ShiftModel, phi: float,
+                   lambda_floor: float | None = None) -> OptimalPoint:
     """Minimize the total risk over penalties above the admissible minimum.
 
     Scans levels, not penalties: GRID_POINTS levels spaced logarithmically
     in mu - mu_zero(phi) between the levels of the penalties
-    lambda_min + [T_MIN, T_MAX] * (1 + |lambda_min|), where
-    ``lambda_floor``, when given and higher, replaces the lower end. The
-    penalty is the increasing closed form lam(mu), so only the two ends of
-    the window are solved for. Every local minimum is refined to a root of
-    the analytic dR/dmu; the global best is returned with all refined local
+    lambda_min + T_MIN (r_min + |lambda_min|) and
+    lambda_min + T_MAX (r_max + |lambda_min|). This window is in the units
+    of the spectrum: scaling S by c and beta by c^-1/2 scales the optimum by
+    c and keeps its risk and flag. ``lambda_floor``, when given and higher,
+    replaces the lower end; one above the upper end is invalid. The penalty
+    is the increasing closed form lam(mu), so only the two ends of the
+    window are solved for. Every local minimum is refined to a root of the
+    analytic dR/dmu; the global best is returned with all refined local
     minima. The null risk of lam = inf competes too: when it is lower, the
     optimum is lam = mu = inf, flagged ``at-infinity-null`` and listed first
     among the local minima.
     """
+    if lambda_floor is not None and (not _is_number(lambda_floor) or math.isnan(lambda_floor)):
+        raise InvalidParameterError(f"lambda_floor must be a number, got {lambda_floor!r}")
+    point = _optimum(model, phi, lambda_floor, f"phi={phi}")
+    if point is None:
+        raise InvalidParameterError("lambda_floor above the search window")
+    return point
+
+
+def _optimum(model: ShiftModel, phi: float, floor: float | None,
+             where: str) -> OptimalPoint | None:
+    """The scan of :func:`optimal_lambda` from the penalty ``floor`` (None
+    for no floor), or None for a floor above the window; ``where`` names the
+    inputs when no scanned level has a finite risk."""
     sp = model.spectrum
     lmin = lambda_min(sp, phi)
-    scale = 1.0 + abs(lmin)
-    t_lo = T_MIN * scale
-    t_hi = T_MAX * scale
-    floor_active = False
-    if lambda_floor is not None:
-        if not _is_number(lambda_floor) or math.isnan(lambda_floor):
-            raise InvalidParameterError(f"lambda_floor must be a number, got {lambda_floor!r}")
-        t_floor = lambda_floor - lmin
-        if t_floor > t_hi:
-            raise InvalidParameterError("lambda_floor above the search window")
-        if t_floor > t_lo:
-            t_lo = t_floor
-            floor_active = True
-
+    t_lo, t_hi = T_MIN * (sp.r_min + abs(lmin)), T_MAX * (sp.r_max + abs(lmin))
     lam_lo, lam_hi = lmin + t_lo, lmin + t_hi
+    floor_active = floor is not None and floor > lam_lo
+    if floor_active:
+        if floor > lam_hi:
+            return None
+        lam_lo = float(floor)
+
     mu0 = mu_zero(sp, phi)
     mu_lo = solve_mu(sp, lam_lo, phi).mu
     mu_hi = solve_mu(sp, lam_hi, phi).mu
@@ -453,13 +460,9 @@ def optimal_lambda(
     wt = _weights(model)
     risks, slopes = _scan(wt, mus, phi)
     if not np.isfinite(risks).any():
-        raise SolverFailureError(f"no scanned level has a finite risk at phi={phi}")
-
+        raise SolverFailureError(f"no scanned level has a finite risk at {where}")
     if float(np.nanmax(risks) - np.nanmin(risks)) <= 1e-14 * (1.0 + abs(float(np.nanmin(risks)))):
-        return OptimalPoint(
-            lambda_star=lam_lo, risk_star=float(risks[0]), mu_star=mu_lo,
-            boundary_flag="degenerate",
-        )
+        return OptimalPoint(lam_lo, float(risks[0]), mu_lo, "degenerate")
 
     found_mu, found_risk = _minima(wt, phi, mus, risks, slopes)
     lams = lambda_of_mu(sp, found_mu, phi)
@@ -478,25 +481,16 @@ def optimal_lambda(
     null = model.null_risk()
     if null < risk_star:
         # the penalty lam = inf beyond the window, where the fit is zero
-        return OptimalPoint(
-            lambda_star=math.inf, risk_star=null, mu_star=math.inf,
-            boundary_flag="at-infinity-null", local_minima=((math.inf, null, math.inf),) + minima,
-        )
+        return OptimalPoint(math.inf, null, math.inf, "at-infinity-null",
+                            ((math.inf, null, math.inf),) + minima)
     flag: BoundaryFlag = "interior"
-    if floor_active and t_star <= t_lo * (1.0 + 1e-9):
+    if floor_active and t_star <= (lam_lo - lmin) * (1.0 + 1e-9):
         flag = "at-floor"
-    elif t_star <= 10.0 * T_MIN * scale:
+    elif t_star <= 10.0 * t_lo:
         flag = "at-lambda-min"
     elif t_star >= 0.1 * t_hi and abs(risk_star - null) <= 1e-8 * (1.0 + abs(null)):
         flag = "at-infinity-null"
-
-    return OptimalPoint(
-        lambda_star=lam_star,
-        risk_star=risk_star,
-        mu_star=mu_star,
-        boundary_flag=flag,
-        local_minima=minima,
-    )
+    return OptimalPoint(lam_star, risk_star, mu_star, flag, minima)
 
 
 def optimal_psi(model: ShiftModel, lam: float, phi: float) -> tuple[float, float]:
@@ -509,9 +503,14 @@ def optimal_psi(model: ShiftModel, lam: float, phi: float) -> tuple[float, float
     phi, on the branch at psi(mu)) and mu = inf (psi = inf, the null risk):
     a half-line, plus for lam < 0 and phi < 1 the negative levels of psi in
     [phi, a], lambda_min(a) = lam, apart from the half-line of psi >= b.
-    Each piece is scanned on a log grid from its lower end and refined like
-    :func:`optimal_lambda`; no probe solves for mu. With lam = 0 and phi < 1
-    every psi in [phi, 1] has mu = 0, reported as psi = phi.
+    The half-line starts at mu(lam, phi), or at the edge level of b when no
+    such level is positive at lam < 0. The risk at a level is that of plain
+    ridge at the penalty lam(mu) of aspect phi, so the half-line's scan is
+    ``optimal_lambda(model, phi, lambda_floor=lam(start))``; for an anchor
+    whose floor is above that window, the start level alone competes with
+    the null risk. The negative piece is scanned on a log grid from its
+    lower end and refined the same way; no probe solves for mu. With lam = 0
+    and phi < 1 every psi in [phi, 1] has mu = 0, reported as psi = phi.
     """
     sp = model.spectrum
     mu0 = mu_zero(sp, phi)
@@ -520,44 +519,36 @@ def optimal_psi(model: ShiftModel, lam: float, phi: float) -> tuple[float, float
     except BelowMinimumPenaltyError:
         mu_phi = None  # lam < lambda_min(phi): psi = phi is out of reach
 
-    pieces: list[tuple[float, float]] = []
+    wt = _weights(model)
+    negative: list[tuple[float, float]] = []  # (risk, level) of the negative piece's minima
     if lam >= 0.0 or (mu_phi is not None and mu_phi > 0.0):
-        pieces.append((mu_phi, math.inf))
+        start, floor = mu_phi, lam
     else:
         # lam < 0: every psi >= b > 1 is reachable, at levels from mu_zero(b) > 0 on
-        pieces.append((_edge_level(sp, lam, max(mu0, 0.0)), math.inf))
+        start = _edge_level(sp, lam, max(mu0, 0.0))
+        floor = lambda_of_mu(sp, start, phi)
         if mu_phi is not None and mu_phi > mu0:
             # psi in [phi, a], a < 1, maps onto the levels [mu_zero(a), mu_phi];
             # at mu_phi = mu0 the piece is the one level where the variance diverges
-            pieces.append((_edge_level(sp, lam, mu0, mu_phi), mu_phi))
+            lo = _edge_level(sp, lam, mu0, mu_phi)
+            mus = np.concatenate([[lo], lo + (mu_phi - lo) * np.geomspace(1e-9, 1.0, GRID_POINTS)])
+            mus[-1] = mu_phi
+            found_mu, found_risk = _minima(wt, phi, mus, *_scan(wt, mus, phi))
+            negative = list(zip(found_risk, found_mu))
 
-    wt = _weights(model)
-    n = GRID_POINTS
-    # at large psi the level grows like psi * tr[S]/p, so the half-line scan
-    # spans the aspects up to about phi + 1e6 (1 + phi)
-    spread = (1.0 + phi) * float(np.mean(sp.eigenvalues))
-    best_mu, best_risk = math.nan, math.inf
-    for lo, hi in pieces:
-        if math.isinf(hi):
-            # at lam = lambda_min(phi) the half-line starts on the edge of the
-            # data aspect, where the variance diverges: that end is left out
-            start = [] if lo == mu0 else [lo]
-            mus = np.concatenate([start, lo + spread * np.geomspace(1e-9, 1e6, n)])
-        else:
-            mus = np.concatenate([[lo], lo + (hi - lo) * np.geomspace(1e-9, 1.0, n)])
-            mus[-1] = hi
-        found_mu, found_risk = _minima(wt, phi, mus, *_scan(wt, mus, phi))
-        if found_risk.size and found_risk.min() < best_risk:
-            k = int(np.argmin(found_risk))
-            best_mu, best_risk = float(found_mu[k]), float(found_risk[k])
-
-    if math.isinf(best_risk):
+    point = _optimum(model, phi, floor, f"lam={lam}, phi={phi}")
+    # above the window, the start level alone competes with the null risk
+    found = [(point.risk_star, point.mu_star) if point is not None
+             else (_scan(wt, np.r_[start], phi)[0][0], start)] + negative
+    # the first of equal risks: the half-line's before the negative piece's
+    best_risk, best_mu = min(found, key=lambda f: f[0])
+    if not math.isfinite(best_risk):
         raise SolverFailureError(f"no scanned level has a finite risk at lam={lam}, phi={phi}")
     null = model.null_risk()
-    if null < best_risk:
+    if null < best_risk or best_mu == math.inf:
         return PSI_INFINITE, float(null)
     if best_mu == mu_phi:
-        return float(phi), best_risk
+        return float(phi), float(best_risk)
     r = sp.eigenvalues
     psi = (1.0 - lam / best_mu) / (float((r / (r + best_mu)).sum()) / r.size)
-    return max(float(psi), float(phi)), best_risk
+    return max(float(psi), float(phi)), float(best_risk)

@@ -182,6 +182,26 @@ def test_python_integers_beyond_64_bits_are_numbers_in_the_float_range():
         mu_zero(SP, 10**400)
 
 
+@pytest.mark.parametrize("values", [[2**70], [2**70, 0.5]])
+def test_lists_of_python_integers_beyond_64_bits_are_numbers(values):
+    # numpy holds such a list as objects; each entry converts to a float
+    floats = [float(v) for v in values]
+    assert np.array_equal(lambda_of_mu(SP, values, 2.0), lambda_of_mu(SP, floats, 2.0))
+    assert mc_experiment(MC_MODEL, MC_CONFIG, values) == mc_experiment(MC_MODEL, MC_CONFIG, floats)
+    beta = values + [0.2] * (3 - len(values))
+    assert np.array_equal(make_model(SP, beta=beta).beta, [float(v) for v in beta])
+
+
+@pytest.mark.parametrize("values", [[2**2000], [2**2000, 0.5]])
+def test_lists_of_integers_beyond_the_float_range_are_not_numbers(values):
+    with pytest.raises(InvalidParameterError, match="mu must be numbers"):
+        lambda_of_mu(SP, values, 2.0)
+    with pytest.raises(InvalidParameterError, match="lambda_grid must be a list of numbers"):
+        mc_experiment(MC_MODEL, MC_CONFIG, values)
+    with pytest.raises(InvalidParameterError, match="beta must be numbers"):
+        make_model(SP, beta=values + [0.2] * (3 - len(values)))
+
+
 def test_an_infinite_subsample_aspect_is_admitted_where_it_has_a_meaning():
     # the rule admits psi = inf, the null endpoint of the risk; an anchor of
     # a path and a Monte Carlo subsample need a finite aspect as well

@@ -6,7 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from conftest import level_slopes, random_psd, random_spectrum
 from ridgeshift import (
@@ -545,6 +545,86 @@ class TestOptimalPsi:
         psi_star, risk_star = optimal_psi(m, 0.5, 0.5)
         assert psi_star == PSI_INFINITE
         assert risk_star == pytest.approx(0.2, abs=1e-10)
+
+
+#: r from 1 to 1e12, mu* = 2.26 at phi 1: a half-line grid sized by mean(r) starts near level 77
+WIDE_MODEL = make_model(Spectrum.from_values(np.geomspace(1.0, 1e12, 200)),
+                        beta=np.ones(200) / math.sqrt(200), sigma2=0.1)
+#: the optimum at c = 1 is lam* = c/4 at phi 0.5 and c/2 at phi 1; a window in
+#: absolute penalty units lost it at small and large c
+UNITS_MODEL = make_model(Spectrum.from_values(np.geomspace(0.3, 4.0, 100)),
+                         beta=np.full(100, 0.1), sigma2=0.5)
+
+
+@st.composite
+def window_models(draw):
+    """Models with p from 1 to 120, train condition numbers up to 1e12 at
+    scales e^-3 to e^3, with or without a regression shift, all drawn from
+    one seed, so that they spread over these ranges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = int(rng.integers(1, 121))
+    log_cond, log_scale = rng.uniform(0.0, 12.0), rng.uniform(-3.0, 3.0)
+    sp = Spectrum.from_values(math.exp(log_scale) * 10.0 ** (log_cond * rng.uniform(0.0, 1.0, p)))
+    beta = rng.standard_normal(p) / math.sqrt(p)
+    beta0 = beta + 0.5 * rng.standard_normal(p) / math.sqrt(p) if rng.random() < 0.5 else None
+    return make_model(sp, beta=beta, beta0=beta0, sigma2=rng.uniform(0.01, 1.0))
+
+
+def joint_anchor(model, phi: float) -> float:
+    """The anchor of ``optimize --joint``: ridgeless below aspect 1, the minimum penalty above."""
+    return 0.0 if phi < 1.0 else lambda_min(model.spectrum, phi)
+
+
+def rescaled(model, k: int):
+    """``model`` with S scaled by c = 4^k and the coefficients by c^-1/2 = 2^-k,
+    both exactly, which keeps every risk; and c."""
+    c = 4.0**k
+    return make_model(Spectrum.from_values(c * model.spectrum.eigenvalues),
+                      beta=2.0**-k * model.beta, beta0=2.0**-k * model.beta0,
+                      sigma2=model.sigma2), c
+
+
+class TestOneScanWindow:
+    """optimal_psi's half-line is the floored scan of optimal_lambda, and the
+    window of that scan is in the units of the spectrum."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @seed(240401233)
+    @given(window_models(), st.sampled_from([0.1, 0.3, 0.5, 0.8, 1.0, 1.5, 3.0, 10.0]))
+    @example(WIDE_MODEL, 1.0)
+    def test_joint_optimum_reaches_the_plain_optimum_above_its_anchor(self, m, phi):
+        # the half-line holds the plain-ridge levels of the penalties above
+        # the anchor, and no other level at these anchors
+        anchor = joint_anchor(m, phi)
+        point = optimal_lambda(m, phi)
+        _, risk = optimal_psi(m, anchor, phi)
+        assert risk >= point.risk_star * (1.0 - 1e-9)
+        if point.lambda_star >= anchor:
+            assert risk == pytest.approx(point.risk_star, rel=1e-9)
+
+    def test_wide_spectrum_joint_optimum(self):
+        psi, risk = optimal_psi(WIDE_MODEL, 0.0, 1.0)
+        assert risk == pytest.approx(optimal_lambda(WIDE_MODEL, 1.0).risk_star, rel=1e-12)
+        assert risk == pytest.approx(2.15832, rel=1e-5)
+        assert ensemble_risk(WIDE_MODEL, 0.0, 1.0, psi).total == pytest.approx(risk, rel=1e-9)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @seed(240401233)
+    @given(window_models(), st.sampled_from([0.5, 1.0, 2.0]), st.integers(-15, 15))
+    @example(UNITS_MODEL, 0.5, -10)
+    @example(UNITS_MODEL, 1.0, -10)
+    @example(UNITS_MODEL, 0.5, 15)
+    @example(UNITS_MODEL, 1.0, 15)
+    def test_optimizers_follow_a_change_of_feature_units(self, m, phi, k):
+        scaled, c = rescaled(m, k)
+        base, point = optimal_lambda(m, phi), optimal_lambda(scaled, phi)
+        assert point.lambda_star == pytest.approx(c * base.lambda_star, rel=1e-9)
+        assert point.risk_star == pytest.approx(base.risk_star, rel=1e-12)
+        assert point.boundary_flag == base.boundary_flag
+        psi, risk = optimal_psi(scaled, joint_anchor(scaled, phi), phi)
+        base_psi, base_risk = optimal_psi(m, joint_anchor(m, phi), phi)
+        assert psi == pytest.approx(base_psi, rel=1e-9)
+        assert risk == pytest.approx(base_risk, rel=1e-12)
 
 
 class TestIsotropicOptimalRisk:
