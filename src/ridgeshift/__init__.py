@@ -65,8 +65,6 @@ _PUBLIC = {
         "EnsembleConfig",
         "SimResult",
         "CellResult",
-        "NearSingularRidgeWarning",
-        "RidgeFactorization",
         "generate_data",
         "empirical_risk",
         "mc_experiment",

@@ -112,9 +112,11 @@ def _write_table(args, command: str, params: dict, columns: list[str], rows: lis
 def _cmd_fixpoint(model: ShiftModel, args) -> _Table:
     phi = args.phi
     psi = args.psi if args.psi is not None else phi
+    if psi != phi:  # ensemble_risk applies the subsample-aspect rule before its solve
+        ensemble_risk(model, args.lam, phi, psi)
     sol = solve_mu(model.spectrum, args.lam, psi, boundary_ok=psi > phi)
     v = math.inf if sol.mu == 0.0 else 1.0 / sol.mu  # 0 at mu = inf
-    tv = tilde_v(model, sol.mu, phi, psi)
+    tv = tilde_v(model, sol.mu, phi)
     return (
         {"lambda": args.lam, "phi": phi, "psi": psi},
         ["lambda", "phi", "psi", "mu", "v", "tilde_v", "residual"],
@@ -214,14 +216,14 @@ def _cmd_simulate(model: ShiftModel, args) -> _Table:
     )
     result = mc_experiment(model, config, [float(l) for l in lams])
     if args.dump_replicates:
-        reps = [(cid, c.lam, c.phi, c.psi, rep, risk) for cid, c in enumerate(result.cells)
+        reps = [(cid, c.lam, args.phi, c.psi, rep, risk) for cid, c in enumerate(result.cells)
                 if not c.failed for rep, risk in enumerate(c.replicate_risks)]
         with open(args.dump_replicates, "w") as fh:
             fh.write(_csv(["cell_id", "lambda", "phi", "psi", "rep", "risk"], reps))
     return (
         {"phi": args.phi, "seed": args.seed, "reps": args.reps},
         ["lambda", "phi", "psi", "empirical_mean", "empirical_se", "theory_total", "rel_error"],
-        [(c.lam, c.phi, c.psi, c.empirical_mean, c.empirical_se, c.theory_total, c.rel_error)
+        [(c.lam, args.phi, c.psi, c.empirical_mean, c.empirical_se, c.theory_total, c.rel_error)
          for c in result.cells],
     )
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BelowMinimumPenaltyError, BranchViolationError, InvalidParameterError
 from .fixed_point import solve_mu
-from .model import ShiftModel, _check_aspect, _check_count
+from .model import ShiftModel, Spectrum, _check_aspect, _check_count
 from .risk import _blocks, _kernel, _weights
 
 ConditionId = Literal[
@@ -51,7 +51,7 @@ _STRICT = 1e-12
 
 #: upper end of every level grid, in multiples of the largest eigenvalue
 CAP_FACTOR = 1e4
-#: lower end of every level grid; a grid that starts below it starts here
+#: lower end of every log grid, in multiples of the smallest eigenvalue
 FLOOR = 1e-8
 
 
@@ -59,12 +59,13 @@ FLOOR = 1e-8
 LEVEL_POINTS = 400
 
 
-def _levels(start: float, r_max: float, points: int, phi: float | None = None) -> np.ndarray:
-    """``points`` log-spaced levels from max(start, FLOOR) to CAP_FACTOR * r_max;
-    ``phi``, when given, is the aspect whose ridgeless level is ``start``."""
+def _levels(start: float, spectrum: Spectrum, points: int, phi: float | None = None) -> np.ndarray:
+    """``points`` log-spaced levels from max(start, FLOOR * r_min) to CAP_FACTOR * r_max,
+    after ``start`` itself when it lies below them, so that the grid scales with the
+    spectrum; ``phi``, when given, is the aspect whose ridgeless level is ``start``."""
     _check_count("points", points, 1)
-    lo = max(start, FLOOR)
-    hi = CAP_FACTOR * r_max
+    lo = max(start, FLOOR * spectrum.r_min)
+    hi = CAP_FACTOR * spectrum.r_max
     if hi <= lo:
         at = "" if phi is None else f" at aspect ratio {phi}"
         raise InvalidParameterError(
@@ -72,7 +73,7 @@ def _levels(start: float, r_max: float, points: int, phi: float | None = None) -
         )
     grid = np.geomspace(lo, hi, points)
     grid[0] = lo
-    return grid
+    return grid if start == lo else np.concatenate([[start], grid])
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ def check_in_dist_alignment(
         raise InvalidParameterError("wrong regime: requires phi > 1")
     sp = model.spectrum
     mu_start = solve_mu(sp, 0.0, phi).mu
-    mus = _levels(mu_start, sp.r_max, points, phi)
+    mus = _levels(mu_start, sp, points, phi)
     bl = _blocks(_weights(model), mus, ("b2", "b3", "s2", "s3"))
     s2n = model.sigma2
     b2, b3 = mus**2 * bl.b2, mus**3 * bl.b3
@@ -162,7 +163,7 @@ def check_reg_shift_alignment(model: ShiftModel, points: int = LEVEL_POINTS) -> 
     level mu >= 0; the grid's levels are checked after mu = 0 itself."""
     if not model.has_regression_shift:
         raise InvalidParameterError("degenerate shift: beta0 equals beta")
-    mus = np.concatenate([[0.0], _levels(0.0, model.spectrum.r_max, points)])
+    mus = _levels(0.0, model.spectrum, points)
     margins = _blocks(_weights(model), mus, ("a2",)).a2
     return _report(
         "reg-shift-alignment", margins, f"mu in [0, {mus[-1]:.6g}], {mus.size} points"
@@ -178,9 +179,7 @@ def check_reg_shift_general_balance(
     zero penalty (always true underparameterized)."""
     sp = model.spectrum
     mu_start = solve_mu(sp, 0.0, phi).mu
-    mus = _levels(mu_start, sp.r_max, points, phi)
-    if mu_start <= FLOOR:
-        mus = np.concatenate([[mu_start], mus])
+    mus = _levels(mu_start, sp, points, phi)
     parts = _kernel(_weights(model), mus, phi)
     if np.any(parts.denom <= 0.0):
         raise BranchViolationError(f"level grid reaches below the branch edge at phi={phi}")

@@ -219,7 +219,7 @@ def lambda_of_mu(spectrum: Spectrum, mu, aspect: float):
         # the least level, or a NaN, is the one the guard must see
         spectrum._check_shift(float(levels.min()))
     r = spectrum.eigenvalues
-    lam = mus * (1.0 - aspect * ((r / (r + mus[..., None])).sum(axis=-1) / r.size))
+    lam = mus * (1.0 - aspect * (np.add.reduce(r / (r + mus[..., None]), axis=-1) / r.size))
     # + 0.0 turns the -0.0 of mu = 0 at aspect > 1 into 0
     return lam if mus.ndim else float(lam) + 0.0
 
@@ -268,8 +268,8 @@ def solve_mu(
     else:
         def f(mu: float) -> tuple[float, float]:
             q = r / (r + mu)
-            return (mu * (1.0 - aspect * (float(q.sum()) / p)) - lam,
-                    1.0 - aspect * (float((q * q).sum()) / p))
+            return (mu * (1.0 - aspect * (float(np.add.reduce(q)) / p)) - lam,
+                    1.0 - aspect * (float(np.add.reduce(q * q)) / p))
 
         # f(hi) >= hi - lam - aspect r_max > 0 in exact arithmetic, but
         # rounding can flip its sign for penalties near 1e8 r_max
@@ -283,7 +283,7 @@ def solve_mu(
         # f(mu0) = lmin - lam < 0 is known, and the slope vanishes there
         mu = _solve_monotone(f, mu0, hi, lmin - lam, fhi, increasing=True)
 
-    residual = abs(mu - lam - aspect * (float((mu * r / (r + mu)).sum()) / p))
+    residual = abs(mu - lam - aspect * (float(np.add.reduce(mu * r / (r + mu))) / p))
     # written so that a NaN residual fails too
     if not residual <= 1e-10 * (1.0 + abs(lam) + abs(mu)):
         raise SolverFailureError(
@@ -309,8 +309,8 @@ def _edge_level(spectrum: Spectrum, lam: float, lo: float, hi: float | None = No
         s = r + mu
         q = r / s
         qq = q * q
-        t1, t2 = float(q.sum()) / p, float(qq.sum()) / p
-        s2, t3 = float((q / s).sum()) / p, float((qq / s).sum()) / p
+        t1, t2 = float(np.add.reduce(q)) / p, float(np.add.reduce(qq)) / p
+        s2, t3 = float(np.add.reduce(q / s)) / p, float(np.add.reduce(qq / s)) / p
         # the penalty equation is stationary in mu on the edge, so the slope
         # is the aspect's: mu t1 times d(1 / t2) / dmu = 2 t3 / t2^2
         return mu * mu * s2 / t2 + lam, 2.0 * mu * t1 * t3 / (t2 * t2)
@@ -376,7 +376,7 @@ def equivalence_path(
         # edge, which fixes the aspect ratio in closed form.
         r = spectrum.eigenvalues
         with np.errstate(over="ignore"):
-            t2 = float((r**2 / (r + mu_star) ** 2).sum()) / r.size
+            t2 = float(np.add.reduce(r**2 / (r + mu_star) ** 2)) / r.size
         psi_bar = 1.0 / t2 if t2 > 0.0 else math.inf
         if psi_bar == math.inf:
             raise InvalidParameterError(

@@ -238,7 +238,8 @@ class _Dense(_TestCovariance):
             # diagonal functionals (of zero weights); q2 is one sum of it
             wb = b * inv
             mwb = (wb @ self.matrix) * wb
-            return mwb.sum(axis=1), None if q3 is None else (mwb * inv).sum(axis=1)
+            return (np.add.reduce(mwb, axis=1),
+                    None if q3 is None else np.add.reduce(mwb * inv, axis=1))
 
         return np.zeros(b.size), rows
 

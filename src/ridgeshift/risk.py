@@ -169,7 +169,7 @@ def _make_weights(model: ShiftModel) -> _Weights:
     shared: dict[bytes, np.ndarray] = {}
     # the products of all-zero weights are zeros of the weights' signs, as
     # the resolvent's powers are positive: their sum does not depend on mu
-    w = {name: shared.setdefault(v.tobytes(), v) if v.any() else float(v.sum())
+    w = {name: shared.setdefault(v.tobytes(), v) if v.any() else float(np.add.reduce(v))
          for name, v in named.items()}
     return _Weights(r, w, sandwich, model.sigma2, model.kappa2, {})
 
@@ -222,7 +222,7 @@ def _blocks(wt: _Weights, mus, rows: tuple[str, ...] = _ALL_ROWS) -> _Blocks:
             # numpy's pairwise sums along p: BLAS dot products, which
             # accumulate in order, leave the traces several ulps off at p in
             # the thousands
-            sums[j, cut] = (powers[k - 1] * w).sum(axis=1)
+            sums[j, cut] = np.add.reduce(powers[k - 1] * w, axis=1)
         if diagonal:
             read = [diagonal[name][cut] if name in diagonal else None for name in ("q2", "q3")]
             for name, q in zip(("q2", "q3"), wt.sandwich(inv, powers[1], *read)):
@@ -307,16 +307,17 @@ def _at_mu(model: ShiftModel, mu: float, phi: float) -> _Parts:
     return parts
 
 
-def tilde_v(model: ShiftModel, mu: float, phi: float, psi: float | None = None) -> float:
+def tilde_v(model: ShiftModel, mu: float, phi: float) -> float:
     """Variance-scale companion of the fixed point:
 
         tv = phi * tr[S0 S (S+mu I)^-2] / p  /  (1 - phi * tr[S^2 (S+mu I)^-2] / p)
 
-    ``mu`` must be the level solved at aspect ``psi`` (psi = phi for plain
-    ridge); the denominator is positive on that branch and a nonpositive
-    value signals a level below the branch edge. One point of the kernel.
+    ``mu`` must be a level solved at some aspect psi >= phi (psi = phi for
+    plain ridge); the denominator is positive on that branch and a
+    nonpositive value signals a level below the branch edge. One point of
+    the kernel.
     """
-    _check_subsample_aspect(phi if psi is None else psi, phi)
+    _check_aspect(phi)
     if mu == math.inf:
         return 0.0
     return float(_at_mu(model, mu, phi).tv[0])
@@ -550,5 +551,5 @@ def optimal_psi(model: ShiftModel, lam: float, phi: float) -> tuple[float, float
     if best_mu == mu_phi:
         return float(phi), float(best_risk)
     r = sp.eigenvalues
-    psi = (1.0 - lam / best_mu) / (float((r / (r + best_mu)).sum()) / r.size)
+    psi = (1.0 - lam / best_mu) / (float(np.add.reduce(r / (r + best_mu))) / r.size)
     return max(float(psi), float(phi)), float(best_risk)

@@ -80,11 +80,12 @@ class SimConfig:
         for name, minimum in (("p", 1), ("reps", 1), ("seed", 0), ("threads", 1)):
             _check_count(name, getattr(self, name), minimum)
         _check_aspect(self.phi, "aspect ratio phi")
-        if self.n < 1:
-            raise InvalidParameterError("n = round(p/phi) must be >= 1")
+        # p / phi overflows at a subnormal phi, and round(inf) raises
+        if not (self.p / self.phi < math.inf and self.n >= 1):
+            raise InvalidParameterError("n = round(p/phi) must be >= 1 and finite")
         if self.ensemble is not None:
-            k = round(self.p / self.ensemble.psi)
-            if not (1 <= k <= self.n):
+            k = self.p / self.ensemble.psi
+            if not (k < math.inf and 1 <= round(k) <= self.n):
                 raise InvalidParameterError("subsample size k must satisfy 1 <= k <= n")
 
     @property
@@ -95,12 +96,7 @@ class SimConfig:
 @dataclass(frozen=True)
 class CellResult:
     lam: float
-    phi: float
     psi: float
-    n: int
-    k: int
-    n_subsamples: int
-    reps: int
     empirical_mean: float
     empirical_se: float
     theory_total: float
@@ -112,7 +108,6 @@ class CellResult:
 @dataclass(frozen=True)
 class SimResult:
     cells: tuple[CellResult, ...]
-    seed: int
 
 
 def generate_data(
@@ -367,7 +362,7 @@ def mc_experiment(
         results = [run_replicate(*task) for task in tasks]
 
     out_cells: list[CellResult] = []
-    for gidx, ((psi, k, subsamples, lams), ths) in enumerate(zip(groups, theory)):
+    for gidx, ((psi, _, _, lams), ths) in enumerate(zip(groups, theory)):
         reps = results[gidx * config.reps:(gidx + 1) * config.reps]
         failed = any(r is None for r in reps)
         for j, (lam, th) in enumerate(zip(lams, ths)):
@@ -381,10 +376,9 @@ def mc_experiment(
                 rel = abs(mean - th) / th if th > 0.0 else math.nan
             out_cells.append(
                 CellResult(
-                    lam=lam, phi=phi, psi=psi, n=n, k=k, n_subsamples=subsamples,
-                    reps=config.reps, empirical_mean=mean, empirical_se=se,
+                    lam=lam, psi=psi, empirical_mean=mean, empirical_se=se,
                     theory_total=th, rel_error=rel, failed=failed,
                     replicate_risks=None if failed else tuple(risks),
                 )
             )
-    return SimResult(cells=tuple(out_cells), seed=config.seed)
+    return SimResult(cells=tuple(out_cells))

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ridgeshift import Spectrum, build_ar1, make_model, risk
 
@@ -39,3 +42,26 @@ def level_slopes(model, mu: float, phi: float) -> tuple[float, float, float]:
     the risk kernel."""
     parts = risk._kernel(risk._weights(model), [mu], phi)
     return float(parts.d_bias[0]), float(parts.d_variance[0]), float(parts.d_shift[0])
+
+
+@st.composite
+def window_models(draw):
+    """Models with p from 1 to 120, train condition numbers up to 1e12 at
+    scales e^-3 to e^3, with or without a regression shift, all drawn from
+    one seed, so that they spread over these ranges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = int(rng.integers(1, 121))
+    log_cond, log_scale = rng.uniform(0.0, 12.0), rng.uniform(-3.0, 3.0)
+    sp = Spectrum.from_values(math.exp(log_scale) * 10.0 ** (log_cond * rng.uniform(0.0, 1.0, p)))
+    beta = rng.standard_normal(p) / math.sqrt(p)
+    beta0 = beta + 0.5 * rng.standard_normal(p) / math.sqrt(p) if rng.random() < 0.5 else None
+    return make_model(sp, beta=beta, beta0=beta0, sigma2=rng.uniform(0.01, 1.0))
+
+
+def rescaled(model, k: int):
+    """``model`` with S scaled by c = 4^k and the coefficients by c^-1/2 = 2^-k,
+    both exactly, which keeps every risk; and c."""
+    c = 4.0**k
+    return make_model(Spectrum.from_values(c * model.spectrum.eigenvalues),
+                      beta=2.0**-k * model.beta, beta0=2.0**-k * model.beta0,
+                      sigma2=model.sigma2), c

@@ -108,6 +108,16 @@ class TestFixpoint:
         row = self._row(tmp_path, iso_config, "--phi", "0.5", "--lambda", "0")
         assert (row["mu"], row["v"]) == ("0", "inf")
 
+    @pytest.mark.parametrize("lam", ["0.5", "-0.5"])
+    def test_psi_below_phi_is_an_invalid_configuration(self, capsys, iso_config, lam):
+        # the subsample-aspect rule runs before the solve at psi, which at
+        # lambda -0.5 lies below lambda_min(1) = 0 and would fail numerically
+        code = main(["fixpoint", "--config", iso_config, "--phi", "4", "--lambda", lam,
+                     "--psi", "1"])
+        assert code == 1
+        assert ("subsample aspect must be >= data aspect 4.0 (not below phi), got psi=1.0"
+                in capsys.readouterr().err)
+
     def test_v_is_the_reciprocal_level(self, tmp_path, iso_config):
         row = self._row(tmp_path, iso_config, "--phi", "2", "--lambda", "0")
         assert float(row["v"]) == 1.0 / float(row["mu"])

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
-from conftest import random_psd, random_spectrum
+from conftest import random_psd, random_spectrum, rescaled, window_models
 from ridgeshift import (
     InvalidParameterError,
     Spectrum,
@@ -48,10 +49,10 @@ class TestMuGrid:
     @pytest.mark.parametrize("points", [0, -1])
     def test_fewer_than_one_point_rejected(self, points):
         with pytest.raises(InvalidParameterError, match="points must be an integer >= 1"):
-            conditions._levels(0.5, 2.0, points)
+            conditions._levels(0.5, Spectrum.from_values([2.0]), points)
 
     def test_one_point_is_the_start(self):
-        assert conditions._levels(0.5, 2.0, 1).tolist() == [0.5]
+        assert conditions._levels(0.5, Spectrum.from_values([2.0]), 1).tolist() == [0.5]
 
     def test_start_above_the_cap_is_an_empty_grid(self):
         # at phi = 2e4 the ridgeless level of an identity spectrum, phi - 1,
@@ -124,8 +125,7 @@ class TestNoiselessLogDerivativeForm:
         for m in models:
             ratio = check_in_dist_alignment(m, phi)
             sp = m.spectrum
-            mus = conditions._levels(solve_mu(sp, 0.0, phi).mu, sp.r_max,
-                                     conditions.LEVEL_POINTS)
+            mus = conditions._levels(solve_mu(sp, 0.0, phi).mu, sp, conditions.LEVEL_POINTS)
             h = 1e-6 * (1.0 + mus)
 
             def log_signal(x):
@@ -392,8 +392,33 @@ class TestReadmeLibraryExample:
         assert parts.total == pytest.approx(parts.bias + parts.variance + parts.shift + parts.kappa2)
 
 
+#: a positive optimum at phi = 2 (lambda* = 0.1386), where the alignment ratio
+#: test fails near the ridgeless level; all three scale with the spectrum
+SQRT_SIGNAL_R = np.geomspace(0.1, 10.0, 10)
+SQRT_SIGNAL_MODEL = make_model(Spectrum.from_values(SQRT_SIGNAL_R), sigma2=0.2,
+                               beta=np.sqrt(SQRT_SIGNAL_R) / np.linalg.norm(np.sqrt(SQRT_SIGNAL_R)))
+
+
 class TestOptimizerConsistency:
     """Predicted signs must agree with the scanned optimum."""
+
+    def test_level_grids_follow_a_change_of_feature_units(self):
+        # a grid starting at an absolute level lay above the failing levels
+        # at c = 4^-15 and claimed a negative optimum there
+        for k in (0, -15):
+            scaled, _ = rescaled(SQRT_SIGNAL_MODEL, k)
+            pred = predict_sign(scaled, 2.0)
+            assert (pred.predicted_sign, pred.applied_rule) == (
+                "inconclusive", "no-shift-alignment-failed")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @seed(240401233)
+    @given(window_models(), st.sampled_from([0.5, 2.0, 5.0]), st.integers(-15, 15))
+    @example(SQRT_SIGNAL_MODEL, 2.0, -15)
+    def test_negative_predictions_hold_at_every_feature_scale(self, m, phi, k):
+        scaled, _ = rescaled(m, k)
+        if predict_sign(scaled, phi).predicted_sign == "negative":
+            assert optimal_lambda(scaled, phi).lambda_star < 0.0
 
     def test_sampled_models(self):
         rng = np.random.default_rng(10)

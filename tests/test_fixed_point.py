@@ -506,7 +506,7 @@ class TestFusedEvaluation:
 class TestTildeV:
     def test_identity_unit(self):
         m = make_model(Spectrum.identity(4), beta=np.ones(4), sigma2=0.0)
-        assert tilde_v(m, mu=1.0, phi=2.0, psi=2.0) == pytest.approx(1.0, abs=1e-12)
+        assert tilde_v(m, mu=1.0, phi=2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_vanishes_with_aspect(self):
         m = make_model(Spectrum.identity(4), beta=np.ones(4), sigma2=0.0)
@@ -515,7 +515,7 @@ class TestTildeV:
     def test_linear_in_test_covariance(self):
         c = 3.7
         m = make_model(Spectrum.identity(4), beta=np.ones(4), sigma0=c * np.ones(4), sigma2=0.0)
-        assert tilde_v(m, mu=1.0, phi=2.0, psi=2.0) == pytest.approx(c, rel=1e-12)
+        assert tilde_v(m, mu=1.0, phi=2.0) == pytest.approx(c, rel=1e-12)
 
     def test_branch_violation(self):
         m = make_model(Spectrum.identity(4), beta=np.ones(4), sigma2=0.0)
@@ -524,7 +524,7 @@ class TestTildeV:
 
     def test_infinite_mu(self):
         m = make_model(Spectrum.identity(4), beta=np.ones(4), sigma2=0.0)
-        assert tilde_v(m, mu=math.inf, phi=2.0, psi=PSI_INFINITE) == 0.0
+        assert tilde_v(m, mu=math.inf, phi=2.0) == 0.0
 
     def test_negative_infinite_mu_is_a_singular_resolvent(self):
         # only mu = +inf is the killed fit; -inf lies below every pole

@@ -14,6 +14,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 from ridgeshift import (
     EnsembleConfig,
     InvalidParameterError,
+    RidgeShiftError,
     SimConfig,
     Spectrum,
     check_cov_shift_overparam,
@@ -63,8 +64,7 @@ CALLS = {
                            {"lam": "penalty", "phi": "aspect ratio"}),
     "ensemble_risk": (ensemble_risk, dict(model=MODEL, lam=0.5, phi=2.0, psi=3.0),
                       {"lam": "penalty", "phi": "aspect ratio", "psi": "psi"}),
-    "tilde_v": (tilde_v, dict(model=MODEL, mu=1.5, phi=2.0, psi=3.0),
-                {"mu": "mu", "phi": "aspect ratio", "psi": "psi"}),
+    "tilde_v": (tilde_v, dict(model=MODEL, mu=1.5, phi=2.0), {"mu": "mu", "phi": "aspect ratio"}),
     "optimal_lambda": (optimal_lambda, dict(model=MODEL, phi=2.0, lambda_floor=0.1),
                        {"phi": "aspect ratio", "lambda_floor": "lambda_floor"}),
     "optimal_psi": (optimal_psi, dict(model=MODEL, lam=0.5, phi=2.0),
@@ -138,10 +138,48 @@ def test_scalar_arguments_take_numbers_only(argument, value):
     assert names[name] in str(info.value)
 
 
+#: the counts among the arguments of CALLS
+COUNTS = {"samples", "points", "p", "reps", "seed", "threads", "n_subsamples"}
+#: floats at and beyond the ends of the range, subnormals and signed zeros among them
+EXTREME_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300,
+                  1e300, -1e300, -1.0, -0.5, 0.5, 1.5, 3.0]
+#: bools, floats and negatives given for a count
+EXTREME_COUNTS = [True, False, 2.0, 2.5, -1, -(2**70), 0, 3]
+#: the entry points that return +inf on purpose: the level at the aspect
+#: PSI_INFINITE, the penalty of that level, and both optimizers' null endpoint
+INFINITE_RESULTS = {"solve_mu", "lambda_of_mu", "optimal_lambda", "optimal_psi"}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@seed(240401233)
+@given(st.sampled_from(ARGUMENTS).flatmap(lambda argument: st.tuples(
+    st.just(argument),
+    st.sampled_from(EXTREME_COUNTS if argument[1] in COUNTS else EXTREME_FLOATS))))
+@example((("SimConfig", "phi"), 5e-324))
+@example((("solve_mu", "aspect"), math.inf))
+def test_numbers_at_the_ends_of_the_range(case):
+    """Every entry point, given an extreme number for one argument, returns
+    finite numbers, or a documented +inf, or raises a RidgeShiftError; no
+    other exception and no warning escapes."""
+    (label, name), value = case
+    try:
+        result = _call(label, name, value)
+    except RidgeShiftError:
+        return
+    infinite = [x for x in _leaves(result) if x in ("inf", "-inf", "nan")]  # float.hex of them
+    if infinite:
+        assert label in INFINITE_RESULTS and set(infinite) == {"inf"}
+        assert label != "optimal_lambda" or result.boundary_flag == "at-infinity-null"
+
+
+def test_a_subsample_aspect_whose_count_overflows_is_invalid():
+    with pytest.raises(InvalidParameterError, match="subsample size k"):
+        dataclasses.replace(MC_CONFIG, ensemble=EnsembleConfig(5e-324, 2))
+
+
 PHI = 2.0
 #: each caller of the subsample-aspect rule, given psi
 PSI_CALLERS = {
-    "tilde_v": lambda psi: tilde_v(MODEL, 1.5, PHI, psi),
     "ensemble_risk": lambda psi: ensemble_risk(MODEL, 0.5, PHI, psi),
     "equivalence_path": lambda psi: equivalence_path(SP, PHI, psi_bar=psi),
     "mc_experiment": lambda psi: mc_experiment(
@@ -156,7 +194,7 @@ PSI_CALLERS = {
     (math.nan, "psi"), ("2.0", "psi"), (True, "psi"),
 ])
 def test_every_caller_of_the_subsample_rule_gives_its_verdict(psi, match):
-    """None: admitted by all four callers; else the pattern each one's error matches."""
+    """None: admitted by all three callers; else the pattern each one's error matches."""
     for call in PSI_CALLERS.values():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -205,7 +243,6 @@ def test_lists_of_integers_beyond_the_float_range_are_not_numbers(values):
 def test_an_infinite_subsample_aspect_is_admitted_where_it_has_a_meaning():
     # the rule admits psi = inf, the null endpoint of the risk; an anchor of
     # a path and a Monte Carlo subsample need a finite aspect as well
-    assert tilde_v(MODEL, math.inf, PHI, math.inf) == 0.0
     assert ensemble_risk(MODEL, 0.5, PHI, math.inf).total == MODEL.null_risk()
     for name in ("equivalence_path", "mc_experiment"):
         with pytest.raises(InvalidParameterError, match="aspect ratio"):

@@ -25,7 +25,6 @@ from ridgeshift import (
     optimal_lambda,
     predict_sign,
     risk_decomposition,
-    tilde_v,
 )
 from ridgeshift.model import _KEYS, _AR1Eigensystem, _Dense, _Diagonal, _ParityRankOne
 from ridgeshift.risk import _blocks, _weights
@@ -466,8 +465,6 @@ class TestShiftModelValidation:
           for key, name in (("sigma2", "sigma2"), ("sigma0_sq", "sigma0_sq"),
                             ("signal_alpha2", "alpha2"))
           for kind, bad in (("numeric-string", "0.5"), ("bool", True))),
-        pytest.param(partial(tilde_v, make_model(Spectrum.identity(3), beta=np.ones(3)),
-                             1.0, 2.0, math.nan), "subsample aspect", id="tilde-v-nan-psi"),
         # well-typed, but of no admissible size or symmetry
         pytest.param(partial(Spectrum.from_values, []), "eigenvalues", id="spectrum-empty"),
         pytest.param(partial(Spectrum.identity, 0), "p", id="identity-p0"),

@@ -196,7 +196,7 @@ class TestEnsembleFit:
                         ensemble=EnsembleConfig(psi=2.0, n_subsamples=7))
         ens = mc_experiment(m, cfg, grid)
         assert len(built) == 3
-        assert [c.k for c in ens.cells] == [20] * len(grid)
+        assert [c.psi for c in ens.cells] == [2.0] * len(grid)
         assert ([c.empirical_mean.hex() for c in ens.cells]
                 == [c.empirical_mean.hex() for c in plain.cells])
 
@@ -247,7 +247,7 @@ class TestEnsembleFit:
                         ensemble=EnsembleConfig(psi=4.0, n_subsamples=6))
         grid = list(np.linspace(0.2, 1.0, simulate.DIRECT_SOLVES_MAX + 1))
         result = mc_experiment(m, cfg, grid)
-        assert [c.k for c in result.cells] == [10] * len(grid)
+        assert [(c.lam, c.psi) for c in result.cells] == [(lam, 4.0) for lam in grid]
         assert seen["built"] == 2 * 6
         assert seen["peak"] == 1
 
@@ -389,7 +389,7 @@ class TestSubsampleDualGram:
                 mock.patch.object(simulate, "_DUAL_GRAM_MAX_BYTES", gram_cap), \
                 mock.patch.object(simulate, "_fits", wraps=simulate._fits) as per_subsample:
             cells = mc_experiment(m, cfg, [0.5]).cells
-        assert [c.k for c in cells] == [round(40 / psi)]
+        assert [c.psi for c in cells] == [psi]
         assert per_subsample.call_count == (0 if shared else 2 * subsamples)
 
     def test_peak_memory_is_the_design_and_both_grams(self):
